@@ -50,41 +50,31 @@ type result = {
   iter_stats : iter_stat list; (* chronological, one per iteration *)
 }
 
+(* Per-[route] cost state.  [cap] and [base] are the graph's node
+   capacities and base costs, flattened once per call so the wavefront
+   reads arrays instead of node records. *)
 type state = {
   occ : int array;
   history : float array;
   mutable pres_fac : float;
+  cap : int array;
+  base : float array;
 }
 
-let node_cost (g : Rrgraph.t) st n ~extra =
-  let node = g.Rrgraph.nodes.(n) in
-  let over = st.occ.(n) + extra + 1 - node.Rrgraph.capacity in
-  let present = if over > 0 then 1.0 +. (float_of_int over *. st.pres_fac) else 1.0 in
-  node.Rrgraph.base_cost *. (1.0 +. st.history.(n)) *. present
-
-(* Timing-driven blend (the VPR router's cost): a critical net weighs node
-   delay, a non-critical net weighs congestion.  [delay_norm] scales the
-   delay term into [0,1]; it is the largest per-node delay of the graph,
-   so the blend is architecture-independent. *)
-let blended_cost (g : Rrgraph.t) st ?node_delay ~delay_norm ~crit n =
-  match node_delay with
-  | Some delays when crit > 0.0 ->
-      (crit *. delays.(n) /. delay_norm)
-      +. ((1.0 -. crit) *. node_cost g st n ~extra:0)
-  | _ -> node_cost g st n ~extra:0
-
 (* Scratch buffers shared across nets and iterations within one [route]
-   call.  [dist]/[prev] are validated by a generation stamp instead of
-   being re-filled per sink: a slot is live only when [stamp.(v) = epoch],
-   so starting a fresh search is an integer increment, not an O(n) fill. *)
+   call.  [dist]/[prev]/[la] are validated by a generation stamp instead
+   of being re-filled per sink: a slot is live only when
+   [stamp.(v) = epoch], so starting a fresh search is an integer
+   increment, not an O(n) fill. *)
 type scratch = {
   dist : float array;
   prev : int array;
+  la : float array;          (* A* lookahead, computed once per wavefront *)
   stamp : int array;
   mutable epoch : int;
   in_tree : bool array;
   is_sink : bool array;
-  heap : int Util.Pqueue.t;
+  heap : Util.Pqueue.t;
   mutable pops : int;        (* heap pops since last reset (observability) *)
 }
 
@@ -92,6 +82,7 @@ let make_scratch n =
   {
     dist = Array.make n infinity;
     prev = Array.make n (-1);
+    la = Array.make n 0.0;
     stamp = Array.make n 0;
     epoch = 0;
     in_tree = Array.make n false;
@@ -113,12 +104,9 @@ let domain_scratch n =
     ~valid:(fun sc -> Array.length sc.dist >= n)
     ~create:(fun () -> make_scratch n)
 
-let dist_of sc v = if sc.stamp.(v) = sc.epoch then sc.dist.(v) else infinity
-
-let set_dist sc v d p =
-  sc.stamp.(v) <- sc.epoch;
-  sc.dist.(v) <- d;
-  sc.prev.(v) <- p
+let gap lo1 hi1 lo2 hi2 =
+  let d1 = lo2 - hi1 and d2 = lo1 - hi2 in
+  if d1 > 0 then d1 else if d2 > 0 then d2 else 0
 
 (* Route one net: grow a tree from the driver OPIN to every sink.  Each
    wavefront expands from the whole current tree and stops at whichever
@@ -127,19 +115,40 @@ let set_dist sc v d p =
    and the remaining sinks — admissible, since a wire of L tiles costs at
    least L (base_cost = tiles, congestion multipliers >= 1), so crossing
    d tiles never costs less than d.  A wire's whole span counts: once
-   paid for, it can be exited at any switch point along it.  [bounds], if
-   given, restricts the search to nodes intersecting the rectangle (VPR's
-   bounding-box routing). *)
+   paid for, it can be exited at any switch point along it.  A node's
+   lookahead is computed when the wavefront first reaches it and reused
+   for its re-pushes and its stale-entry checks.  [bounds], if given,
+   restricts the search to nodes intersecting the rectangle (VPR's
+   bounding-box routing).
+
+   The cost of entering node v is base x (1 + history) x present, where
+   [present] penalises the overuse one more occupant would cause.  With
+   [node_delay] and [crit] > 0 it is the timing-driven blend (the VPR
+   router's cost): crit x delay / delay_norm + (1 - crit) x congestion,
+   where [delay_norm] (the largest per-node delay of the graph) scales
+   the delay term into [0,1] so the blend is architecture-independent.
+   The float expressions, the heap's tie order and the adjacency order
+   together fix the routes (docs/ARCHITECTURE.md). *)
 let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     ~astar_fac ~crit ~source ~sinks () =
-  let inside =
-    match bounds with
-    | None -> fun _ -> true
-    | Some (bx0, bx1, by0, by1) ->
-        fun v ->
-          g.Rrgraph.xhi.(v) >= bx0 && g.Rrgraph.xlo.(v) <= bx1
-          && g.Rrgraph.yhi.(v) >= by0 && g.Rrgraph.ylo.(v) <= by1
+  let xlo = g.Rrgraph.xlo and xhi = g.Rrgraph.xhi in
+  let ylo = g.Rrgraph.ylo and yhi = g.Rrgraph.yhi in
+  let edges = g.Rrgraph.edges in
+  let occ = st.occ and history = st.history in
+  let cap = st.cap and base = st.base in
+  let pres_fac = st.pres_fac in
+  let timing, delays =
+    match node_delay with
+    | Some d when crit > 0.0 -> (true, d)
+    | _ -> (false, [||])
   in
+  let bx0, bx1, by0, by1 =
+    match bounds with
+    | Some b -> b
+    | None -> (min_int, max_int, min_int, max_int)
+  in
+  let dist = sc.dist and prev = sc.prev and la = sc.la in
+  let stamp = sc.stamp and heap = sc.heap in
   let tree_nodes = ref [ source ] in
   let tree_parents = ref [] in
   sc.in_tree.(source) <- true;
@@ -149,72 +158,107 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     List.iter (fun t -> sc.is_sink.(t) <- false) sinks;
     List.iter (fun t -> sc.in_tree.(t) <- false) !tree_nodes
   in
-  let gap lo1 hi1 lo2 hi2 =
-    let d1 = lo2 - hi1 and d2 = lo1 - hi2 in
-    if d1 > 0 then d1 else if d2 > 0 then d2 else 0
+  (* lookahead to the cheapest-to-reach remaining sink: the min over
+     target rectangles, which are the sinks themselves for small fanout
+     and their bounding hull for large (both admissible); [aim] sets the
+     targets per wavefront *)
+  let tx0 = Array.make 6 0 and tx1 = Array.make 6 0 in
+  let ty0 = Array.make 6 0 and ty1 = Array.make 6 0 in
+  let n_targets = ref 0 in
+  let target k x0 x1 y0 y1 =
+    tx0.(k) <- x0;
+    tx1.(k) <- x1;
+    ty0.(k) <- y0;
+    ty1.(k) <- y1
   in
-  (* lookahead to the cheapest-to-reach remaining sink: min over the sinks
-     for small fanout, their bounding hull for large (both admissible) *)
-  let make_lookahead rem =
-    if astar_fac = 0.0 then fun _ -> 0.0
-    else if List.length rem <= 6 then
-      fun v ->
-        let x0 = g.Rrgraph.xlo.(v) and x1 = g.Rrgraph.xhi.(v) in
-        let y0 = g.Rrgraph.ylo.(v) and y1 = g.Rrgraph.yhi.(v) in
-        astar_fac
-        *. float_of_int
-             (List.fold_left
-                (fun m t ->
-                  min m
-                    (gap x0 x1 g.Rrgraph.xlo.(t) g.Rrgraph.xhi.(t)
-                    + gap y0 y1 g.Rrgraph.ylo.(t) g.Rrgraph.yhi.(t)))
-                max_int rem)
-    else begin
-      let hx0 = List.fold_left (fun m t -> min m g.Rrgraph.xlo.(t)) max_int rem in
-      let hx1 = List.fold_left (fun m t -> max m g.Rrgraph.xhi.(t)) min_int rem in
-      let hy0 = List.fold_left (fun m t -> min m g.Rrgraph.ylo.(t)) max_int rem in
-      let hy1 = List.fold_left (fun m t -> max m g.Rrgraph.yhi.(t)) min_int rem in
-      fun v ->
-        astar_fac
-        *. float_of_int
-             (gap g.Rrgraph.xlo.(v) g.Rrgraph.xhi.(v) hx0 hx1
-             + gap g.Rrgraph.ylo.(v) g.Rrgraph.yhi.(v) hy0 hy1)
+  let aim rem =
+    if List.length rem <= 6 then begin
+      List.iteri (fun k t -> target k xlo.(t) xhi.(t) ylo.(t) yhi.(t)) rem;
+      n_targets := List.length rem
     end
+    else begin
+      target 0
+        (List.fold_left (fun m t -> min m xlo.(t)) max_int rem)
+        (List.fold_left (fun m t -> max m xhi.(t)) min_int rem)
+        (List.fold_left (fun m t -> min m ylo.(t)) max_int rem)
+        (List.fold_left (fun m t -> max m yhi.(t)) min_int rem);
+      n_targets := 1
+    end
+  in
+  let set_lookahead v =
+    la.(v) <-
+      (if astar_fac = 0.0 then 0.0
+       else begin
+         let x0 = xlo.(v) and x1 = xhi.(v) in
+         let y0 = ylo.(v) and y1 = yhi.(v) in
+         let m = ref max_int in
+         for k = 0 to !n_targets - 1 do
+           let d = gap x0 x1 tx0.(k) tx1.(k) + gap y0 y1 ty0.(k) ty1.(k) in
+           if d < !m then m := d
+         done;
+         astar_fac *. float_of_int !m
+       end)
   in
   (try
      while !remaining <> [] do
        (* multi-source directed search from the current tree *)
-       let lookahead = make_lookahead !remaining in
+       aim !remaining;
        sc.epoch <- sc.epoch + 1;
-       Util.Pqueue.clear sc.heap;
+       let epoch = sc.epoch in
+       Util.Pqueue.clear heap;
        List.iter
          (fun t ->
-           set_dist sc t 0.0 (-1);
-           Util.Pqueue.push sc.heap (lookahead t) t)
+           stamp.(t) <- epoch;
+           dist.(t) <- 0.0;
+           prev.(t) <- -1;
+           set_lookahead t;
+           Util.Pqueue.push heap la.(t) t)
          !tree_nodes;
        let target = ref (-1) in
        (try
-          while not (Util.Pqueue.is_empty sc.heap) do
-            let f, u = Util.Pqueue.pop sc.heap in
+          while not (Util.Pqueue.is_empty heap) do
+            let f = Util.Pqueue.min_prio heap in
+            let u = Util.Pqueue.pop heap in
             sc.pops <- sc.pops + 1;
             (* stale-entry check: the pushed key was dist + lookahead *)
-            if f <= dist_of sc u +. lookahead u then begin
+            let du = dist.(u) in
+            if f <= du +. la.(u) then begin
               if sc.is_sink.(u) then begin
                 target := u;
                 raise Exit
               end;
-              let du = dist_of sc u in
-              Array.iter
-                (fun v ->
-                  if inside v then begin
-                    let c = blended_cost g st ?node_delay ~delay_norm ~crit v in
-                    let nd = du +. c in
-                    if nd < dist_of sc v then begin
-                      set_dist sc v nd u;
-                      Util.Pqueue.push sc.heap (nd +. lookahead v) v
-                    end
-                  end)
-                g.Rrgraph.edges.(u)
+              let succ = edges.(u) in
+              for i = 0 to Array.length succ - 1 do
+                let v = succ.(i) in
+                if
+                  xhi.(v) >= bx0 && xlo.(v) <= bx1 && yhi.(v) >= by0
+                  && ylo.(v) <= by1
+                then begin
+                  let over = occ.(v) + 1 - cap.(v) in
+                  let present =
+                    if over > 0 then 1.0 +. (float_of_int over *. pres_fac)
+                    else 1.0
+                  in
+                  let cong = base.(v) *. (1.0 +. history.(v)) *. present in
+                  let c =
+                    if timing then
+                      (crit *. delays.(v) /. delay_norm)
+                      +. ((1.0 -. crit) *. cong)
+                    else cong
+                  in
+                  let nd = du +. c in
+                  let fresh = stamp.(v) <> epoch in
+                  if nd < (if fresh then infinity else dist.(v)) then begin
+                    if fresh then begin
+                      stamp.(v) <- epoch;
+                      set_lookahead v
+                    end;
+                    dist.(v) <- nd;
+                    prev.(v) <- u;
+                    Util.Pqueue.push heap (nd +. la.(v)) v
+                  end
+                end
+              done
             end
           done
         with Exit -> ());
@@ -224,8 +268,8 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
          if not sc.in_tree.(v) then begin
            sc.in_tree.(v) <- true;
            tree_nodes := v :: !tree_nodes;
-           tree_parents := (v, sc.prev.(v)) :: !tree_parents;
-           back sc.prev.(v)
+           tree_parents := (v, prev.(v)) :: !tree_parents;
+           back prev.(v)
          end
        in
        back !target;
@@ -291,7 +335,15 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     match obs with Some o -> Obs.Registry.observe o key v | None -> ()
   in
   let n = Rrgraph.node_count g in
-  let st = { occ = Array.make n 0; history = Array.make n 0.0; pres_fac = pres_fac0 } in
+  let st =
+    {
+      occ = Array.make n 0;
+      history = Array.make n 0.0;
+      pres_fac = pres_fac0;
+      cap = Array.map (fun nd -> nd.Rrgraph.capacity) g.Rrgraph.nodes;
+      base = Array.map (fun nd -> nd.Rrgraph.base_cost) g.Rrgraph.nodes;
+    }
+  in
   let delay_norm =
     match node_delay with
     | Some delays ->
@@ -315,7 +367,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     let k = ref 0 in
     Array.iteri
       (fun i used ->
-        let over = used - g.Rrgraph.nodes.(i).Rrgraph.capacity in
+        let over = used - st.cap.(i) in
         if over > 0 then k := !k + over)
       st.occ;
     !k
@@ -324,7 +376,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     let k = ref 0 in
     Array.iteri
       (fun i used ->
-        if used > g.Rrgraph.nodes.(i).Rrgraph.capacity then incr k)
+        if used > st.cap.(i) then incr k)
       st.occ;
     !k
   in
@@ -333,7 +385,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
   let congested tr =
     tr.nodes = []
     || List.exists
-         (fun nd -> st.occ.(nd) > g.Rrgraph.nodes.(nd).Rrgraph.capacity)
+         (fun nd -> st.occ.(nd) > st.cap.(nd))
          tr.nodes
   in
   (* bounding box of a net's terminals, expanded by 3 tiles; a net that
@@ -520,7 +572,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
       (* update history on overused nodes, sharpen the present penalty *)
       Array.iteri
         (fun i used ->
-          let o = used - g.Rrgraph.nodes.(i).Rrgraph.capacity in
+          let o = used - st.cap.(i) in
           if o > 0 then
             st.history.(i) <- st.history.(i) +. (acc_fac *. float_of_int o))
         st.occ;

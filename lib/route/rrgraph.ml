@@ -79,7 +79,9 @@ let track_spans (params : Fpga_arch.Params.t) ~width ~extent ~track =
   spans ~len:segs.(si).Fpga_arch.Params.s_length ~offset ~extent
 
 (* Wires are described by their start coordinate; a chanx wire starting at
-   (xs, y) covers tiles xs..xs+len-1, clipped to the grid. *)
+   (xs, y) covers tiles xs..xs+len-1, clipped to the grid.  Nodes, their
+   successor lists and the wire-start lookups live in flat arrays: node
+   ids are dense and assigned in creation order. *)
 let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
     (placement : Place.Placement.t) ~width =
   let problem = placement.Place.Placement.problem in
@@ -90,33 +92,47 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
   let seg_of t = fst plan.(t) in
   let len_of t = segs.(seg_of t).Fpga_arch.Params.s_length in
   let offset_of t = snd plan.(t) in
-  let nodes = ref [] and n_nodes = ref 0 in
-  let node_tbl = Hashtbl.create 1024 in
+  (* nodes and their successor lists, grown by doubling; a successor
+     list is kept most-recent-first without duplicates, and that order
+     is the node's final adjacency order *)
+  let dummy = { kind = Sink 0; capacity = 0; base_cost = 0.0; wire_tiles = 0; seg = 0 } in
+  let nodes = ref (Array.make 1024 dummy) and succ = ref (Array.make 1024 []) in
+  let n_nodes = ref 0 in
   let add kind capacity base_cost wire_tiles seg =
-    let n = { kind; capacity; base_cost; wire_tiles; seg } in
-    nodes := n :: !nodes;
-    Hashtbl.replace node_tbl !n_nodes n;
-    incr n_nodes;
-    !n_nodes - 1
+    let id = !n_nodes in
+    if id = Array.length !nodes then begin
+      let grow a fill =
+        let b = Array.make (2 * id) fill in
+        Array.blit a 0 b 0 id;
+        b
+      in
+      nodes := grow !nodes dummy;
+      succ := grow !succ []
+    end;
+    !nodes.(id) <- { kind; capacity; base_cost; wire_tiles; seg };
+    n_nodes := id + 1;
+    id
   in
-  let node_rec id = Hashtbl.find node_tbl id in
-  let edges = Hashtbl.create 1024 in
+  let rec mem (b : int) = function [] -> false | x :: r -> x = b || mem b r in
   let add_edge a b =
-    let cur = Option.value (Hashtbl.find_opt edges a) ~default:[] in
-    if not (List.mem b cur) then Hashtbl.replace edges a (b :: cur)
+    let cur = !succ.(a) in
+    if not (mem b cur) then !succ.(a) <- b :: cur
   in
   (* ---- wire nodes ---- *)
   (* chanx wires: for y in 0..ny, track t, starts xs where wires tile the
-     row in steps of the track's segment length at its stagger offset *)
-  let chanx_node = Hashtbl.create 256 in
-  (* (xs, y, t) -> node *)
-  let chany_node = Hashtbl.create 256 in
+     row in steps of the track's segment length at its stagger offset;
+     [chanx_id] maps a start (xs, y, t) to its node, -1 where no wire
+     starts *)
+  let chanx_id = Array.make ((ny + 1) * width * (nx + 1)) (-1) in
+  let chanx_slot x0 y t = (((y * width) + t) * (nx + 1)) + x0 in
+  let chany_id = Array.make ((nx + 1) * width * (ny + 1)) (-1) in
+  let chany_slot x y0 t = (((x * width) + t) * (ny + 1)) + y0 in
   for y = 0 to ny do
     for t = 0 to width - 1 do
       List.iter
         (fun (x0, tiles) ->
           let id = add (Chanx (x0, y, t)) 1 (float_of_int tiles) tiles (seg_of t) in
-          Hashtbl.replace chanx_node (x0, y, t) id)
+          chanx_id.(chanx_slot x0 y t) <- id)
         (spans ~len:(len_of t) ~offset:(offset_of t) ~extent:nx)
     done
   done;
@@ -125,25 +141,26 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
       List.iter
         (fun (y0, tiles) ->
           let id = add (Chany (x, y0, t)) 1 (float_of_int tiles) tiles (seg_of t) in
-          Hashtbl.replace chany_node (x, y0, t) id)
+          chany_id.(chany_slot x y0 t) <- id)
         (spans ~len:(len_of t) ~offset:(offset_of t) ~extent:ny)
     done
   done;
-  (* wire lookup: the chanx wire covering tile x at (row) y, track t *)
+  (* wire lookup: the chanx wire covering tile x at (row) y, track t, or
+     -1 when there is none *)
   let chanx_covering x y t =
     let len = len_of t and offset = offset_of t in
     (* wire starts at positions 1 - offset + k*len *)
     let rel = x - (1 - offset) in
     let xs = x - (rel mod len) in
     let x0 = max 1 xs in
-    Hashtbl.find_opt chanx_node (x0, y, t)
+    if x0 <= nx && y >= 0 && y <= ny then chanx_id.(chanx_slot x0 y t) else -1
   in
   let chany_covering x y t =
     let len = len_of t and offset = offset_of t in
     let rel = y - (1 - offset) in
     let ys = y - (rel mod len) in
     let y0 = max 1 ys in
-    Hashtbl.find_opt chany_node (x, y0, t)
+    if y0 <= ny && x >= 0 && x <= nx then chany_id.(chany_slot x y0 t) else -1
   in
   (* ---- switch boxes (disjoint, Fs = 3) ---- *)
   (* at S(x, y) for x in 0..nx, y in 0..ny: the four incident wires on track
@@ -156,11 +173,9 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
       for t = 0 to width - 1 do
         (* wires whose END touches this switch point *)
         let touching = ref [] in
-        let consider id_opt ends =
-          match id_opt with
-          | Some id when ends (node_rec id) && not (List.mem id !touching) ->
-              touching := id :: !touching
-          | _ -> ()
+        let consider id ends =
+          if id >= 0 && ends !nodes.(id) && not (mem id !touching) then
+            touching := id :: !touching
         in
         consider (chanx_covering sx sy t) (fun n ->
             match n.kind with
@@ -202,16 +217,14 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
       let k = int_of_float (Float.round (fc *. float_of_int n)) in
       max 1 (min n k)
   in
-  (* channels adjacent to tile (x, y) *)
-  let adjacent_wires x y t =
-    List.filter_map
-      (fun f -> f ())
-      [
-        (fun () -> chanx_covering x (y - 1) t);
-        (fun () -> chanx_covering x y t);
-        (fun () -> chany_covering (x - 1) y t);
-        (fun () -> chany_covering x y t);
-      ]
+  (* the track-t wires of the channels adjacent to tile (x, y), below,
+     above, left, right *)
+  let each_adjacent_wire x y t connect =
+    let via w = if w >= 0 then connect w in
+    via (chanx_covering x (y - 1) t);
+    via (chanx_covering x y t);
+    via (chany_covering (x - 1) y t);
+    via (chany_covering x y t)
   in
   (* connect pin [pin] of the block at (x, y) through [connect] to an Fc
      fraction of each segment type's tracks, offset by pin for diversity *)
@@ -222,7 +235,7 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
         let c = fc_tracks (fc_of segs.(si)) n in
         for j = 0 to c - 1 do
           let t = tks.((pin + (j * n / c)) mod n) in
-          List.iter connect (adjacent_wires x y t)
+          each_adjacent_wire x y t connect
         done)
       type_tracks
   in
@@ -262,11 +275,8 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
           add_edge id sink;
           connect_pin ~fc_of:fc_in_of ~pin:0 ~x ~y (fun w -> add_edge w id))
     blocks;
-  let nodes = Array.of_list (List.rev !nodes) in
-  let edge_arr =
-    Array.init (Array.length nodes) (fun i ->
-        Array.of_list (Option.value (Hashtbl.find_opt edges i) ~default:[]))
-  in
+  let nodes = Array.sub !nodes 0 !n_nodes in
+  let edge_arr = Array.init !n_nodes (fun i -> Array.of_list !succ.(i)) in
   (* spatial extents (pins take their block's coordinates) *)
   let m = Array.length nodes in
   let xlo = Array.make m 0 and xhi = Array.make m 0 in

@@ -33,7 +33,10 @@ type node = {
 
 type t = {
   nodes : node array;
-  edges : int array array; (** adjacency: node -> successors *)
+  edges : int array array;
+      (** adjacency: node -> successors.  Node ids and the order of each
+          successor array are part of the router's determinism
+          contract (docs/ARCHITECTURE.md). *)
   node_of_opin : (int * int, int) Hashtbl.t;
   node_of_sink : (int, int) Hashtbl.t;
   width : int;             (** tracks per channel *)

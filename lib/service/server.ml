@@ -501,33 +501,31 @@ let frame_event t st ev =
     (E.to_string (E.Obj (("id", E.Int st.st_id) :: Obs.Events.to_fields ev))
     ^ "\n")
 
-(* Drain every live stream; synthesize a heartbeat when a stream has
-   been silent past the cadence, so watchers can tell a long-running
-   stage from a dead server.  Called once per IO-loop pass — the 0.2 s
-   select timeout bounds event latency. *)
-let pump_streams t =
-  Hashtbl.iter
-    (fun _ st ->
-      match Obs.Events.drain st.st_sink with
-      | [] ->
-          let now = Unix.gettimeofday () in
-          if now -. st.st_last >= t.cfg.heartbeat_s then begin
-            frame_event t st (Obs.Events.heartbeat st.st_sink);
-            st.st_last <- now
-          end
-      | evs ->
-          List.iter (frame_event t st) evs;
-          st.st_last <- Unix.gettimeofday ())
-    t.streams
+(* Frame a live stream's freshly drained events; synthesize a heartbeat
+   when the stream has been silent past the cadence, so watchers can
+   tell a long-running stage from a dead server. *)
+let pump_stream t st evs =
+  match evs with
+  | [] ->
+      let now = Unix.gettimeofday () in
+      if now -. st.st_last >= t.cfg.heartbeat_s then begin
+        frame_event t st (Obs.Events.heartbeat st.st_sink);
+        st.st_last <- now
+      end
+  | evs ->
+      List.iter (frame_event t st) evs;
+      st.st_last <- Unix.gettimeofday ()
 
 (* The worker finished this request (its events all precede the
-   completion by the clock-mutex ordering): flush the stream's tail so
-   every event line lands before the final response line, tell watchers
-   it is over, and retire the stream. *)
-let finish_stream t c_id ~ok =
+   completion by the clock-mutex ordering): frame the events drained
+   earlier in this pass ([early]) and then the stream's tail, so every
+   event line lands before the final response line, tell watchers it is
+   over, and retire the stream. *)
+let finish_stream t c_id ~early ~ok =
   match Hashtbl.find_opt t.streams c_id with
   | None -> ()
   | Some st ->
+      List.iter (frame_event t st) early;
       List.iter (frame_event t st) (Obs.Events.drain st.st_sink);
       let dropped = Obs.Events.dropped_total st.st_sink in
       deliver_line t st
@@ -560,7 +558,7 @@ let run_gc t =
              g.Cache.Store.evicted g.Cache.Store.evicted_bytes
              g.Cache.Store.evicted_corrupt g.Cache.Store.resident_bytes)
 
-let drain_completions t =
+let drain_completions t ~drained =
   Mutex.lock t.clock;
   let comps = List.of_seq (Queue.to_seq t.completions) in
   Queue.clear t.completions;
@@ -574,7 +572,8 @@ let drain_completions t =
       R.add_time t.obs "service.compile" ~wall_s:c.c_wall_s ~cpu_s:c.c_cpu_s;
       if c.c_hits > 0 then R.incr ~by:c.c_hits t.obs "cache.hit";
       if c.c_misses > 0 then R.incr ~by:c.c_misses t.obs "cache.miss";
-      finish_stream t c.c_id ~ok:c.c_ok;
+      let early = Option.value ~default:[] (List.assoc_opt c.c_id drained) in
+      finish_stream t c.c_id ~early ~ok:c.c_ok;
       (match Hashtbl.find_opt t.conns c.c_conn with
       | Some conn -> Buffer.add_string conn.outbox c.c_line
       | None -> () (* client went away; response has nowhere to go *));
@@ -583,6 +582,32 @@ let drain_completions t =
            c.c_design c.c_ok c.c_wait_s c.c_wall_s))
     comps;
   if comps <> [] then run_gc t
+
+(* One IO-loop pass over the progress streams and the finished work.
+   The wire ordering rule (docs/OBSERVABILITY.md, "Wire framing"): a
+   completion line follows every event line of its own request and
+   precedes every event line of a request its worker started after it.
+   A worker queues request N's completion before it starts request N+1,
+   so the pass drains every stream FIRST and takes the completions
+   second: any completion that precedes a drained event is then already
+   queued.  Each completion is written after its own stream's drained
+   events and tail, and the other streams' events go out last.  Called
+   once per IO-loop pass — the 0.2 s select timeout bounds event
+   latency. *)
+let pump t =
+  let drained =
+    List.rev
+      (Hashtbl.fold
+         (fun id st acc -> (id, Obs.Events.drain st.st_sink) :: acc)
+         t.streams [])
+  in
+  drain_completions t ~drained;
+  List.iter
+    (fun (id, evs) ->
+      match Hashtbl.find_opt t.streams id with
+      | Some st -> pump_stream t st evs
+      | None -> ())
+    drained
 
 (* ---------- lifecycle ---------- *)
 
@@ -686,8 +711,7 @@ let run t =
       Mutex.unlock t.qlock;
       t.cfg.log "draining: finishing queued and in-flight requests"
     end;
-    pump_streams t;
-    drain_completions t;
+    pump t;
     let pending_out =
       Hashtbl.fold
         (fun _ c acc -> acc || Buffer.length c.outbox > c.out_pos)
@@ -743,7 +767,7 @@ let run t =
   Condition.broadcast t.qcond;
   Mutex.unlock t.qlock;
   Array.iter Domain.join workers;
-  drain_completions t;
+  pump t;
   Hashtbl.iter (fun _ c -> close_quietly c.fd) t.conns;
   Hashtbl.reset t.conns;
   close_quietly t.listen_fd;

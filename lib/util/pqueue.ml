@@ -1,17 +1,20 @@
-(* Binary-heap priority queue with float priorities (min-heap).
+(* Binary-heap priority queue: float priorities, int payloads (min-heap).
 
-   Used by the PathFinder router (Dijkstra/A* wavefront) and FlowMap.
-   Stale entries are handled by the caller (decrease-key is emulated by
-   re-insertion, the standard trick for Dijkstra).
+   The PathFinder router's Dijkstra/A* wavefront is the only user; it
+   pushes RR node ids.  Stale entries are handled by the caller
+   (decrease-key is emulated by re-insertion, the standard trick for
+   Dijkstra).
 
-   Elements live in an ['a option] array so that [pop] and [clear] can
-   drop their references: the router reuses one queue across every net
-   of a routing, and retaining popped payloads would keep them reachable
-   for the whole run. *)
+   Priorities and payloads live in two flat arrays, so [push] and [pop]
+   allocate nothing of their own: [pop] returns the payload alone, and
+   the caller reads the priority first with [min_prio].  The sift logic
+   fixes the order in which equal priorities pop, and the router's
+   routes depend on that order, so it is part of the determinism
+   contract (docs/ARCHITECTURE.md). *)
 
-type 'a t = {
+type t = {
   mutable prio : float array;
-  mutable data : 'a option array;
+  mutable data : int array;
   mutable size : int;
 }
 
@@ -21,68 +24,67 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let clear t =
-  Array.fill t.data 0 t.size None;
-  t.size <- 0
+let clear t = t.size <- 0
 
 let grow t =
   let cap = Array.length t.prio in
   let ncap = if cap = 0 then 16 else 2 * cap in
-  let np = Array.make ncap 0.0 and nd = Array.make ncap None in
+  let np = Array.make ncap 0.0 and nd = Array.make ncap 0 in
   Array.blit t.prio 0 np 0 t.size;
   Array.blit t.data 0 nd 0 t.size;
   t.prio <- np;
   t.data <- nd
 
-let rec sift_up t i =
+(* The sifts take the arrays as arguments; the type annotations keep
+   their comparisons and accesses specialised to float and int (left
+   polymorphic, they box every priority they read). *)
+let rec sift_up (prio : float array) (data : int array) i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.prio.(i) < t.prio.(parent) then begin
-      let p = t.prio.(i) and d = t.data.(i) in
-      t.prio.(i) <- t.prio.(parent);
-      t.data.(i) <- t.data.(parent);
-      t.prio.(parent) <- p;
-      t.data.(parent) <- d;
-      sift_up t parent
+    if prio.(i) < prio.(parent) then begin
+      let p = prio.(i) and d = data.(i) in
+      prio.(i) <- prio.(parent);
+      data.(i) <- data.(parent);
+      prio.(parent) <- p;
+      data.(parent) <- d;
+      sift_up prio data parent
     end
   end
 
-let push t prio x =
+let push t p x =
   if t.size >= Array.length t.prio then grow t;
-  t.prio.(t.size) <- prio;
-  t.data.(t.size) <- Some x;
+  t.prio.(t.size) <- p;
+  t.data.(t.size) <- x;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t.prio t.data (t.size - 1)
 
-let rec sift_down t i =
+let rec sift_down (prio : float array) (data : int array) size i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.prio.(l) < t.prio.(!smallest) then smallest := l;
-  if r < t.size && t.prio.(r) < t.prio.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let p = t.prio.(i) and d = t.data.(i) in
-    t.prio.(i) <- t.prio.(!smallest);
-    t.data.(i) <- t.data.(!smallest);
-    t.prio.(!smallest) <- p;
-    t.data.(!smallest) <- d;
-    sift_down t !smallest
+  let smallest = if l < size && prio.(l) < prio.(i) then l else i in
+  let smallest =
+    if r < size && prio.(r) < prio.(smallest) then r else smallest
+  in
+  if smallest <> i then begin
+    let p = prio.(i) and d = data.(i) in
+    prio.(i) <- prio.(smallest);
+    data.(i) <- data.(smallest);
+    prio.(smallest) <- p;
+    data.(smallest) <- d;
+    sift_down prio data size smallest
   end
 
-(* Remove and return the minimum-priority element with its priority. *)
+let min_prio t =
+  if t.size = 0 then raise Not_found;
+  t.prio.(0)
+
+(* Remove the minimum-priority entry and return its payload. *)
 let pop t =
   if t.size = 0 then raise Not_found;
-  let p = t.prio.(0) in
-  let x = match t.data.(0) with Some x -> x | None -> assert false in
+  let x = t.data.(0) in
   t.size <- t.size - 1;
   if t.size > 0 then begin
     t.prio.(0) <- t.prio.(t.size);
     t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- None;
-    sift_down t 0
-  end
-  else t.data.(0) <- None;
-  (p, x)
-
-let peek t =
-  if t.size = 0 then raise Not_found;
-  match t.data.(0) with Some x -> (t.prio.(0), x) | None -> assert false
+    sift_down t.prio t.data t.size 0
+  end;
+  x

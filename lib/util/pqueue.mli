@@ -1,32 +1,33 @@
-(** Binary-heap priority queue with float priorities (min-heap).
+(** Binary-heap priority queue with float priorities and int payloads
+    (min-heap).
 
-    Used by the PathFinder router's Dijkstra/A* wavefront and by FlowMap.
-    Decrease-key is emulated by re-insertion (the standard Dijkstra trick);
-    stale entries are the caller's concern.
+    The PathFinder router's Dijkstra/A* wavefront pushes RR node ids
+    here.  Decrease-key is emulated by re-insertion (the standard
+    Dijkstra trick); stale entries are the caller's concern.
 
-    [pop] and [clear] drop their references to removed elements, so a
-    queue may be reused across many searches (the router keeps one alive
-    for a whole routing) without retaining popped payloads. *)
+    [push], [pop] and [clear] allocate nothing of their own (no tuple,
+    no option box), so one queue can serve every search of a routing.  Entries of equal priority pop in an
+    order fixed by the sift logic; routes depend on it, so it is part of
+    the router's determinism contract (docs/ARCHITECTURE.md). *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val clear : 'a t -> unit
-(** Remove every element, dropping the references they held
-    (O(length); storage is retained). *)
+val clear : t -> unit
+(** Remove every entry in O(1); storage is retained. *)
 
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 (** [push q priority x] inserts [x]. *)
 
-val pop : 'a t -> float * 'a
-(** Remove and return the minimum-priority entry.
+val min_prio : t -> float
+(** The priority of the minimum entry, which [pop] removes next.
     @raise Not_found when empty. *)
 
-val peek : 'a t -> float * 'a
-(** The minimum-priority entry without removing it.
+val pop : t -> int
+(** Remove the minimum-priority entry and return its payload.
     @raise Not_found when empty. *)

@@ -363,6 +363,74 @@ let test_multistart_single_is_run () =
     (single.Place.Anneal.placement.Place.Placement.loc
     = multi.Place.Anneal.placement.Place.Placement.loc)
 
+(* Route identity pin.  The golden timing fixtures pin delays only, and a
+   tie-break or float-order change in the router (the heap's tie order,
+   the adjacency order, the cost expression: the determinism contract in
+   docs/ARCHITECTURE.md) can move routes while every delay stays equal.
+   So one uniform-fabric and one mixed-segment design pin, at seed 1 and
+   one job: Wmin, the width-probe outcomes (width -> routable), the final
+   routing's heap pops, iterations and rerouted nets, and the MD5 of the
+   bitstream bytes.  The mixed-segment design also runs timing-driven,
+   whose final routing uses the criticality-blended cost.  The values
+   were recorded before the heap, the PathFinder kernel and the graph
+   build were rewritten for speed, which had to reproduce them. *)
+let test_route_identity_pin () =
+  let mixed =
+    Fpga_arch.Params.validate
+      {
+        Fpga_arch.Params.amdrel with
+        Fpga_arch.Params.segments =
+          Fpga_arch.Params.segments_of_string "2xL1+1xL2+1xL4";
+      }
+  in
+  List.iter
+    (fun ( name, params, timing_driven, vhdl, wmin, probes, pops, iterations,
+           rerouted, md5 ) ->
+      let config =
+        {
+          Core.Flow.default_config with
+          Core.Flow.params;
+          timing_driven;
+          seed = 1;
+          jobs = Some 1;
+          cache_dir = None;
+        }
+      in
+      let r = Core.Flow.run_vhdl ~config vhdl in
+      let rs = r.Core.Flow.route_stats in
+      Alcotest.(check (option int)) (name ^ " Wmin") (Some wmin)
+        rs.Route.Router.minimum_width;
+      let table = Hashtbl.create 8 in
+      let again =
+        Route.Router.route_min_width ~jobs:1 ~table params
+          r.Core.Flow.routed.Route.Router.placement
+      in
+      Alcotest.(check (option int)) (name ^ " Wmin (re-searched)") (Some wmin)
+        again.Route.Router.min_width;
+      Alcotest.(check (list (pair int bool))) (name ^ " width probes") probes
+        (List.sort compare (List.of_seq (Hashtbl.to_seq table)));
+      Alcotest.(check int) (name ^ " heap pops") pops rs.Route.Router.heap_pops;
+      Alcotest.(check int) (name ^ " iterations") iterations
+        rs.Route.Router.router_iterations;
+      Alcotest.(check int) (name ^ " nets rerouted") rerouted
+        rs.Route.Router.nets_rerouted;
+      Alcotest.(check string) (name ^ " bitstream MD5") md5
+        (Digest.to_hex
+           (Digest.string r.Core.Flow.bitstream.Bitstream.Dagger.bytes)))
+    [
+      ( "alu16 uniform", Fpga_arch.Params.amdrel, false,
+        Core.Bench_circuits.alu 16,
+        6, [ (3, false); (4, false); (5, false); (6, true) ],
+        41307, 8, 234, "4fbd9c41f64837894d434941cc8a8c3d" );
+      ( "mult8 2xL1+1xL2+1xL4", mixed, false, Core.Bench_circuits.multiplier 8,
+        10, [ (6, false); (9, false); (10, true); (12, true) ],
+        44676, 6, 255, "4cffe70810e5fa1cb78dc16fbab561af" );
+      ( "mult8 2xL1+1xL2+1xL4 timing-driven", mixed, true,
+        Core.Bench_circuits.multiplier 8,
+        9, [ (6, false); (7, false); (8, false); (9, true); (12, true) ],
+        48149, 14, 608, "37cace08d61b229ee57b02a58b4a88d9" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "incremental vs full rip-up" `Slow
@@ -382,6 +450,7 @@ let suite =
     Alcotest.test_case "per-iteration router stats" `Quick test_iter_stats;
     Alcotest.test_case "net_terminals rejects bad driver" `Quick
       test_net_terminals_bad_driver;
+    Alcotest.test_case "route identity pin" `Quick test_route_identity_pin;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;
     QCheck_alcotest.to_alcotest prop_partition_exactly_once;
     QCheck_alcotest.to_alcotest prop_partition_batch_disjoint;

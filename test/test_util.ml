@@ -79,18 +79,32 @@ let test_prng_shuffle_is_permutation () =
 
 (* ---------- Pqueue ---------- *)
 
+(* Pop the minimum entry as a (priority, payload) pair. *)
+let pqueue_pop q =
+  let p = Util.Pqueue.min_prio q in
+  (p, Util.Pqueue.pop q)
+
+let pqueue_drain_prios q =
+  let rec drain acc =
+    if Util.Pqueue.is_empty q then List.rev acc
+    else drain (fst (pqueue_pop q) :: acc)
+  in
+  drain []
+
 let test_pqueue_ordering () =
   let q = Util.Pqueue.create () in
   List.iter (fun p -> Util.Pqueue.push q p (int_of_float p))
     [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = List.init 5 (fun _ -> snd (Util.Pqueue.pop q)) in
+  let order = List.init 5 (fun _ -> Util.Pqueue.pop q) in
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] order
 
 let test_pqueue_empty () =
   let q = Util.Pqueue.create () in
   Alcotest.(check bool) "empty" true (Util.Pqueue.is_empty q);
   Alcotest.check_raises "pop empty" Not_found (fun () ->
-      ignore (Util.Pqueue.pop q))
+      ignore (Util.Pqueue.pop q));
+  Alcotest.check_raises "min_prio empty" Not_found (fun () ->
+      ignore (Util.Pqueue.min_prio q))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:100 ~name:"Pqueue: pops come out sorted"
@@ -98,31 +112,31 @@ let prop_pqueue_sorts =
     (fun floats ->
       let q = Util.Pqueue.create () in
       List.iteri (fun i p -> Util.Pqueue.push q p i) floats;
-      let rec drain acc =
-        if Util.Pqueue.is_empty q then List.rev acc
-        else drain (fst (Util.Pqueue.pop q) :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare floats)
+      pqueue_drain_prios q = List.sort compare floats)
 
 (* Interleaved push/pop/peek against a sorted-multiset model: pops come
-   out in priority order with their own payloads, peek agrees with the
-   next pop, length tracks, and popping empty raises.  (Payload =
-   priority, so payload/priority pairing is checked too.) *)
+   out in priority order, each with the payload it was pushed with (the
+   payload is the push's sequence number, so a payload popped twice or
+   paired with another entry's priority is caught), peek ([min_prio])
+   agrees with the next pop, length tracks, and popping empty raises. *)
 let prop_pqueue_interleaved =
   QCheck.Test.make ~count:200 ~name:"Pqueue: interleaved ops match model"
     QCheck.(list (option (float_bound_exclusive 1000.0)))
     (fun ops ->
       let q = Util.Pqueue.create () in
       let model = ref [] in
+      let prio_of = Hashtbl.create 16 in
+      let next = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | Some p ->
-              Util.Pqueue.push q p p;
+              Util.Pqueue.push q p !next;
+              Hashtbl.replace prio_of !next p;
+              incr next;
               model := List.sort compare (p :: !model);
               Util.Pqueue.length q = List.length !model
-              && fst (Util.Pqueue.peek q) = List.hd !model
+              && Util.Pqueue.min_prio q = List.hd !model
           | None -> (
               match !model with
               | [] -> (
@@ -130,9 +144,12 @@ let prop_pqueue_interleaved =
                   | _ -> false
                   | exception Not_found -> Util.Pqueue.is_empty q)
               | m :: rest ->
-                  let p, x = Util.Pqueue.pop q in
+                  let p, x = pqueue_pop q in
                   model := rest;
-                  p = m && x = m))
+                  let paired = Hashtbl.find_opt prio_of x = Some p in
+                  Hashtbl.remove prio_of x;
+                  p = m && paired
+                  && Util.Pqueue.length q = List.length rest))
         ops)
 
 (* [clear] really empties: the queue drains as if freshly created. *)
@@ -142,16 +159,123 @@ let prop_pqueue_clear =
               (list (float_bound_exclusive 100.0)))
     (fun (first, second) ->
       let q = Util.Pqueue.create () in
-      List.iter (fun p -> Util.Pqueue.push q p p) first;
+      List.iteri (fun i p -> Util.Pqueue.push q p i) first;
       Util.Pqueue.clear q;
       Util.Pqueue.is_empty q
+      && Util.Pqueue.length q = 0
       && begin
-           List.iter (fun p -> Util.Pqueue.push q p p) second;
-           let rec drain acc =
-             if Util.Pqueue.is_empty q then List.rev acc
-             else drain (fst (Util.Pqueue.pop q) :: acc)
-           in
-           drain [] = List.sort compare second
+           List.iteri (fun i p -> Util.Pqueue.push q p i) second;
+           pqueue_drain_prios q = List.sort compare second
+         end)
+
+(* Reference heap: the polymorphic, option-backed queue the router used
+   before the queue was specialised to int payloads, kept verbatim in
+   its sift logic.  Equal priorities pop in an order fixed by that
+   logic, and routes depend on it, so the specialised queue must
+   reproduce it exactly. *)
+module Ref_heap = struct
+  type 'a t = {
+    mutable prio : float array;
+    mutable data : 'a option array;
+    mutable size : int;
+  }
+
+  let create () = { prio = [||]; data = [||]; size = 0 }
+
+  let clear t =
+    Array.fill t.data 0 t.size None;
+    t.size <- 0
+
+  let grow t =
+    let cap = Array.length t.prio in
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let np = Array.make ncap 0.0 and nd = Array.make ncap None in
+    Array.blit t.prio 0 np 0 t.size;
+    Array.blit t.data 0 nd 0 t.size;
+    t.prio <- np;
+    t.data <- nd
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.prio.(i) < t.prio.(parent) then begin
+        let p = t.prio.(i) and d = t.data.(i) in
+        t.prio.(i) <- t.prio.(parent);
+        t.data.(i) <- t.data.(parent);
+        t.prio.(parent) <- p;
+        t.data.(parent) <- d;
+        sift_up t parent
+      end
+    end
+
+  let push t prio x =
+    if t.size >= Array.length t.prio then grow t;
+    t.prio.(t.size) <- prio;
+    t.data.(t.size) <- Some x;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.prio.(l) < t.prio.(!smallest) then smallest := l;
+    if r < t.size && t.prio.(r) < t.prio.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      let p = t.prio.(i) and d = t.data.(i) in
+      t.prio.(i) <- t.prio.(!smallest);
+      t.data.(i) <- t.data.(!smallest);
+      t.prio.(!smallest) <- p;
+      t.data.(!smallest) <- d;
+      sift_down t !smallest
+    end
+
+  let pop t =
+    if t.size = 0 then raise Not_found;
+    let p = t.prio.(0) in
+    let x = match t.data.(0) with Some x -> x | None -> assert false in
+    t.size <- t.size - 1;
+    if t.size > 0 then begin
+      t.prio.(0) <- t.prio.(t.size);
+      t.data.(0) <- t.data.(t.size);
+      t.data.(t.size) <- None;
+      sift_down t 0
+    end
+    else t.data.(0) <- None;
+    (p, x)
+end
+
+(* Many equal priorities (three distinct values), interleaved pushes and
+   pops, with a clear in the middle: the (priority, payload) pop
+   sequence equals the reference heap's, entry for entry. *)
+let prop_pqueue_ties_match_reference =
+  QCheck.Test.make ~count:300
+    ~name:"Pqueue: equal priorities pop in reference order"
+    QCheck.(list (option (int_bound 2)))
+    (fun ops ->
+      let q = Util.Pqueue.create () and r = Ref_heap.create () in
+      let next = ref 0 in
+      let run ops =
+        List.for_all
+          (function
+            | Some k ->
+                let p = float_of_int k in
+                Util.Pqueue.push q p !next;
+                Ref_heap.push r p !next;
+                incr next;
+                true
+            | None ->
+                if Util.Pqueue.is_empty q then r.Ref_heap.size = 0
+                else pqueue_pop q = Ref_heap.pop r)
+          ops
+      in
+      let half = List.length ops / 2 in
+      let first = List.filteri (fun i _ -> i < half) ops in
+      let second = List.filteri (fun i _ -> i >= half) ops in
+      run first
+      && begin
+           Util.Pqueue.clear q;
+           Ref_heap.clear r;
+           run (second @ List.init (List.length second) (fun _ -> None))
          end)
 
 (* ---------- Union_find ---------- *)
@@ -284,4 +408,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pqueue_sorts;
     QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
     QCheck_alcotest.to_alcotest prop_pqueue_clear;
+    QCheck_alcotest.to_alcotest prop_pqueue_ties_match_reference;
   ]
