@@ -5,9 +5,16 @@
    Two modes:
    - single design (default): INPUT.vhd, full stage reports on stdout;
    - batch (--batch): INPUT is a manifest listing one VHDL path per line;
-     every design compiles over the Domain pool and writes
-     BASE.result.json (QoR figures + full metric registry) next to its
-     bitstream, one summary line each on stdout.
+     every design compiles over the Domain pool, one summary line each
+     on stdout.
+
+   Every mode writes a design's products through one function
+   ([write_products]): BASE.bit, BASE.result.json (QoR figures + full
+   metric registry, or an ok:false record naming the failed stage) and,
+   with --timing-report, BASE.timing.json.  BASE is the input file's
+   name without its extension.  Single mode adds the walkthrough's
+   intermediate products (.edf, .blif, .net, .arch, .timing.txt).  A
+   design that fails to compile exits 1 in every mode.
 
    Both modes memoise stage results in a content-addressed cache
    (_amdrel_cache/ by default; --cache-dir to move it, --no-cache to
@@ -23,8 +30,7 @@
 
 open Cmdliner
 
-let make_config arch seed fixed_width jobs timing_report period_ns
-    no_incremental_sta cache_dir =
+let make_config arch seed fixed_width jobs timing_report period_ns cache_dir =
   let params =
     match arch with
     | Some file -> Fpga_arch.Archfile.of_file file
@@ -39,24 +45,94 @@ let make_config arch seed fixed_width jobs timing_report period_ns
     timing_driven = timing_report || period_ns <> None;
     clock_period = Option.map (fun ns -> ns *. 1e-9) period_ns;
     jobs;
-    incremental_sta = not no_incremental_sta;
     cache_dir;
   }
 
-let counter_value metrics key =
-  match Obs.Registry.find metrics key with
-  | Some (Obs.Registry.Counter n) -> n
-  | _ -> 0
+(* ---------- per-design products (every mode) ---------- *)
 
-(* ---------- run ledger ---------- *)
+let name_of source = Filename.remove_extension (Filename.basename source)
 
-let ledger_append ~ledger ~suite ~config ~source r =
+(* The one writer of a design's products: BASE.result.json always,
+   BASE.bit and BASE.timing.json when the run produced them. *)
+let write_products base ?bit ?timing record =
+  let json path v = Tool_common.write_file path (Obs.Emit.to_string v ^ "\n") in
+  Option.iter (Tool_common.write_file (base ^ ".bit")) bit;
+  Option.iter (json (base ^ ".timing.json")) timing;
+  json (base ^ ".result.json") record
+
+let failure_record ~design ~source msg =
+  Obs.Emit.Obj
+    [
+      ("design", Obs.Emit.String design);
+      ("ok", Obs.Emit.Bool false);
+      ("source", Obs.Emit.String source);
+      ("error", Obs.Emit.String msg);
+    ]
+
+type outcome = {
+  line : string; (* printed summary line *)
+  ok : bool;
+  hits : int;
+  misses : int;
+  lrec : Ledger.t option; (* ledger record, appended post-join in order *)
+}
+
+(* Compile one design and write its products: a batch pool task, and
+   single mode's first step (which also gets the flow result, [None] on
+   failure, for its walkthrough). *)
+let compile_one config timing_report ~suite ~want_ledger outdir source =
+  let design = name_of source in
+  let base = Filename.concat outdir design in
+  match
+    let text = Tool_common.read_file source in
+    (text, Core.Flow.run_vhdl ~config text)
+  with
+  | text, r ->
+      write_products base ~bit:r.Core.Flow.bitstream.Bitstream.Dagger.bytes
+        ?timing:
+          (if timing_report then Some (Core.Flow.timing_report_obj ~design r)
+           else None)
+        (Core.Flow.result_obj ~source r);
+      ( {
+          line = Core.Flow.summary r;
+          ok = true;
+          hits = Obs.Registry.counter r.Core.Flow.metrics "cache.hit";
+          misses = Obs.Registry.counter r.Core.Flow.metrics "cache.miss";
+          lrec =
+            (if want_ledger then
+               Some (Ledger.of_result ~suite ~config ~source:text r)
+             else None);
+        },
+        Some r )
+  | exception e ->
+      let msg =
+        match e with
+        | Core.Flow.Flow_error (stage, e) ->
+            Printf.sprintf "%s: %s" stage (Printexc.to_string e)
+        | e -> Printexc.to_string e
+      in
+      write_products base (failure_record ~design ~source msg);
+      ( {
+          line = Printf.sprintf "%-12s FAILED: %s" design msg;
+          ok = false;
+          hits = 0;
+          misses = 0;
+          lrec = None;
+        },
+        None )
+
+(* Ledger records append after the compiles, in input order, so the
+   file order is deterministic at any jobs value. *)
+let append_ledger ledger suite outcomes =
   match ledger with
   | None -> ()
   | Some dir ->
-      Ledger.append ~dir (Ledger.of_result ~suite ~config ~source r);
-      Printf.printf "ledger: appended %s to %s\n" r.Core.Flow.design
-        (Filename.concat dir (suite ^ ".jsonl"))
+      let recs = List.filter_map (fun o -> o.lrec) (Array.to_list outcomes) in
+      List.iter (Ledger.append ~dir) recs;
+      if recs <> [] then
+        Printf.printf "ledger: appended %d record(s) to %s\n"
+          (List.length recs)
+          (Filename.concat dir (suite ^ ".jsonl"))
 
 (* ---------- local event capture (--events without --remote) ---------- *)
 
@@ -70,39 +146,16 @@ let write_events_file path events =
 
 (* ---------- single-design mode (the paper's GUI walkthrough) ---------- *)
 
-let run_single input outdir config timing_report metrics_json trace_file
-    events_file ledger suite jobs =
-  let text = Tool_common.read_file input in
-  let base =
-    Filename.concat outdir
-      (Filename.remove_extension (Filename.basename input))
-  in
-  let w0 = Unix.gettimeofday () in
-  let t0 = Sys.time () in
-  let trace = Option.map (fun _ -> Obs.Span.create ()) trace_file in
-  let sink = Option.map (fun _ -> Obs.Events.create ()) events_file in
-  let r =
-    let compile () =
-      match trace with
-      | Some tr ->
-          Obs.Span.with_trace tr (fun () -> Core.Flow.run_vhdl ~config text)
-      | None -> Core.Flow.run_vhdl ~config text
-    in
-    match sink with
-    | Some s -> Obs.Events.with_sink s compile
-    | None -> compile ()
-  in
-  let elapsed = Sys.time () -. t0 in
-  let wall = Unix.gettimeofday () -. w0 in
-  (* stage products *)
+(* The intermediate products and the six stage reports of a compiled
+   design; the bitstream, record and timing JSON are already written. *)
+let walkthrough input base config timing_report (r : Core.Flow.result) =
   Tool_common.write_file (base ^ ".edf") r.Core.Flow.edif;
   Tool_common.write_file (base ^ ".blif") r.Core.Flow.blif_mapped;
   Pack.Netfile.to_file (base ^ ".net") r.Core.Flow.packing;
   Fpga_arch.Archfile.to_file (base ^ ".arch") config.Core.Flow.params;
-  Bitstream.Dagger.to_file (base ^ ".bit") r.Core.Flow.bitstream;
   (* stage reports, in the GUI's six-stage order *)
   Printf.printf "=== 1. File upload ===\n  %s (%d bytes)\n" input
-    (String.length text);
+    (Unix.stat input).Unix.st_size;
   Format.printf "=== 2. Synthesis (DIVINER + DRUID) ===@.  %a -> %s@."
     Netlist.Logic.pp_stats r.Core.Flow.source_stats (base ^ ".edf");
   Format.printf "=== 3. Format translation (E2FMT + SIS) ===@.  %a -> %s@."
@@ -135,26 +188,49 @@ let run_single input outdir config timing_report metrics_json trace_file
     in
     print_newline ();
     print_string text;
-    let design = Filename.remove_extension (Filename.basename input) in
     Tool_common.write_file (base ^ ".timing.txt") text;
-    Tool_common.write_file (base ^ ".timing.json")
-      (Core.Flow.timing_report_json ~design r);
     Printf.printf "timing report -> %s, %s\n\n" (base ^ ".timing.txt")
       (base ^ ".timing.json")
   end;
-  let design = Filename.remove_extension (Filename.basename input) in
-  if metrics_json then begin
-    let path = base ^ ".metrics.json" in
-    Tool_common.write_file path
-      (Obs.Emit.to_string
-         (Obs.Emit.Obj
-            [
-              ("design", Obs.Emit.String design);
-              ("metrics", Obs.Registry.to_json r.Core.Flow.metrics);
-            ])
-      ^ "\n");
-    Printf.printf "metrics -> %s\n" path
-  end;
+  Format.printf "=== 6. Power estimation and FPGA program ===@.  %a@."
+    Power.Model.pp r.Core.Flow.power;
+  Printf.printf "  %s\n" (Bitstream.Dagger.summary r.Core.Flow.bitstream);
+  Printf.printf "  bitstream %s, fabric emulation %s -> %s\n"
+    (if r.Core.Flow.bitstream_verified then "verified" else "MISMATCH")
+    (if r.Core.Flow.fabric_verified then "equivalent" else "MISMATCH")
+    (base ^ ".bit");
+  Printf.printf "  record -> %s\n" (base ^ ".result.json");
+  match config.Core.Flow.cache_dir with
+  | Some dir ->
+      Printf.printf "  cache %s: %d hit, %d miss, %d stored\n" dir
+        (Obs.Registry.counter r.Core.Flow.metrics "cache.hit")
+        (Obs.Registry.counter r.Core.Flow.metrics "cache.miss")
+        (Obs.Registry.counter r.Core.Flow.metrics "cache.store")
+  | None -> ()
+
+let run_single input outdir config timing_report trace_file events_file
+    ledger suite jobs =
+  let w0 = Unix.gettimeofday () in
+  let t0 = Sys.time () in
+  let trace = Option.map (fun _ -> Obs.Span.create ()) trace_file in
+  let sink = Option.map (fun _ -> Obs.Events.create ()) events_file in
+  let run () =
+    compile_one config timing_report ~suite ~want_ledger:(ledger <> None)
+      outdir input
+  in
+  let run () =
+    match trace with Some tr -> Obs.Span.with_trace tr run | None -> run ()
+  in
+  let outcome, r =
+    match sink with Some s -> Obs.Events.with_sink s run | None -> run ()
+  in
+  let elapsed = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. w0 in
+  (match r with
+  | Some r ->
+      walkthrough input (Filename.concat outdir (name_of input)) config
+        timing_report r
+  | None -> print_endline outcome.line);
   (match (trace, trace_file) with
   | Some tr, Some path ->
       Tool_common.write_file path (Obs.Span.to_chrome_string tr ^ "\n");
@@ -163,111 +239,13 @@ let run_single input outdir config timing_report metrics_json trace_file
   (match (sink, events_file) with
   | Some s, Some path -> write_events_file path (Obs.Events.drain s)
   | _ -> ());
-  ledger_append ~ledger ~suite ~config ~source:text r;
-  Format.printf "=== 6. Power estimation and FPGA program ===@.  %a@."
-    Power.Model.pp r.Core.Flow.power;
-  Printf.printf "  %s\n" (Bitstream.Dagger.summary r.Core.Flow.bitstream);
-  Printf.printf "  bitstream %s, fabric emulation %s -> %s\n"
-    (if r.Core.Flow.bitstream_verified then "verified" else "MISMATCH")
-    (if r.Core.Flow.fabric_verified then "equivalent" else "MISMATCH")
-    (base ^ ".bit");
-  (match config.Core.Flow.cache_dir with
-  | Some dir ->
-      Printf.printf "  cache %s: %d hit, %d miss, %d stored\n" dir
-        (counter_value r.Core.Flow.metrics "cache.hit")
-        (counter_value r.Core.Flow.metrics "cache.miss")
-        (counter_value r.Core.Flow.metrics "cache.store")
-  | None -> ());
-  Printf.printf
-    "total: %.2f s wall, %.2f s CPU over %d domain(s) (stages: %s)\n" wall
+  append_ledger ledger suite [| outcome |];
+  Printf.printf "total: %.2f s wall, %.2f s CPU over %d domain(s)\n" wall
     elapsed
-    (Util.Parallel.resolve_jobs ?jobs ())
-    (String.concat ", "
-       (List.concat_map
-          (fun (e : Obs.Registry.entry) ->
-            match e.Obs.Registry.value with
-            | Obs.Registry.Timer { wall_s; cpu_s; _ } ->
-                [
-                  Printf.sprintf "%s %.3fs" e.Obs.Registry.key cpu_s;
-                  Printf.sprintf "%s.wall %.3fs" e.Obs.Registry.key wall_s;
-                ]
-            | Obs.Registry.Counter n ->
-                [ Printf.sprintf "%s %g" e.Obs.Registry.key (float_of_int n) ]
-            | Obs.Registry.Gauge v ->
-                [ Printf.sprintf "%s %g" e.Obs.Registry.key v ]
-            | Obs.Registry.Histogram _ -> [])
-          r.Core.Flow.metrics))
+    (Util.Parallel.resolve_jobs ?jobs ());
+  if not outcome.ok then exit 1
 
 (* ---------- batch mode ---------- *)
-
-type batch_outcome = {
-  source : string;
-  design : string;
-  line : string; (* printed summary line *)
-  json : string; (* BASE.result.json contents *)
-  ok : bool;
-  hits : int;
-  misses : int;
-  lrec : Ledger.t option; (* ledger record, appended post-join in order *)
-}
-
-let compile_one config timing_report ~suite ~want_ledger outdir source =
-  let design = Filename.remove_extension (Filename.basename source) in
-  let base = Filename.concat outdir design in
-  match
-    let text = Tool_common.read_file source in
-    let r = Core.Flow.run_vhdl ~config text in
-    Bitstream.Dagger.to_file (base ^ ".bit") r.Core.Flow.bitstream;
-    if timing_report then
-      Tool_common.write_file (base ^ ".timing.json")
-        (Core.Flow.timing_report_json ~design r);
-    (text, r)
-  with
-  | text, r ->
-      let json = Core.Flow.result_json ~source r in
-      Tool_common.write_file (base ^ ".result.json") json;
-      {
-        source;
-        design;
-        line = Core.Flow.summary r;
-        json;
-        ok = true;
-        hits = counter_value r.Core.Flow.metrics "cache.hit";
-        misses = counter_value r.Core.Flow.metrics "cache.miss";
-        lrec =
-          (if want_ledger then
-             Some (Ledger.of_result ~suite ~config ~source:text r)
-           else None);
-      }
-  | exception e ->
-      let msg =
-        match e with
-        | Core.Flow.Flow_error (stage, e) ->
-            Printf.sprintf "%s: %s" stage (Printexc.to_string e)
-        | e -> Printexc.to_string e
-      in
-      let json =
-        Obs.Emit.to_string
-          (Obs.Emit.Obj
-             [
-               ("design", Obs.Emit.String design);
-               ("ok", Obs.Emit.Bool false);
-               ("source", Obs.Emit.String source);
-               ("error", Obs.Emit.String msg);
-             ])
-        ^ "\n"
-      in
-      Tool_common.write_file (base ^ ".result.json") json;
-      {
-        source;
-        design;
-        line = Printf.sprintf "%-12s FAILED: %s" design msg;
-        json;
-        ok = false;
-        hits = 0;
-        misses = 0;
-        lrec = None;
-      }
 
 let run_batch manifest outdir config timing_report ledger suite jobs =
   (* Manifest entries resolve against the manifest's own directory
@@ -281,30 +259,15 @@ let run_batch manifest outdir config timing_report ledger suite jobs =
      so the pool is never oversubscribed.  Outputs land in input order. *)
   let outcomes =
     Util.Parallel.map ?jobs
-      (compile_one config timing_report ~suite ~want_ledger:(ledger <> None)
-         outdir)
+      (fun source ->
+        fst
+          (compile_one config timing_report ~suite
+             ~want_ledger:(ledger <> None) outdir source))
       (Array.of_list sources)
   in
   let wall = Unix.gettimeofday () -. w0 in
   Array.iter (fun o -> print_endline o.line) outcomes;
-  (* ledger records append after the join, in manifest order, so the
-     file order is deterministic at any jobs value *)
-  (match ledger with
-  | None -> ()
-  | Some dir ->
-      let n =
-        Array.fold_left
-          (fun n o ->
-            match o.lrec with
-            | Some rec_ ->
-                Ledger.append ~dir rec_;
-                n + 1
-            | None -> n)
-          0 outcomes
-      in
-      if n > 0 then
-        Printf.printf "ledger: appended %d record(s) to %s\n" n
-          (Filename.concat dir (suite ^ ".jsonl")));
+  append_ledger ledger suite outcomes;
   let failed =
     Array.fold_left (fun n o -> if o.ok then n else n + 1) 0 outcomes
   in
@@ -378,7 +341,7 @@ let run_arch_sweep outdir mixes widths jobs =
 
 (* ---------- remote mode (submission to an amdreld daemon) ---------- *)
 
-module J = Service.Jsonin
+module J = Obs.Jsonin
 
 let make_submit seed fixed_width timing_report period_ns ~progress source =
   {
@@ -461,7 +424,7 @@ let submit_streaming client events_oc design submit =
    rejection arrives as the first stream line). *)
 let remote_submit client ~retries ~wait_ms ~progress ~events_oc seed
     fixed_width timing_report period_ns source =
-  let design = Filename.remove_extension (Filename.basename source) in
+  let design = name_of source in
   let submit =
     make_submit seed fixed_width timing_report period_ns ~progress source
   in
@@ -486,48 +449,35 @@ let remote_submit client ~retries ~wait_ms ~progress ~events_oc seed
     in
     go 0
 
-(* Write the same artifacts a local run would: BASE.bit (hex-decoded),
-   BASE.result.json (the embedded per-design record, schema-identical
-   to the batch driver's), BASE.timing.json when the server sent one. *)
+(* Write the products a local run would, through the same writer:
+   BASE.bit (hex-decoded), BASE.result.json (the embedded
+   Core.Flow.result_obj, or the ok:false record on failure) and
+   BASE.timing.json when the server sent one. *)
 let write_remote_outputs outdir source resp =
-  let design =
-    match Option.bind (J.member "design" resp) J.get_string with
-    | Some d -> d
-    | None -> Filename.remove_extension (Filename.basename source)
-  in
+  let design = name_of source in
   let base = Filename.concat outdir design in
-  if not (Service.Client.ok resp) then begin
-    Printf.printf "%-12s FAILED (remote): %s\n" design
-      (Service.Client.error_message resp);
-    false
-  end
-  else begin
-    let result = J.member "result" resp in
-    (match result with
-    | Some r ->
-        Tool_common.write_file (base ^ ".result.json")
-          (Obs.Emit.to_string r ^ "\n")
-    | None -> ());
-    (match Option.bind (J.member "bitstream_hex" resp) J.get_string with
-    | Some hex ->
-        Tool_common.write_file (base ^ ".bit")
-          (Tool_common.or_die (Service.Protocol.hex_decode hex))
-    | None -> ());
-    (match J.member "timing" resp with
-    | Some timing ->
-        Tool_common.write_file (base ^ ".timing.json")
-          (Obs.Emit.to_string timing ^ "\n")
-    | None -> ());
-    let stat name =
-      match Option.bind result (J.member name) with
-      | Some (Obs.Emit.Int n) -> string_of_int n
-      | _ -> "?"
-    in
-    Printf.printf "%-12s ok (remote) %s LUTs %s CLBs W=%s bits=%s -> %s\n"
-      design (stat "luts") (stat "clbs") (stat "width") (stat "bits")
-      (base ^ ".bit");
-    true
-  end
+  match J.member "result" resp with
+  | Some record when Service.Client.ok resp ->
+      write_products base
+        ?bit:
+          (Option.map
+             (fun hex -> Tool_common.or_die (Service.Protocol.hex_decode hex))
+             (Option.bind (J.member "bitstream_hex" resp) J.get_string))
+        ?timing:(J.member "timing" resp) record;
+      let stat name =
+        match J.member name record with
+        | Some (Obs.Emit.Int n) -> string_of_int n
+        | _ -> "?"
+      in
+      Printf.printf "%-12s ok (remote) %s LUTs %s CLBs W=%s bits=%s -> %s\n"
+        design (stat "luts") (stat "clbs") (stat "width") (stat "bits")
+        (base ^ ".bit");
+      true
+  | _ ->
+      let msg = Service.Client.error_message resp in
+      write_products base (failure_record ~design ~source msg);
+      Printf.printf "%-12s FAILED (remote): %s\n" design msg;
+      false
 
 let run_remote socket input outdir seed fixed_width timing_report period_ns
     batch ~progress ~events_file ~retries ~wait_ms =
@@ -564,10 +514,9 @@ let run_remote socket input outdir seed fixed_width timing_report period_ns
 
 (* ---------- entry ---------- *)
 
-let run input outdir seed fixed_width jobs timing_report period_ns
-    metrics_json trace_file no_incremental_sta batch no_cache cache_dir
-    remote arch arch_sweep sweep_mixes sweep_widths progress events_file
-    retries retry_wait_ms ledger suite =
+let run input outdir seed fixed_width jobs timing_report period_ns trace_file
+    batch no_cache cache_dir remote arch arch_sweep sweep_mixes sweep_widths
+    progress events_file retries retry_wait_ms ledger suite =
   (try Sys.mkdir outdir 0o755 with Sys_error _ -> ());
   if arch_sweep then run_arch_sweep outdir sweep_mixes sweep_widths jobs
   else
@@ -598,13 +547,13 @@ let run input outdir seed fixed_width jobs timing_report period_ns
         let cache_dir = if no_cache then None else Some cache_dir in
         let config =
           make_config arch seed fixed_width jobs timing_report period_ns
-            no_incremental_sta cache_dir
+            cache_dir
         in
         if batch then
           run_batch input outdir config timing_report ledger suite jobs
         else
-          run_single input outdir config timing_report metrics_json trace_file
-            events_file ledger suite jobs
+          run_single input outdir config timing_report trace_file events_file
+            ledger suite jobs
 
 let input_arg =
   Arg.(
@@ -663,16 +612,6 @@ let period_arg =
            timing-driven place and route.  Without it slacks are \
            measured against the achieved critical path.")
 
-let metrics_json_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics-json" ]
-        ~doc:
-          "Write the run's full typed metric registry (stage timers with \
-           wall and CPU seconds, counters, gauges, histograms with \
-           p50/p90) as BASE.metrics.json next to the other products.  \
-           The schema is documented in docs/OBSERVABILITY.md.")
-
 let trace_arg =
   Arg.(
     value
@@ -684,16 +623,6 @@ let trace_arg =
            annealer temperature step and STA level sweep), loadable in \
            chrome://tracing or Perfetto.  Stages answered from the cache \
            run no code, so they are absent from the trace.")
-
-let no_incremental_sta_arg =
-  Arg.(
-    value & flag
-    & info [ "no-incremental-sta" ]
-        ~doc:
-          "Refresh the annealer's timing with a full STA per temperature \
-           instead of the incremental cone update.  Results are \
-           bit-identical either way; the flag exists to measure the \
-           incremental path's speedup (see docs/EXPERIMENTS.md).")
 
 let batch_arg =
   Arg.(
@@ -858,15 +787,12 @@ let cmd =
           content-addressed cache; --remote submits to an amdreld daemon \
           instead; --arch-sweep explores segment-mix architectures")
     Term.(
-      const (fun i o s w j tr p mj tf ni b nc cd rm a asw sm sw pg ev rt rw ld
-                 su ->
+      const (fun i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt rw ld su ->
           Tool_common.protect (fun () ->
-              run i o s w j tr p mj tf ni b nc cd rm a asw sm sw pg ev rt rw
-                ld su))
+              run i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt rw ld su))
       $ input_arg $ outdir_arg $ seed_arg $ width_arg $ jobs_arg
-      $ timing_report_arg $ period_arg $ metrics_json_arg $ trace_arg
-      $ no_incremental_sta_arg $ batch_arg $ no_cache_arg $ cache_dir_arg
-      $ remote_arg $ arch_arg $ arch_sweep_arg $ sweep_mixes_arg
+      $ timing_report_arg $ period_arg $ trace_arg $ batch_arg $ no_cache_arg
+      $ cache_dir_arg $ remote_arg $ arch_arg $ arch_sweep_arg $ sweep_mixes_arg
       $ sweep_widths_arg $ progress_arg $ events_arg $ retry_arg
       $ retry_wait_ms_arg $ ledger_arg $ suite_arg)
 

@@ -77,8 +77,6 @@ let default_config =
     cache_dir = None;
   }
 
-type stage_times = (string * float) list (* seconds per stage *)
-
 type result = {
   design : string;
   source_stats : Logic.stats;       (* after synthesis, library gates *)
@@ -100,7 +98,6 @@ type result = {
   edif : string;                    (* intermediate products, for the tools *)
   blif_mapped : string;
   metrics : R.snapshot;
-  times : stage_times;
 }
 
 exception Flow_error of string * exn
@@ -497,7 +494,6 @@ let run_stages ~ctx (net : Logic.t) =
     (float_of_int (Util.Parallel.resolve_jobs ?jobs:config.jobs ()));
   R.set ~volatile:true obs "parallel.speedup"
     (if wall_sum > 0.0 then cpu_sum /. wall_sum else 1.0);
-  let metrics = R.snapshot obs in
   {
     design = net.Logic.model;
     source_stats;
@@ -518,8 +514,7 @@ let run_stages ~ctx (net : Logic.t) =
     sta_post;
     edif = edif_text;
     blif_mapped;
-    metrics;
-    times = R.to_assoc metrics;
+    metrics = R.snapshot obs;
   }
 
 (* Run from a Logic network already in library-gate form (the entry point
@@ -577,10 +572,11 @@ let timing_report_obj ?design (r : result) =
 let timing_report_json ?design r =
   Obs.Emit.to_string (timing_report_obj ?design r) ^ "\n"
 
-(* One result as a JSON object: the batch driver's per-design record
-   (docs/OBSERVABILITY.md documents the schema).  The compile service
-   embeds the same object under ["result"] in submit responses, so the
-   two entry points stay schema-identical by construction. *)
+(* One result as a JSON object: the per-design record every amdrel_flow
+   mode writes (docs/OBSERVABILITY.md documents the schema).  The
+   compile service embeds the same object under ["result"] in submit
+   responses, so the two entry points stay schema-identical by
+   construction. *)
 let result_obj ?source (r : result) =
   let open Obs.Emit in
   Obj

@@ -59,7 +59,8 @@ type config = {
           cone re-propagation instead of a full analysis per
           temperature.  Bit-identical results either way; this is a
           speed switch (kept as a switch so the equivalence stays
-          testable end to end). *)
+          testable end to end — the [flow incremental STA equivalence]
+          test flips it). *)
   sta_full_refresh_every : int;
       (** run a full analysis every Kth refresh of the incremental
           chain (a drift backstop; [<= 0] makes every refresh full) *)
@@ -89,19 +90,6 @@ val default_config : config
     routability-driven, single placement start, automatic job count,
     caching off. *)
 
-type stage_times = (string * float) list
-(** The legacy flat view of the metric registry
-    ({!Obs.Registry.to_assoc} of {!result.metrics}): stage timers as
-    [(stage, cpu_seconds)] immediately followed by
-    [(stage ^ ".wall", wall_seconds)], counters and gauges as floats,
-    histograms omitted.  Dotted names are counters/gauges rather than
-    seconds: the ["vpr-route.*"] router counters (iterations, nets
-    rerouted, heap pops, peak overuse), the ["route.par.*"] intra-route
-    parallelism counters (batches, batch-max, serial-frac), the
-    ["sta.*"] post-route timing figures (dmax/wns/tns), the
-    ["sta.phase.*"] analysis-phase timers and the ["parallel.*"] pool
-    metrics (see docs/OBSERVABILITY.md for the full schema). *)
-
 type result = {
   design : string;
   source_stats : Netlist.Logic.stats; (** after synthesis, library gates *)
@@ -128,9 +116,8 @@ type result = {
   metrics : Obs.Registry.snapshot;
       (** the full typed telemetry of the run: every stage timer
           (wall + CPU), counter, gauge and histogram, merged across
-          domains (see {!Obs.Registry}).  [times] is derived from this
-          snapshot. *)
-  times : stage_times;
+          domains (see {!Obs.Registry}).  Key schema in
+          docs/OBSERVABILITY.md. *)
 }
 
 exception Flow_error of string * exn
@@ -159,13 +146,13 @@ val timing_report_json : ?design:string -> result -> string
 (** [timing_report_obj] rendered compactly, newline-terminated. *)
 
 val result_obj : ?source:string -> result -> Obs.Emit.t
-(** One JSON object per compiled design: the batch driver's per-design
-    record ([BASE.result.json]) — headline QoR figures (LUTs, FFs, CLBs,
-    grid, channel width, critical path, power, bitstream bits, verified
-    verdict) plus the full metric registry under ["metrics"].  [source]
-    records the input path.  The compile service embeds the same object
-    under ["result"] in submit responses.  Schema in
-    docs/OBSERVABILITY.md. *)
+(** One JSON object per compiled design: the per-design record
+    ([BASE.result.json]) every [amdrel_flow] mode writes — headline QoR
+    figures (LUTs, FFs, CLBs, grid, channel width, critical path, power,
+    bitstream bits, verified verdict) plus the full metric registry
+    under ["metrics"].  [source] records the input path.  The compile
+    service embeds the same object under ["result"] in submit
+    responses.  Schema in docs/OBSERVABILITY.md. *)
 
 val result_json : ?source:string -> result -> string
 (** [result_obj] rendered compactly, newline-terminated. *)

@@ -51,9 +51,6 @@ let git_describe () =
   | Some d -> d
   | None -> "-"
 
-let counter snap key =
-  match R.find snap key with Some (R.Counter n) -> n | _ -> 0
-
 (* Top-level stage timers only: dotted keys such as sta.phase.forward
    or place.move-eval are sub-stage profiling, not the per-stage cost
    profile. *)
@@ -91,9 +88,9 @@ let of_result ~suite ~config ~source (r : F.result) =
     bits = r.F.bitstream.Bitstream.Dagger.bits;
     stage_wall = List.map (fun (k, w, _) -> (k, w)) timers;
     stage_cpu = List.map (fun (k, _, c) -> (k, c)) timers;
-    cache_hits = counter r.F.metrics "cache.hit";
-    cache_misses = counter r.F.metrics "cache.miss";
-    cache_stores = counter r.F.metrics "cache.store";
+    cache_hits = R.counter r.F.metrics "cache.hit";
+    cache_misses = R.counter r.F.metrics "cache.miss";
+    cache_stores = R.counter r.F.metrics "cache.store";
   }
 
 let to_json (t : t) =

@@ -1,7 +1,8 @@
 (* The one JSON emitter every machine-readable surface shares (timing
-   reports, routebench lines, metrics files, Chrome traces).  A tiny
-   value tree rather than a printer per call site, so escaping and
-   number formatting cannot drift between surfaces.
+   reports, per-design result records, event streams, ledger records,
+   Chrome traces).  A tiny value tree rather than a printer per call
+   site, so escaping and number formatting cannot drift between
+   surfaces.
 
    Layout contract: objects and arrays render on one line with ", "
    between elements and ": " after keys — the byte layout the golden

@@ -1,6 +1,6 @@
 (** Shared compact-JSON emitter for every machine-readable surface of
-    the flow: timing reports, routebench lines, [--metrics-json] files
-    and Chrome trace exports.
+    the flow: timing reports, per-design [BASE.result.json] records,
+    progress events, ledger records and Chrome trace exports.
 
     Rendering contract (relied on by the golden timing fixtures):
     one line, [", "] between elements, [": "] after object keys,

@@ -293,15 +293,7 @@ let snapshot t =
 
 let find snap key = List.find_map (fun e -> if e.key = key then Some e.value else None) snap
 
-let to_assoc snap =
-  List.concat_map
-    (fun e ->
-      match e.value with
-      | Counter n -> [ (e.key, float_of_int n) ]
-      | Gauge v -> [ (e.key, v) ]
-      | Timer { wall_s; cpu_s; _ } -> [ (e.key, cpu_s); (e.key ^ ".wall", wall_s) ]
-      | Histogram _ -> [])
-    snap
+let counter snap key = match find snap key with Some (Counter n) -> n | _ -> 0
 
 let value_json = function
   | Counter n -> Emit.Obj [ ("kind", Emit.String "counter"); ("value", Emit.Int n) ]

@@ -88,10 +88,9 @@ val snapshot : t -> snapshot
 
 val find : snapshot -> string -> value option
 
-val to_assoc : snapshot -> (string * float) list
-(** The legacy [Flow.times] view: counters and gauges as floats, each
-    timer as [(key, cpu_s)] followed by [(key ^ ".wall", wall_s)],
-    histograms omitted. *)
+val counter : snapshot -> string -> int
+(** The counter [key]'s value; 0 when the key is absent (a counter
+    nothing incremented this run) or holds another kind. *)
 
 val to_json : ?deterministic:bool -> snapshot -> Emit.t
 (** JSON object keyed by metric name (ascending key order), each value

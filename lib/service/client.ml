@@ -1,6 +1,7 @@
 (* Blocking compile-service client.  See client.mli. *)
 
 module E = Obs.Emit
+module J = Obs.Jsonin
 
 type t = { fd : Unix.file_descr; ic : in_channel }
 
@@ -27,7 +28,7 @@ let write_all fd s =
 let send t req =
   write_all t.fd (E.to_string (Protocol.request_to_json req) ^ "\n")
 
-let recv t = Jsonin.parse (input_line t.ic)
+let recv t = J.parse (input_line t.ic)
 
 let request t req =
   send t req;
@@ -38,11 +39,11 @@ let with_connection path f =
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 let ok json =
-  match Option.bind (Jsonin.member "ok" json) Jsonin.get_bool with
+  match Option.bind (J.member "ok" json) J.get_bool with
   | Some b -> b
   | None -> false
 
-let code json = Option.bind (Jsonin.member "code" json) Jsonin.get_string
+let code json = Option.bind (J.member "code" json) J.get_string
 
 (* ---------- retry policy ---------- *)
 
@@ -83,7 +84,7 @@ let request_retry ?(retries = 0) ?(wait_ms = 200) t req =
 
 let error_message json =
   let str name =
-    Option.bind (Jsonin.member name json) Jsonin.get_string
+    Option.bind (J.member name json) J.get_string
   in
   let msg = Option.value (str "error") ~default:"unknown error" in
   let tag name =

@@ -25,7 +25,7 @@ val close : t -> unit
 val request : t -> Protocol.request -> Obs.Emit.t
 (** Send one request, wait for one response, parse it.
     @raise End_of_file when the server closes the connection first.
-    @raise Jsonin.Parse_error on a malformed response line. *)
+    @raise Obs.Jsonin.Parse_error on a malformed response line. *)
 
 val send : t -> Protocol.request -> unit
 (** Fire a request without waiting.  Pipelined submits get their

@@ -3,6 +3,7 @@
    response schemas. *)
 
 module E = Obs.Emit
+module J = Obs.Jsonin
 
 type submit = {
   vhdl : string;
@@ -52,7 +53,7 @@ let request_to_json = function
 (* Field extraction: absent optional fields default; present fields of
    the wrong kind are protocol errors (never silently ignored). *)
 let field json name get ~default =
-  match Jsonin.member name json with
+  match J.member name json with
   | None | Some E.Null -> Ok default
   | Some v -> (
       match get v with
@@ -64,31 +65,31 @@ let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 let submit_of_json json =
   let d = default_submit in
   let* vhdl =
-    match Jsonin.member "vhdl" json with
+    match J.member "vhdl" json with
     | Some v -> (
-        match Jsonin.get_string v with
+        match J.get_string v with
         | Some s -> Ok s
         | None -> Error "field \"vhdl\" has the wrong type")
     | None -> Error "submit requires a \"vhdl\" field"
   in
-  let* seed = field json "seed" Jsonin.get_int ~default:d.seed in
+  let* seed = field json "seed" J.get_int ~default:d.seed in
   let* route_width =
     field json "route_width"
-      (fun v -> Option.map Option.some (Jsonin.get_int v))
+      (fun v -> Option.map Option.some (J.get_int v))
       ~default:d.route_width
   in
   let* timing_report =
-    field json "timing_report" Jsonin.get_bool ~default:d.timing_report
+    field json "timing_report" J.get_bool ~default:d.timing_report
   in
   let* period_ns =
     field json "period_ns"
-      (fun v -> Option.map Option.some (Jsonin.get_float v))
+      (fun v -> Option.map Option.some (J.get_float v))
       ~default:d.period_ns
   in
   let* place_starts =
-    field json "place_starts" Jsonin.get_int ~default:d.place_starts
+    field json "place_starts" J.get_int ~default:d.place_starts
   in
-  let* progress = field json "progress" Jsonin.get_bool ~default:d.progress in
+  let* progress = field json "progress" J.get_bool ~default:d.progress in
   Ok
     (Submit
        {
@@ -102,14 +103,14 @@ let submit_of_json json =
        })
 
 let request_of_json json =
-  match Option.bind (Jsonin.member "verb" json) Jsonin.get_string with
+  match Option.bind (J.member "verb" json) J.get_string with
   | None -> Error "request requires a string \"verb\" field"
   | Some "status" -> Ok Status
   | Some "metrics" -> Ok Metrics
   | Some "shutdown" -> Ok Shutdown
   | Some "submit" -> submit_of_json json
   | Some "watch" -> (
-      match Option.bind (Jsonin.member "id" json) Jsonin.get_int with
+      match Option.bind (J.member "id" json) J.get_int with
       | Some id -> Ok (Watch id)
       | None -> Error "watch requires an integer \"id\" field")
   | Some verb -> Error (Printf.sprintf "unknown verb %S" verb)

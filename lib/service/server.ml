@@ -184,9 +184,6 @@ let metrics_json t =
 
 (* ---------- workers ---------- *)
 
-let counter snap key =
-  match R.find snap key with Some (R.Counter n) -> n | _ -> 0
-
 (* Runs on a worker domain.  Fresh registry per request: nothing a
    request records can bleed into another request or the server. *)
 let compile t job =
@@ -244,8 +241,8 @@ let compile t job =
         ( json,
           true,
           r.F.design,
-          counter r.F.metrics "cache.hit",
-          counter r.F.metrics "cache.miss" )
+          R.counter r.F.metrics "cache.hit",
+          R.counter r.F.metrics "cache.miss" )
     | exception e ->
         let stage, err =
           match e with
@@ -365,8 +362,8 @@ let submit t conn s =
 
 let handle_line t conn line =
   let req =
-    match Jsonin.parse line with
-    | exception Jsonin.Parse_error m -> Error ("invalid JSON: " ^ m)
+    match Obs.Jsonin.parse line with
+    | exception Obs.Jsonin.Parse_error m -> Error ("invalid JSON: " ^ m)
     | json -> P.request_of_json json
   in
   match req with

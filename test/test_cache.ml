@@ -4,11 +4,6 @@
 
 module R = Obs.Registry
 
-let counter obs name =
-  match R.find (R.snapshot obs) name with
-  | Some (R.Counter n) -> n
-  | _ -> 0
-
 let fresh_dir () = Filename.temp_dir "amdrel-cache-test" ""
 
 let rec span_names (s : Obs.Span.span) =
@@ -43,10 +38,11 @@ let test_store_roundtrip () =
   Cache.Store.store s k "payload";
   Alcotest.(check (option string)) "hit after store" (Some "payload")
     (Cache.Store.find s k);
-  Alcotest.(check int) "one miss" 1 (counter obs "cache.miss");
-  Alcotest.(check int) "one hit" 1 (counter obs "cache.hit");
-  Alcotest.(check int) "one store" 1 (counter obs "cache.store");
-  Alcotest.(check bool) "bytes counted" true (counter obs "cache.bytes" > 0);
+  Alcotest.(check int) "one miss" 1 (R.counter (R.snapshot obs) "cache.miss");
+  Alcotest.(check int) "one hit" 1 (R.counter (R.snapshot obs) "cache.hit");
+  Alcotest.(check int) "one store" 1 (R.counter (R.snapshot obs) "cache.store");
+  Alcotest.(check bool) "bytes counted" true
+    (R.counter (R.snapshot obs) "cache.bytes" > 0);
   (* a second handle on the same directory sees the entry: the cache is
      the directory, not the process *)
   let s2 = Cache.Store.open_ dir in
@@ -84,7 +80,7 @@ let test_corrupt_entry_skipped () =
   Alcotest.(check (option (list int))) "truncated entry reads as miss" None
     (Cache.Store.find s k);
   Alcotest.(check bool) "corruption counted" true
-    (counter obs "cache.corrupt" >= 1);
+    (R.counter (R.snapshot obs) "cache.corrupt" >= 1);
   (* arbitrary garbage is equally non-fatal *)
   let oc = open_out_bin p in
   output_string oc "not a marshal stream";
@@ -114,13 +110,18 @@ let test_flow_warm_hits () =
   let dir = fresh_dir () in
   let vhdl = Core.Bench_circuits.counter 8 in
   let cold, obs_c, tr_c = run_cached ~dir vhdl in
-  Alcotest.(check int) "cold: no hits" 0 (counter obs_c "cache.hit");
+  Alcotest.(check int) "cold: no hits" 0
+    (R.counter (R.snapshot obs_c) "cache.hit");
   (* seven stages + the routability table *)
-  Alcotest.(check int) "cold: every stage stored" 8 (counter obs_c "cache.store");
+  Alcotest.(check int) "cold: every stage stored" 8
+    (R.counter (R.snapshot obs_c) "cache.store");
   let warm, obs_w, tr_w = run_cached ~dir vhdl in
-  Alcotest.(check int) "warm: all seven stages hit" 7 (counter obs_w "cache.hit");
-  Alcotest.(check int) "warm: no misses" 0 (counter obs_w "cache.miss");
-  Alcotest.(check int) "warm: nothing stored" 0 (counter obs_w "cache.store");
+  Alcotest.(check int) "warm: all seven stages hit" 7
+    (R.counter (R.snapshot obs_w) "cache.hit");
+  Alcotest.(check int) "warm: no misses" 0
+    (R.counter (R.snapshot obs_w) "cache.miss");
+  Alcotest.(check int) "warm: nothing stored" 0
+    (R.counter (R.snapshot obs_w) "cache.store");
   Alcotest.(check string) "bitstream byte-identical" (bytes_of cold)
     (bytes_of warm);
   Alcotest.(check string) "timing report byte-identical"
@@ -131,9 +132,9 @@ let test_flow_warm_hits () =
   List.iter
     (fun stage ->
       Alcotest.(check bool) (stage ^ " timed on cold run") true
-        (List.mem_assoc stage cold.Core.Flow.times);
+        (R.find cold.Core.Flow.metrics stage <> None);
       Alcotest.(check bool) (stage ^ " not timed on warm run") false
-        (List.mem_assoc stage warm.Core.Flow.times);
+        (R.find warm.Core.Flow.metrics stage <> None);
       Alcotest.(check bool) (stage ^ " span in cold trace") true
         (List.mem stage (trace_names tr_c));
       Alcotest.(check bool) (stage ^ " span absent from warm trace") false
@@ -146,9 +147,9 @@ let test_flow_warm_hits () =
      re-emitted identically on the warm path *)
   List.iter
     (fun g ->
-      Alcotest.(check (float 0.0)) (g ^ " re-emitted on warm run")
-        (List.assoc g cold.Core.Flow.times)
-        (List.assoc g warm.Core.Flow.times))
+      let v = R.find cold.Core.Flow.metrics g in
+      Alcotest.(check bool) (g ^ " re-emitted on warm run") true
+        (v <> None && v = R.find warm.Core.Flow.metrics g))
     [
       "place.final-cost"; "place.moves"; "sta.dmax"; "vpr-route.iterations";
       "vpr-route.heap-pops";
@@ -163,18 +164,19 @@ let test_flow_invalidation () =
      chain) *)
   let edited, obs_e, _ = run_cached ~dir (vhdl ^ "\n-- a trailing comment\n") in
   Alcotest.(check int) "comment edit: only synth misses" 1
-    (counter obs_e "cache.miss");
+    (R.counter (R.snapshot obs_e) "cache.miss");
   Alcotest.(check int) "comment edit: downstream hits" 6
-    (counter obs_e "cache.hit");
+    (R.counter (R.snapshot obs_e) "cache.hit");
   Alcotest.(check string) "comment edit: bitstream unchanged" (bytes_of cold)
     (bytes_of edited);
   (* stage-config perturbation: a new placement seed invalidates place
      and everything downstream, keeps the whole front end *)
   let config = { Core.Flow.default_config with Core.Flow.seed = 2 } in
   let _, obs_s, _ = run_cached ~config ~dir vhdl in
-  Alcotest.(check int) "seed change: front end hits" 3 (counter obs_s "cache.hit");
+  Alcotest.(check int) "seed change: front end hits" 3
+    (R.counter (R.snapshot obs_s) "cache.hit");
   Alcotest.(check int) "seed change: place and below miss" 5
-    (counter obs_s "cache.miss");
+    (R.counter (R.snapshot obs_s) "cache.miss");
   (* arch-param perturbation: segment length feeds routing only — the
      placement (which ignores routing params) still hits *)
   let params =
@@ -184,9 +186,9 @@ let test_flow_invalidation () =
   let config = { Core.Flow.default_config with Core.Flow.params } in
   let _, obs_p, _ = run_cached ~config ~dir vhdl in
   Alcotest.(check int) "segment change: hits through place" 4
-    (counter obs_p "cache.hit");
+    (R.counter (R.snapshot obs_p) "cache.hit");
   Alcotest.(check int) "segment change: route and below miss" 4
-    (counter obs_p "cache.miss")
+    (R.counter (R.snapshot obs_p) "cache.miss")
 
 let test_flow_jobs_key_stable () =
   let dir = fresh_dir () in
@@ -195,9 +197,9 @@ let test_flow_jobs_key_stable () =
   let cold, _, _ = run_cached ~config:(cfg 1) ~dir vhdl in
   let warm, obs_w, _ = run_cached ~config:(cfg 4) ~dir vhdl in
   Alcotest.(check int) "jobs=4 hits every jobs=1 entry" 7
-    (counter obs_w "cache.hit");
+    (R.counter (R.snapshot obs_w) "cache.hit");
   Alcotest.(check int) "no misses across pool sizes" 0
-    (counter obs_w "cache.miss");
+    (R.counter (R.snapshot obs_w) "cache.miss");
   Alcotest.(check string) "bitstream identical" (bytes_of cold) (bytes_of warm)
 
 (* ---------- persistent routability table ---------- *)
@@ -237,8 +239,10 @@ let test_mult12_warm_regression () =
   let vhdl = Core.Bench_circuits.multiplier 12 in
   let cold, _, tr_c = run_cached ~dir vhdl in
   let warm, obs_w, tr_w = run_cached ~dir vhdl in
-  Alcotest.(check bool) "cache.hit > 0" true (counter obs_w "cache.hit" > 0);
-  Alcotest.(check int) "no warm misses" 0 (counter obs_w "cache.miss");
+  Alcotest.(check bool) "cache.hit > 0" true
+    (R.counter (R.snapshot obs_w) "cache.hit" > 0);
+  Alcotest.(check int) "no warm misses" 0
+    (R.counter (R.snapshot obs_w) "cache.miss");
   Alcotest.(check string) "byte-identical bitstream" (bytes_of cold)
     (bytes_of warm);
   Alcotest.(check string) "byte-identical timing report"

@@ -1,0 +1,80 @@
+(* The amdrel_flow CLI end to end: single mode writes BASE.result.json
+   for every design, and a design that fails to compile exits 1 with an
+   ok:false record naming the failed stage. *)
+
+module J = Obs.Jsonin
+
+let flow_exe = Filename.concat ".." (Filename.concat "bin" "amdrel_flow.exe")
+
+(* Compile NAME.vhd holding [vhdl] into a fresh directory; the exit code
+   and the parsed NAME.result.json. *)
+let run_flow ?(args = []) name vhdl =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let input = Filename.concat dir (name ^ ".vhd") in
+  Out_channel.with_open_bin input (fun oc -> output_string oc vhdl);
+  let argv = [ flow_exe; input; "-d"; dir; "--no-cache"; "-j"; "1" ] @ args in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv) ^ " >/dev/null 2>&1")
+  in
+  let record =
+    J.parse
+      (In_channel.with_open_bin
+         (Filename.concat dir (name ^ ".result.json"))
+         In_channel.input_all)
+  in
+  (code, record)
+
+let field get name json = Option.bind (J.member name json) get
+
+let check_failure ~stage (code, record) =
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check (option bool)) "ok" (Some false)
+    (field J.get_bool "ok" record);
+  match field J.get_string "error" record with
+  | Some e ->
+      Alcotest.(check bool) ("error starts with " ^ stage) true
+        (String.starts_with ~prefix:(stage ^ ":") e)
+  | None -> Alcotest.fail "record carries no error"
+
+let with_exe f () =
+  if Sys.file_exists flow_exe then f () else Alcotest.skip ()
+
+let test_parse_error () =
+  check_failure ~stage:"vhdl-parser" (run_flow "broken" "entity broken is\n")
+
+let test_route_error () =
+  check_failure ~stage:"vpr-route"
+    (run_flow ~args:[ "--route-width"; "1" ] "counter8"
+       (Core.Bench_circuits.counter 8))
+
+let test_ok_record () =
+  let code, record =
+    run_flow ~args:[ "--timing-report" ] "counter8"
+      (Core.Bench_circuits.counter 8)
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check (option bool)) "ok" (Some true)
+    (field J.get_bool "ok" record);
+  Alcotest.(check (option bool)) "verified" (Some true)
+    (field J.get_bool "verified" record);
+  let kind key =
+    Option.bind (J.member "metrics" record) (fun m ->
+        Option.bind (J.member key m) (field J.get_string "kind"))
+  in
+  Alcotest.(check (option string)) "heap pops counted" (Some "counter")
+    (kind "vpr-route.heap-pops");
+  Alcotest.(check (option string)) "sta.dmax gauge" (Some "gauge")
+    (kind "sta.dmax");
+  Alcotest.(check (option string)) "vpr-route timed" (Some "timer")
+    (kind "vpr-route")
+
+let suite =
+  [
+    Alcotest.test_case "parse error: exit 1 + ok:false record" `Quick
+      (with_exe test_parse_error);
+    Alcotest.test_case "unroutable width: exit 1 + ok:false record" `Quick
+      (with_exe test_route_error);
+    Alcotest.test_case "timing-report run: ok record with metrics" `Quick
+      (with_exe test_ok_record);
+  ]

@@ -1,5 +1,7 @@
 (* Integration tests: the complete VHDL-to-bitstream flow. *)
 
+module R = Obs.Registry
+
 let test_flow_counter () =
   let r = Core.Flow.run_vhdl (Core.Bench_circuits.counter 8) in
   Alcotest.(check bool) "bitstream verified" true r.Core.Flow.bitstream_verified;
@@ -7,7 +9,12 @@ let test_flow_counter () =
   Alcotest.(check bool) "power positive" true
     (r.Core.Flow.power.Power.Model.total_w > 0.0);
   Alcotest.(check bool) "all stages timed" true
-    (List.length r.Core.Flow.times >= 10)
+    (List.length
+       (List.filter
+          (fun (e : R.entry) ->
+            match e.R.value with R.Timer _ -> true | _ -> false)
+          r.Core.Flow.metrics)
+    >= 10)
 
 let test_flow_whole_suite () =
   List.iter
@@ -15,10 +22,7 @@ let test_flow_whole_suite () =
       match Core.Flow.run_vhdl vhdl with
       | r ->
           Alcotest.(check bool) (name ^ " verified") true
-            r.Core.Flow.bitstream_verified;
-          (* the legacy times list is exactly the registry's assoc view *)
-          Alcotest.(check bool) (name ^ " times = registry view") true
-            (r.Core.Flow.times = Obs.Registry.to_assoc r.Core.Flow.metrics)
+            r.Core.Flow.bitstream_verified
       | exception Core.Flow.Flow_error (stage, e) ->
           Alcotest.failf "%s failed at %s: %s" name stage (Printexc.to_string e))
     Core.Bench_circuits.suite
@@ -132,10 +136,10 @@ let test_flow_jobs_deterministic () =
     b.Core.Flow.bitstream.Bitstream.Dagger.bytes;
   (* the observability surface carries the pool metrics *)
   Alcotest.(check bool) "parallel.jobs recorded" true
-    (List.mem_assoc "parallel.jobs" a.Core.Flow.times
-    && List.mem_assoc "parallel.speedup" a.Core.Flow.times);
-  Alcotest.(check (float 0.0)) "parallel.jobs value" 4.0
-    (List.assoc "parallel.jobs" b.Core.Flow.times)
+    (R.find a.Core.Flow.metrics "parallel.jobs" <> None
+    && R.find a.Core.Flow.metrics "parallel.speedup" <> None);
+  Alcotest.(check bool) "parallel.jobs value" true
+    (R.find b.Core.Flow.metrics "parallel.jobs" = Some (R.Gauge 4.0))
 
 (* Intra-route parallelism end to end on the larger circuits: the whole
    flow (min-width search, routing, bitstream) must agree byte for byte
@@ -160,13 +164,53 @@ let flow_intra_route_jobs_identical vhdl () =
   List.iter
     (fun c ->
       Alcotest.(check bool) (c ^ " recorded") true
-        (List.mem_assoc c a.Core.Flow.times))
+        (R.find a.Core.Flow.metrics c <> None))
     [ "route.par.batches"; "route.par.batch-max"; "route.par.serial-frac" ];
   Alcotest.(check bool) "batches counted" true
-    (List.assoc "route.par.batches" a.Core.Flow.times >= 1.0);
-  Alcotest.(check (float 0.0)) "same batch count"
-    (List.assoc "route.par.batches" a.Core.Flow.times)
-    (List.assoc "route.par.batches" b.Core.Flow.times)
+    (R.counter a.Core.Flow.metrics "route.par.batches" >= 1);
+  Alcotest.(check int) "same batch count"
+    (R.counter a.Core.Flow.metrics "route.par.batches")
+    (R.counter b.Core.Flow.metrics "route.par.batches")
+
+(* The annealer's incremental STA is a speed switch: with it on and off,
+   timing-driven flows must agree on the bitstream, the timing report
+   and every deterministic metric except the incremental chain's own
+   work counters, sta.incr.*, and the sta.level-nodes histogram, which
+   count analyses the full-refresh path runs differently. *)
+let test_flow_incremental_sta_equivalence () =
+  let run incremental_sta vhdl =
+    Core.Flow.run_vhdl
+      ~config:
+        { Core.Flow.default_config with Core.Flow.timing_driven = true;
+          jobs = Some 1; incremental_sta }
+      vhdl
+  in
+  let deterministic (r : Core.Flow.result) =
+    Obs.Emit.to_string
+      (R.to_json ~deterministic:true
+         (List.filter
+            (fun (e : R.entry) ->
+              not
+                (String.starts_with ~prefix:"sta.incr." e.R.key
+                || e.R.key = "sta.level-nodes"))
+            r.Core.Flow.metrics))
+  in
+  List.iter
+    (fun (name, vhdl) ->
+      let a = run true vhdl and b = run false vhdl in
+      Alcotest.(check string) (name ^ " same bitstream")
+        a.Core.Flow.bitstream.Bitstream.Dagger.bytes
+        b.Core.Flow.bitstream.Bitstream.Dagger.bytes;
+      Alcotest.(check string) (name ^ " same timing report")
+        (Core.Flow.timing_report_json a)
+        (Core.Flow.timing_report_json b);
+      Alcotest.(check string) (name ^ " same deterministic metrics")
+        (deterministic a) (deterministic b))
+    [
+      ("counter8", Core.Bench_circuits.counter 8);
+      ("lfsr12", Core.Bench_circuits.lfsr 12);
+      ("alu8", Core.Bench_circuits.alu 8);
+    ]
 
 let suite =
   [
@@ -180,6 +224,9 @@ let suite =
     ("td placement reports dmax", `Quick, test_td_placement_reports_dmax);
     ("flow deterministic", `Quick, test_flow_deterministic);
     ("flow jobs-deterministic", `Quick, test_flow_jobs_deterministic);
+    ( "flow incremental STA equivalence",
+      `Quick,
+      test_flow_incremental_sta_equivalence );
     ( "flow intra-route jobs identical (mult12)",
       `Slow,
       flow_intra_route_jobs_identical (Core.Bench_circuits.multiplier 12) );

@@ -19,4 +19,5 @@ let () =
       ("cache", Test_cache.suite);
       ("service", Test_service.suite);
       ("flow", Test_flow.suite);
+      ("cli", Test_cli.suite);
     ]

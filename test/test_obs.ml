@@ -57,11 +57,9 @@ let test_registry_kinds () =
   (* snapshot order is the creating domain's first-record order *)
   Alcotest.(check (list string)) "snapshot order" [ "c"; "g"; "t"; "h" ]
     (List.map (fun (e : R.entry) -> e.R.key) s);
-  (* the legacy assoc view: counter/gauge as floats, timer cpu + .wall,
-     histogram omitted *)
-  Alcotest.(check bool) "to_assoc view" true
-    (R.to_assoc s
-    = [ ("c", 5.0); ("g", 2.5); ("t", 0.5); ("t.wall", 1.0) ])
+  (* the counter accessor reads 0 for absent keys and other kinds *)
+  Alcotest.(check (list int)) "counter accessor" [ 5; 0; 0 ]
+    (List.map (R.counter s) [ "c"; "g"; "absent" ])
 
 let test_registry_kind_conflict () =
   let module R = Obs.Registry in
@@ -437,8 +435,7 @@ let test_flow_trace () =
   | _ -> Alcotest.fail "traceEvents missing"
 
 (* The metric registry at jobs=1 and jobs=4 on a full mult12 flow:
-   the deterministic JSON view must be byte-identical, and the legacy
-   times list must be exactly the registry's assoc view. *)
+   the deterministic JSON view must be byte-identical. *)
 let test_flow_metrics_jobs_identical () =
   let run jobs =
     Core.Flow.run_vhdl
@@ -452,8 +449,6 @@ let test_flow_metrics_jobs_identical () =
   in
   Alcotest.(check string) "metrics byte-identical at jobs=1 vs jobs=4"
     (render a) (render b);
-  Alcotest.(check bool) "times = registry assoc view" true
-    (a.Core.Flow.times = Obs.Registry.to_assoc a.Core.Flow.metrics);
   (* the contractual histogram keys exist with sane shapes *)
   List.iter
     (fun key ->

@@ -480,11 +480,6 @@ let test_cache_segment_mix_granularity () =
   let config mix =
     { Core.Flow.default_config with Core.Flow.params = params_of_mix mix }
   in
-  let counter obs name =
-    match R.find (R.snapshot obs) name with
-    | Some (R.Counter n) -> n
-    | _ -> 0
-  in
   let run config vhdl =
     let obs = R.create () in
     let r =
@@ -496,11 +491,12 @@ let test_cache_segment_mix_granularity () =
   in
   let cold, obs_c = run (config "1xL1+1xL4") vhdl in
   Alcotest.(check int) "cold: every stage stored" 8
-    (counter obs_c "cache.store");
+    (R.counter (R.snapshot obs_c) "cache.store");
   let warm, obs_w = run (config "1xL1+1xL4") vhdl in
   Alcotest.(check int) "warm: all seven stages hit" 7
-    (counter obs_w "cache.hit");
-  Alcotest.(check int) "warm: no misses" 0 (counter obs_w "cache.miss");
+    (R.counter (R.snapshot obs_w) "cache.hit");
+  Alcotest.(check int) "warm: no misses" 0
+    (R.counter (R.snapshot obs_w) "cache.miss");
   Alcotest.(check string) "warm bitstream byte-identical"
     cold.Core.Flow.bitstream.Bitstream.Dagger.bytes
     warm.Core.Flow.bitstream.Bitstream.Dagger.bytes;
@@ -508,16 +504,16 @@ let test_cache_segment_mix_granularity () =
      everything below synth *)
   let _, obs_e = run (config "1xL1+1xL4") (vhdl ^ "\n-- a trailing comment\n") in
   Alcotest.(check int) "comment edit: only synth misses" 1
-    (counter obs_e "cache.miss");
+    (R.counter (R.snapshot obs_e) "cache.miss");
   Alcotest.(check int) "comment edit: downstream hits" 6
-    (counter obs_e "cache.hit");
+    (R.counter (R.snapshot obs_e) "cache.hit");
   (* changing the wire mix invalidates route and below, but the front
      end through placement (which ignores routing params) still hits *)
   let _, obs_m = run (config "1xL1+1xL2") vhdl in
   Alcotest.(check int) "mix change: hits through place" 4
-    (counter obs_m "cache.hit");
+    (R.counter (R.snapshot obs_m) "cache.hit");
   Alcotest.(check int) "mix change: route and below miss" 4
-    (counter obs_m "cache.miss")
+    (R.counter (R.snapshot obs_m) "cache.miss")
 
 let suite =
   [

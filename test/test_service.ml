@@ -5,13 +5,8 @@
 
 module E = Obs.Emit
 module R = Obs.Registry
-module J = Service.Jsonin
+module J = Obs.Jsonin
 module P = Service.Protocol
-
-let counter obs name =
-  match R.find (R.snapshot obs) name with
-  | Some (R.Counter n) -> n
-  | _ -> 0
 
 let fresh_dir () = Filename.temp_dir "amdrel-service-test" ""
 
@@ -253,7 +248,7 @@ let test_concurrent_store_same_key () =
                   then failwith "torn read"
               | None -> () (* lost the race to a concurrent rename; fine *)
             done;
-            counter obs "cache.corrupt"))
+            R.counter (R.snapshot obs) "cache.corrupt"))
   in
   let corrupt = Array.fold_left (fun n d -> n + Domain.join d) 0 domains in
   Alcotest.(check int) "no read ever saw a torn entry" 0 corrupt;
@@ -318,7 +313,8 @@ let test_gc_lru_eviction () =
         (Printf.sprintf "entry %d %s" i (if i < 3 then "evicted" else "kept"))
         (i >= 3) present)
     keys;
-  Alcotest.(check int) "cache.evict counted" 3 (counter obs "cache.evict")
+  Alcotest.(check int) "cache.evict counted" 3
+    (R.counter (R.snapshot obs) "cache.evict")
 
 let test_gc_hit_refreshes_recency () =
   let dir = fresh_dir () in

@@ -158,7 +158,11 @@ let test_flow_counters () =
     { Core.Flow.default_config with Core.Flow.timing_driven = true }
   in
   let r = Core.Flow.run_vhdl ~config (Core.Bench_circuits.counter 8) in
-  let counter name = List.assoc name r.Core.Flow.times in
+  let counter name =
+    match Obs.Registry.find r.Core.Flow.metrics name with
+    | Some (Obs.Registry.Gauge v) -> v
+    | _ -> Alcotest.failf "%s not recorded" name
+  in
   Alcotest.(check bool) "sta.dmax positive" true (counter "sta.dmax" > 0.0);
   Alcotest.(check (float 0.0)) "sta.dmax = post-route analysis dmax"
     r.Core.Flow.sta_post.Sta.Analysis.dmax (counter "sta.dmax");
@@ -258,11 +262,15 @@ let test_incremental_counters () =
   let a = Sta.Analysis.run graph provider in
   let a = Sta.Analysis.update ~obs ~changed_blocks:[ 0; 1 ] a provider in
   ignore (Sta.Analysis.update ~obs ~changed_blocks:[ 2 ] a provider);
-  let v name = List.assoc name (Obs.Registry.to_assoc (Obs.Registry.snapshot obs)) in
-  Alcotest.(check (float 0.0)) "sta.incr.cones counts moved blocks" 3.0
+  let v name =
+    match Obs.Registry.find (Obs.Registry.snapshot obs) name with
+    | Some (Obs.Registry.Counter n) -> n
+    | _ -> Alcotest.failf "%s not recorded" name
+  in
+  Alcotest.(check int) "sta.incr.cones counts moved blocks" 3
     (v "sta.incr.cones");
   Alcotest.(check bool) "sta.incr.nodes-touched recorded" true
-    (v "sta.incr.nodes-touched" >= 0.0)
+    (v "sta.incr.nodes-touched" >= 0)
 
 let suite =
   [
