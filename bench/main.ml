@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- table1 table3 fig9 flow ablate stages
      dune exec bench/main.exe -- --ledger bench/ledger --suite suite flow
 
-   With --ledger DIR the flow experiment appends one Ledger record per
+   With --ledger DIR the flow experiment appends one ledger line per
    circuit to DIR/<suite>.jsonl (suite-order, post-join), which
    amdrel_report folds into BENCH_<suite>.json and gates. *)
 
@@ -185,7 +185,7 @@ let flow_qor () =
   Printf.printf "domains: %d (AMDREL_JOBS overrides)\n\n"
     (Util.Parallel.default_jobs ());
   (* independent circuits fan out across the Domain pool; failures are
-     reported after the join, in suite order.  Ledger records are built
+     reported after the join, in suite order.  Ledger lines are built
      in the workers but appended post-join, so the ledger file order is
      the suite order regardless of which domain finished first. *)
   let suite = !suite_name in
@@ -197,7 +197,7 @@ let flow_qor () =
             let lrec =
               Option.map
                 (fun _ ->
-                  Ledger.of_result ~suite ~config:Core.Flow.default_config
+                  Ledger.line ~suite ~config:Core.Flow.default_config
                     ~source:vhdl r)
                 !ledger_dir
             in
@@ -243,7 +243,7 @@ let flow_qor () =
   | None -> ()
   | Some dir ->
       List.iter
-        (fun (_, lrec) -> Option.iter (Ledger.append ~dir) lrec)
+        (fun (_, lrec) -> Option.iter (Ledger.append ~dir ~suite) lrec)
         outcomes;
       Printf.printf "\nledger: appended %d record(s) to %s\n"
         (List.length (List.filter_map snd outcomes))

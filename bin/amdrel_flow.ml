@@ -30,22 +30,17 @@
 
 open Cmdliner
 
-let make_config arch seed fixed_width jobs timing_report period_ns cache_dir =
-  let params =
-    match arch with
-    | Some file -> Fpga_arch.Archfile.of_file file
-    | None -> Core.Flow.default_config.Core.Flow.params
-  in
+(* The output-affecting flags, as the daemon receives them; a local
+   run maps the same record onto its flow config
+   (Service.Protocol.flow_config), so the two modes cannot drift. *)
+let make_submit seed fixed_width timing_report period_ns ~progress =
   {
-    Core.Flow.default_config with
-    Core.Flow.params;
-    seed;
-    search_min_width = fixed_width = None;
-    route_width = (match fixed_width with Some w -> w | None -> 12);
-    timing_driven = timing_report || period_ns <> None;
-    clock_period = Option.map (fun ns -> ns *. 1e-9) period_ns;
-    jobs;
-    cache_dir;
+    Service.Protocol.default_submit with
+    Service.Protocol.seed;
+    route_width = fixed_width;
+    timing_report;
+    period_ns;
+    progress;
   }
 
 (* ---------- per-design products (every mode) ---------- *)
@@ -74,7 +69,7 @@ type outcome = {
   ok : bool;
   hits : int;
   misses : int;
-  lrec : Ledger.t option; (* ledger record, appended post-join in order *)
+  lrec : Obs.Emit.t option; (* ledger line, appended post-join in order *)
 }
 
 (* Compile one design and write its products: a batch pool task, and
@@ -100,7 +95,7 @@ let compile_one config timing_report ~suite ~want_ledger outdir source =
           misses = Obs.Registry.counter r.Core.Flow.metrics "cache.miss";
           lrec =
             (if want_ledger then
-               Some (Ledger.of_result ~suite ~config ~source:text r)
+               Some (Ledger.line ~suite ~config ~source:text r)
              else None);
         },
         Some r )
@@ -121,18 +116,17 @@ let compile_one config timing_report ~suite ~want_ledger outdir source =
         },
         None )
 
-(* Ledger records append after the compiles, in input order, so the
+(* Ledger lines append after the compiles, in input order, so the
    file order is deterministic at any jobs value. *)
 let append_ledger ledger suite outcomes =
   match ledger with
   | None -> ()
   | Some dir ->
       let recs = List.filter_map (fun o -> o.lrec) (Array.to_list outcomes) in
-      List.iter (Ledger.append ~dir) recs;
+      List.iter (Ledger.append ~dir ~suite) recs;
       if recs <> [] then
         Printf.printf "ledger: appended %d record(s) to %s\n"
-          (List.length recs)
-          (Filename.concat dir (suite ^ ".jsonl"))
+          (List.length recs) (Ledger.path ~dir ~suite)
 
 (* ---------- local event capture (--events without --remote) ---------- *)
 
@@ -343,17 +337,6 @@ let run_arch_sweep outdir mixes widths jobs =
 
 module J = Obs.Jsonin
 
-let make_submit seed fixed_width timing_report period_ns ~progress source =
-  {
-    Service.Protocol.default_submit with
-    Service.Protocol.vhdl = Tool_common.read_file source;
-    seed;
-    route_width = fixed_width;
-    timing_report;
-    period_ns;
-    progress;
-  }
-
 (* Live status line on stderr: each progress event overwrites the
    previous one; the final response clears it.  Deliberately terse —
    the raw stream (every record, untouched) goes to --events FILE. *)
@@ -392,62 +375,28 @@ let render_event design ev =
 
 let clear_status () = Printf.eprintf "\r\027[K%!"
 
-(* Submit with a progress stream: read the accepted line, then event
-   lines (rendering each; appending raw lines to [events_oc]), until the
-   completion record — the first response line without an "event"
-   field.  A backpressure rejection arrives as that first line, before
-   any event, so the caller's retry loop sees it like a plain submit. *)
-let submit_streaming client events_oc design submit =
-  Service.Client.send client (Service.Protocol.Submit submit);
-  let first = Service.Client.recv client in
-  if not (Service.Client.ok first) then first
-  else begin
-    let rec next () =
-      let line = Service.Client.recv client in
-      match J.member "event" line with
-      | Some _ ->
-          (match events_oc with
-          | Some oc -> output_string oc (Obs.Emit.to_string line ^ "\n")
-          | None -> ());
-          render_event design line;
-          next ()
-      | None ->
-          clear_status ();
-          line
-    in
-    next ()
-  end
-
-(* One remote submit with bounded exponential backoff on transient
-   rejections (the plain path delegates to Client.request_retry; the
-   streaming path re-runs the submit/stream loop itself because the
-   rejection arrives as the first stream line). *)
-let remote_submit client ~retries ~wait_ms ~progress ~events_oc seed
-    fixed_width timing_report period_ns source =
+(* One remote submit, retried with bounded exponential backoff on
+   transient rejections.  A progress submit renders each event and
+   appends the raw line to [events_oc]. *)
+let remote_submit client ~retries ~events_oc submit source =
   let design = name_of source in
   let submit =
-    make_submit seed fixed_width timing_report period_ns ~progress source
+    { submit with Service.Protocol.vhdl = Tool_common.read_file source }
   in
-  if not progress then
-    Service.Client.request_retry ~retries ~wait_ms client
-      (Service.Protocol.Submit submit)
-  else
-    let rec go attempt =
-      let resp = submit_streaming client events_oc design submit in
-      if
-        (not (Service.Client.ok resp))
-        && Service.Client.code resp = Some "backpressure"
-        && attempt < retries
-      then begin
-        Unix.sleepf
-          (Float.min 10_000.0
-             (float_of_int wait_ms *. (2.0 ** float_of_int attempt))
-          /. 1000.0);
-        go (attempt + 1)
-      end
-      else resp
-    in
-    go 0
+  let on_event line =
+    Option.iter
+      (fun oc -> output_string oc (Obs.Emit.to_string line ^ "\n"))
+      events_oc;
+    render_event design line
+  in
+  let progress = submit.Service.Protocol.progress in
+  let resp =
+    Service.Client.request_retry ~retries
+      ?on_event:(if progress then Some on_event else None)
+      client (Service.Protocol.Submit submit)
+  in
+  if progress then clear_status ();
+  resp
 
 (* Write the products a local run would, through the same writer:
    BASE.bit (hex-decoded), BASE.result.json (the embedded
@@ -479,8 +428,7 @@ let write_remote_outputs outdir source resp =
       Printf.printf "%-12s FAILED (remote): %s\n" design msg;
       false
 
-let run_remote socket input outdir seed fixed_width timing_report period_ns
-    batch ~progress ~events_file ~retries ~wait_ms =
+let run_remote socket input outdir submit batch ~events_file ~retries =
   let sources = if batch then Service.Manifest.read input else [ input ] in
   if sources = [] then failwith (input ^ ": no designs listed");
   let w0 = Unix.gettimeofday () in
@@ -489,15 +437,14 @@ let run_remote socket input outdir seed fixed_width timing_report period_ns
     Fun.protect
       ~finally:(fun () -> Option.iter close_out events_oc)
       (fun () ->
-        let client = Service.Client.connect_retry ~retries ~wait_ms socket in
+        let client = Service.Client.connect_retry ~retries socket in
         Fun.protect
           ~finally:(fun () -> Service.Client.close client)
           (fun () ->
             List.fold_left
               (fun failed source ->
                 let resp =
-                  remote_submit client ~retries ~wait_ms ~progress ~events_oc
-                    seed fixed_width timing_report period_ns source
+                  remote_submit client ~retries ~events_oc submit source
                 in
                 if write_remote_outputs outdir source resp then failed
                 else failed + 1)
@@ -516,7 +463,11 @@ let run_remote socket input outdir seed fixed_width timing_report period_ns
 
 let run input outdir seed fixed_width jobs timing_report period_ns trace_file
     batch no_cache cache_dir remote arch arch_sweep sweep_mixes sweep_widths
-    progress events_file retries retry_wait_ms ledger suite =
+    progress events_file retries ledger suite =
+  if remote <> None && arch <> None then
+    failwith
+      "--arch works only for local compiles (amdreld has no --arch option \
+       and compiles for its own fabric); drop --remote or --arch";
   (try Sys.mkdir outdir 0o755 with Sys_error _ -> ());
   if arch_sweep then run_arch_sweep outdir sweep_mixes sweep_widths jobs
   else
@@ -525,6 +476,12 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
       | Some i -> i
       | None -> failwith "INPUT is required (unless running --arch-sweep)"
     in
+    (* --events alone also subscribes under --remote: an empty capture
+       file from a non-streaming submit helps nobody *)
+    let submit =
+      make_submit seed fixed_width timing_report period_ns
+        ~progress:(progress || events_file <> None)
+    in
     match remote with
     | Some socket ->
         if ledger <> None then
@@ -532,22 +489,27 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
             "amdrel_flow: --ledger is ignored with --remote (the record is \
              built from the local flow result; run the ledger on the \
              daemon side or compile locally)";
-        (* --events alone also subscribes: an empty capture file from a
-           non-streaming submit helps nobody *)
-        run_remote socket input outdir seed fixed_width timing_report period_ns
-          batch
-          ~progress:(progress || events_file <> None)
-          ~events_file ~retries ~wait_ms:retry_wait_ms
+        if trace_file <> None then
+          prerr_endline
+            "amdrel_flow: --trace is ignored with --remote (the spans are \
+             recorded in the daemon's process; compile locally to trace)";
+        run_remote socket input outdir submit batch ~events_file ~retries
     | None ->
         if progress then
           prerr_endline
             "amdrel_flow: --progress streams from a daemon; without \
              --remote it is ignored (use --events FILE to capture the \
              event stream of a local run)";
+        let params =
+          match arch with
+          | Some file -> Fpga_arch.Archfile.of_file file
+          | None -> Core.Flow.default_config.Core.Flow.params
+        in
         let cache_dir = if no_cache then None else Some cache_dir in
         let config =
-          make_config arch seed fixed_width jobs timing_report period_ns
-            cache_dir
+          Service.Protocol.flow_config
+            ~base:{ Core.Flow.default_config with params; jobs; cache_dir }
+            submit
         in
         if batch then
           run_batch input outdir config timing_report ledger suite jobs
@@ -670,7 +632,9 @@ let remote_arg =
            (BASE.bit, BASE.result.json, BASE.timing.json with \
            $(b,--timing-report)) are bit-identical to a local run and \
            land in the same places.  Works with $(b,--batch); the local \
-           cache and jobs flags are the daemon's business and ignored.")
+           cache and jobs flags are the daemon's business and ignored, \
+           and $(b,--arch) is an error (the daemon compiles for its own \
+           fabric).")
 
 let arch_arg =
   Arg.(
@@ -683,7 +647,8 @@ let arch_arg =
            header in lib/fpga_arch/archfile.ml).  Default: the built-in \
            AMDREL platform (uniform length-1 segments).  The segment \
            spec is part of every route-stage cache key, so switching \
-           architectures never reuses stale routings.")
+           architectures never reuses stale routings.  Local compiles \
+           only: rejected with $(b,--remote).")
 
 let arch_sweep_arg =
   Arg.(
@@ -748,18 +713,11 @@ let retry_arg =
     & info [ "retry" ] ~docv:"N"
         ~doc:
           "With $(b,--remote): retry up to $(docv) times, with bounded \
-           exponential backoff, when the daemon is not accepting \
+           exponential backoff (attempt $(i,k) sleeps 200*2^$(i,k) ms, \
+           capped at 10 s), when the daemon is not accepting \
            connections yet (connection refused) or answers a submit with \
            a structured backpressure rejection.  Draining daemons are \
            never retried.  Default 0 (fail fast).")
-
-let retry_wait_ms_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "retry-wait-ms" ] ~docv:"MS"
-        ~doc:
-          "Base backoff for $(b,--retry): attempt $(i,k) sleeps \
-           $(docv)*2^$(i,k) milliseconds (capped at 10 s).")
 
 let ledger_arg =
   Arg.(
@@ -787,13 +745,13 @@ let cmd =
           content-addressed cache; --remote submits to an amdreld daemon \
           instead; --arch-sweep explores segment-mix architectures")
     Term.(
-      const (fun i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt rw ld su ->
+      const (fun i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt ld su ->
           Tool_common.protect (fun () ->
-              run i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt rw ld su))
+              run i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt ld su))
       $ input_arg $ outdir_arg $ seed_arg $ width_arg $ jobs_arg
       $ timing_report_arg $ period_arg $ trace_arg $ batch_arg $ no_cache_arg
       $ cache_dir_arg $ remote_arg $ arch_arg $ arch_sweep_arg $ sweep_mixes_arg
-      $ sweep_widths_arg $ progress_arg $ events_arg $ retry_arg
-      $ retry_wait_ms_arg $ ledger_arg $ suite_arg)
+      $ sweep_widths_arg $ progress_arg $ events_arg $ retry_arg $ ledger_arg
+      $ suite_arg)
 
 let () = exit (Cmd.eval cmd)

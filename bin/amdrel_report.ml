@@ -6,13 +6,16 @@
    the read side: it groups records per design, writes the folded
    trajectory as one JSON file (the artifact CI uploads and the repo
    pins), prints a table, and compares each design's latest record
-   against its previous comparable one — same design hash, params
-   fingerprint and seed, so only records the determinism contract says
-   must agree are compared.  A tracked metric moving past the tolerance
-   in the bad direction (wmin/crit/power up, wns/tns down) exits 1. *)
+   against its previous comparable one — same run.design_hash,
+   run.params_fp and run.seed, so only records the determinism contract
+   says must agree are compared.  A tracked metric moving past the
+   tolerance in the bad direction (wmin/crit/power up, wns/tns down)
+   exits 1.  A record is a per-design result record plus its run stamp
+   (lib/ledger); every field read here is one Ledger.read checks. *)
 
 open Cmdliner
 module E = Obs.Emit
+module J = Obs.Jsonin
 module L = Ledger
 
 (* ---------- gate ---------- *)
@@ -24,83 +27,100 @@ type verdict = {
   v_new : float;
 }
 
-(* Lower-better metrics; None when the record lacks the value. *)
-let lower_better =
+let get path get_v r = Option.bind (L.find path r) get_v
+let design r = Option.value (get [ "design" ] J.get_string r) ~default:"-"
+
+let wns = [ "metrics"; "sta.wns"; "value" ]
+let tns = [ "metrics"; "sta.tns"; "value" ]
+
+(* The gated metrics: label, path in the record, and whether lower is
+   better.  Slack is <= 0, so closer to 0 is better.  [min_width] is
+   null when the run did not search widths, and then never gates. *)
+let tracked =
   [
-    ("wmin", fun (r : L.t) -> Option.map float_of_int r.L.wmin);
-    ("crit_s", fun (r : L.t) -> Some r.L.crit_s);
-    ("power_w", fun (r : L.t) -> Some r.L.power_w);
+    ("wmin", [ "min_width" ], true);
+    ("crit_s", [ "critical_path_s" ], true);
+    ("power_w", [ "power_w" ], true);
+    ("wns_s", wns, false);
+    ("tns_s", tns, false);
   ]
 
-(* Higher-better: slack metrics (<= 0; closer to 0 is better). *)
-let higher_better =
-  [
-    ("wns_s", fun (r : L.t) -> Some r.L.wns_s);
-    ("tns_s", fun (r : L.t) -> Some r.L.tns_s);
-  ]
+let comparable a b =
+  List.for_all
+    (fun key -> L.find [ "run"; key ] a = L.find [ "run"; key ] b)
+    [ "design_hash"; "params_fp"; "seed" ]
 
-let comparable (a : L.t) (b : L.t) =
-  a.L.design_hash = b.L.design_hash
-  && a.L.params_fp = b.L.params_fp
-  && a.L.seed = b.L.seed
-
-let judge ~tolerance (prev : L.t) (latest : L.t) =
+let judge ~tolerance prev latest =
   let margin old = tolerance *. Float.max (Float.abs old) 1e-12 in
-  let check acc (metric, get) ~worse =
-    match (get prev, get latest) with
-    | Some o, Some n when worse o n ->
-        { v_design = latest.L.design; v_metric = metric; v_old = o; v_new = n }
-        :: acc
-    | _ -> acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc m -> check acc m ~worse:(fun o n -> n > o +. margin o))
-      [] lower_better
-  in
-  List.fold_left
-    (fun acc m -> check acc m ~worse:(fun o n -> n < o -. margin o))
-    acc higher_better
-  |> List.rev
+  List.filter_map
+    (fun (metric, path, lower_better) ->
+      match (get path J.get_float prev, get path J.get_float latest) with
+      | Some o, Some n
+        when if lower_better then n > o +. margin o else n < o -. margin o ->
+          Some
+            {
+              v_design = design latest;
+              v_metric = metric;
+              v_old = o;
+              v_new = n;
+            }
+      | _ -> None)
+    tracked
 
 (* ---------- folding ---------- *)
 
 let group_by_design records =
   let order = ref [] and tbl = Hashtbl.create 16 in
   List.iter
-    (fun (r : L.t) ->
-      if not (Hashtbl.mem tbl r.L.design) then begin
-        order := r.L.design :: !order;
-        Hashtbl.replace tbl r.L.design []
+    (fun r ->
+      let d = design r in
+      if not (Hashtbl.mem tbl d) then begin
+        order := d :: !order;
+        Hashtbl.replace tbl d []
       end;
-      Hashtbl.replace tbl r.L.design (r :: Hashtbl.find tbl r.L.design))
+      Hashtbl.replace tbl d (r :: Hashtbl.find tbl d))
     records;
   List.rev_map
     (fun d -> (d, List.rev (Hashtbl.find tbl d)))
     !order
   |> List.rev
 
-let wall_total (r : L.t) =
-  List.fold_left (fun acc (_, s) -> acc +. s) 0.0 r.L.stage_wall
+(* The sum of the top-level stage timers: dotted keys such as
+   sta.phase.forward or place.move-eval are sub-stage profiling. *)
+let wall_total r =
+  match L.find [ "metrics" ] r with
+  | Some (E.Obj entries) ->
+      List.fold_left
+        (fun acc (key, m) ->
+          match get [ "kind" ] J.get_string m with
+          | Some "timer" when not (String.contains key '.') ->
+              acc +. Option.value (get [ "wall_s" ] J.get_float m) ~default:0.0
+          | _ -> acc)
+        0.0 entries
+  | _ -> 0.0
 
-let trajectory_entry (r : L.t) =
+let counter key r =
+  Option.value (get [ "metrics"; key; "value" ] J.get_int r) ~default:0
+
+let trajectory_entry r =
+  let copy path = Option.value (L.find path r) ~default:E.Null in
   E.Obj
     [
-      ("at", E.String r.L.at);
-      ("git", E.String r.L.git);
-      ("jobs", E.Int r.L.jobs);
-      ("wmin", match r.L.wmin with Some w -> E.Int w | None -> E.Null);
-      ("width", E.Int r.L.width);
-      ("crit_s", E.Float r.L.crit_s);
-      ("wns_s", E.Float r.L.wns_s);
-      ("tns_s", E.Float r.L.tns_s);
-      ("power_w", E.Float r.L.power_w);
-      ("bits", E.Int r.L.bits);
-      ("luts", E.Int r.L.luts);
-      ("clbs", E.Int r.L.clbs);
+      ("at", copy [ "run"; "at" ]);
+      ("git", copy [ "run"; "git" ]);
+      ("jobs", copy [ "run"; "jobs" ]);
+      ("wmin", copy [ "min_width" ]);
+      ("width", copy [ "width" ]);
+      ("crit_s", copy [ "critical_path_s" ]);
+      ("wns_s", copy wns);
+      ("tns_s", copy tns);
+      ("power_w", copy [ "power_w" ]);
+      ("bits", copy [ "bits" ]);
+      ("luts", copy [ "luts" ]);
+      ("clbs", copy [ "clbs" ]);
       ("wall_s", E.Float (wall_total r));
-      ("cache_hits", E.Int r.L.cache_hits);
-      ("cache_misses", E.Int r.L.cache_misses);
+      ("cache_hits", E.Int (counter "cache.hit" r));
+      ("cache_misses", E.Int (counter "cache.miss" r));
     ]
 
 let bench_json ~suite ~skipped ~tolerance ~groups ~verdicts ~compared =
@@ -120,8 +140,7 @@ let bench_json ~suite ~skipped ~tolerance ~groups ~verdicts ~compared =
                  E.Obj
                    [
                      ("runs", E.Int (List.length runs));
-                     ( "latest",
-                       L.to_json (List.nth runs (List.length runs - 1)) );
+                     ("latest", List.nth runs (List.length runs - 1));
                      ("trajectory", E.List (List.map trajectory_entry runs));
                    ] ))
              groups) );
@@ -154,11 +173,18 @@ let print_table groups =
   List.iter
     (fun (design, runs) ->
       let r = List.nth runs (List.length runs - 1) in
+      let int path = get path J.get_int r
+      and num path = Option.value (get path J.get_float r) ~default:nan in
       Printf.printf "%-14s %4d %5s %5d %9.3f %9.3f %9.3f %6d\n" design
         (List.length runs)
-        (match r.L.wmin with Some w -> string_of_int w | None -> "-")
-        r.L.width (r.L.crit_s *. 1e9) (r.L.power_w *. 1e3) (wall_total r)
-        r.L.jobs)
+        (match int [ "min_width" ] with
+        | Some w -> string_of_int w
+        | None -> "-")
+        (Option.value (int [ "width" ]) ~default:0)
+        (num [ "critical_path_s" ] *. 1e9)
+        (num [ "power_w" ] *. 1e3)
+        (wall_total r)
+        (Option.value (int [ "run"; "jobs" ]) ~default:0))
     groups
 
 let run ledger_dir suite out tolerance no_gate quiet =

@@ -1,34 +1,8 @@
 (* Append-only per-suite run ledger.  See ledger.mli. *)
 
 module E = Obs.Emit
-module R = Obs.Registry
+module J = Obs.Jsonin
 module F = Core.Flow
-
-type t = {
-  suite : string;
-  design : string;
-  design_hash : string;
-  params_fp : string;
-  mix : string;
-  seed : int;
-  jobs : int;
-  git : string;
-  at : string;
-  luts : int;
-  clbs : int;
-  width : int;
-  wmin : int option;
-  crit_s : float;
-  wns_s : float;
-  tns_s : float;
-  power_w : float;
-  bits : int;
-  stage_wall : (string * float) list;
-  stage_cpu : (string * float) list;
-  cache_hits : int;
-  cache_misses : int;
-  cache_stores : int;
-}
 
 let utc_now () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -51,201 +25,93 @@ let git_describe () =
   | Some d -> d
   | None -> "-"
 
-(* Top-level stage timers only: dotted keys such as sta.phase.forward
-   or place.move-eval are sub-stage profiling, not the per-stage cost
-   profile. *)
-let stage_timers snap =
-  List.filter_map
-    (fun (e : R.entry) ->
-      match e.R.value with
-      | R.Timer { wall_s; cpu_s; _ } when not (String.contains e.R.key '.') ->
-          Some (e.R.key, wall_s, cpu_s)
-      | _ -> None)
-    snap
-
-let of_result ~suite ~config ~source (r : F.result) =
-  let timers = stage_timers r.F.metrics in
-  {
-    suite;
-    design = r.F.design;
-    design_hash = Digest.to_hex (Digest.string source);
-    params_fp =
-      Digest.to_hex
-        (Digest.string (Marshal.to_string config.F.params []));
-    mix = Fpga_arch.Params.mix_name config.F.params;
-    seed = config.F.seed;
-    jobs = Util.Parallel.resolve_jobs ?jobs:config.F.jobs ();
-    git = git_describe ();
-    at = utc_now ();
-    luts = r.F.mapped_stats.Netlist.Logic.n_gates;
-    clbs = r.F.n_clusters;
-    width = r.F.route_stats.Route.Router.channel_width;
-    wmin = r.F.route_stats.Route.Router.minimum_width;
-    crit_s = r.F.route_stats.Route.Router.critical_path_s;
-    wns_s = r.F.sta_post.Sta.Analysis.wns;
-    tns_s = r.F.sta_post.Sta.Analysis.tns;
-    power_w = r.F.power.Power.Model.total_w;
-    bits = r.F.bitstream.Bitstream.Dagger.bits;
-    stage_wall = List.map (fun (k, w, _) -> (k, w)) timers;
-    stage_cpu = List.map (fun (k, _, c) -> (k, c)) timers;
-    cache_hits = R.counter r.F.metrics "cache.hit";
-    cache_misses = R.counter r.F.metrics "cache.miss";
-    cache_stores = R.counter r.F.metrics "cache.store";
-  }
-
-let to_json (t : t) =
-  let secs kvs = E.Obj (List.map (fun (k, v) -> (k, E.Float v)) kvs) in
-  E.Obj
-    [
-      ("suite", E.String t.suite);
-      ("design", E.String t.design);
-      ("design_hash", E.String t.design_hash);
-      ("params_fp", E.String t.params_fp);
-      ("mix", E.String t.mix);
-      ("seed", E.Int t.seed);
-      ("jobs", E.Int t.jobs);
-      ("git", E.String t.git);
-      ("at", E.String t.at);
-      ("luts", E.Int t.luts);
-      ("clbs", E.Int t.clbs);
-      ("width", E.Int t.width);
-      ("wmin", match t.wmin with Some w -> E.Int w | None -> E.Null);
-      ("crit_s", E.Float t.crit_s);
-      ("wns_s", E.Float t.wns_s);
-      ("tns_s", E.Float t.tns_s);
-      ("power_w", E.Float t.power_w);
-      ("bits", E.Int t.bits);
-      ("stage_wall_s", secs t.stage_wall);
-      ("stage_cpu_s", secs t.stage_cpu);
-      ("cache_hits", E.Int t.cache_hits);
-      ("cache_misses", E.Int t.cache_misses);
-      ("cache_stores", E.Int t.cache_stores);
-    ]
-
-let of_json json =
-  let module J = Obs.Jsonin in
-  let str k =
-    match Option.bind (J.member k json) J.get_string with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %S" k)
+let line ~suite ~config ~source r =
+  let hex s = E.String (Digest.to_hex (Digest.string s)) in
+  let run =
+    E.Obj
+      [
+        ("suite", E.String suite);
+        ("design_hash", hex source);
+        ("params_fp", hex (Marshal.to_string config.F.params []));
+        ("mix", E.String (Fpga_arch.Params.mix_name config.F.params));
+        ("seed", E.Int config.F.seed);
+        ("jobs", E.Int (Util.Parallel.resolve_jobs ?jobs:config.F.jobs ()));
+        ("git", E.String (git_describe ()));
+        ("at", E.String (utc_now ()));
+      ]
   in
-  let int k =
-    match Option.bind (J.member k json) J.get_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "missing integer field %S" k)
-  in
-  let flt k =
-    match Option.bind (J.member k json) J.get_float with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing number field %S" k)
-  in
-  let secs k =
-    match J.member k json with
-    | Some (E.Obj kvs) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (key, v) :: rest -> (
-              match J.get_float v with
-              | Some f -> go ((key, f) :: acc) rest
-              | None -> Error (Printf.sprintf "non-number in %S" k))
-        in
-        go [] kvs
-    | _ -> Error (Printf.sprintf "missing object field %S" k)
-  in
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let* suite = str "suite" in
-  let* design = str "design" in
-  let* design_hash = str "design_hash" in
-  let* params_fp = str "params_fp" in
-  let* mix = str "mix" in
-  let* seed = int "seed" in
-  let* jobs = int "jobs" in
-  let* git = str "git" in
-  let* at = str "at" in
-  let* luts = int "luts" in
-  let* clbs = int "clbs" in
-  let* width = int "width" in
-  let* wmin =
-    match J.member "wmin" json with
-    | None | Some E.Null -> Ok None
-    | Some v -> (
-        match J.get_int v with
-        | Some w -> Ok (Some w)
-        | None -> Error "field \"wmin\" has the wrong type")
-  in
-  let* crit_s = flt "crit_s" in
-  let* wns_s = flt "wns_s" in
-  let* tns_s = flt "tns_s" in
-  let* power_w = flt "power_w" in
-  let* bits = int "bits" in
-  let* stage_wall = secs "stage_wall_s" in
-  let* stage_cpu = secs "stage_cpu_s" in
-  let* cache_hits = int "cache_hits" in
-  let* cache_misses = int "cache_misses" in
-  let* cache_stores = int "cache_stores" in
-  Ok
-    {
-      suite;
-      design;
-      design_hash;
-      params_fp;
-      mix;
-      seed;
-      jobs;
-      git;
-      at;
-      luts;
-      clbs;
-      width;
-      wmin;
-      crit_s;
-      wns_s;
-      tns_s;
-      power_w;
-      bits;
-      stage_wall;
-      stage_cpu;
-      cache_hits;
-      cache_misses;
-      cache_stores;
-    }
+  match F.result_obj r with
+  | E.Obj fields -> E.Obj (fields @ [ ("run", run) ])
+  | _ -> invalid_arg "Ledger.line: the result record is not an object"
 
 let path ~dir ~suite = Filename.concat dir (suite ^ ".jsonl")
 
-let append ~dir t =
+let append ~dir ~suite line =
   (try Unix.mkdir dir 0o755
    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
   let fd =
-    Unix.openfile
-      (path ~dir ~suite:t.suite)
+    Unix.openfile (path ~dir ~suite)
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let line = E.to_string (to_json t) ^ "\n" in
+      let text = E.to_string line ^ "\n" in
       (* one write: O_APPEND makes whole-line interleaving atomic for
          concurrent appenders on a local fs *)
-      ignore (Unix.write_substring fd line 0 (String.length line)))
+      ignore (Unix.write_substring fd text 0 (String.length text)))
+
+let find path json =
+  List.fold_left (fun acc key -> Option.bind acc (J.member key)) (Some json)
+    path
+
+(* Every field amdrel_report reads, with the kind it must hold: a line
+   failing one is skipped, so the report never gates on a missing
+   value.  [min_width] is null when the run did not search widths. *)
+let schema =
+  let str v = J.get_string v <> None
+  and int v = J.get_int v <> None
+  and num v = J.get_float v <> None in
+  [
+    ([ "ok" ], fun v -> v = E.Bool true);
+    ([ "design" ], str);
+    ([ "run"; "design_hash" ], str);
+    ([ "run"; "params_fp" ], str);
+    ([ "run"; "seed" ], int);
+    ([ "run"; "jobs" ], int);
+    ([ "run"; "git" ], str);
+    ([ "run"; "at" ], str);
+    ([ "min_width" ], fun v -> v = E.Null || int v);
+    ([ "width" ], int);
+    ([ "luts" ], int);
+    ([ "clbs" ], int);
+    ([ "bits" ], int);
+    ([ "critical_path_s" ], num);
+    ([ "power_w" ], num);
+    ([ "metrics"; "sta.wns"; "value" ], num);
+    ([ "metrics"; "sta.tns"; "value" ], num);
+  ]
+
+let valid json =
+  List.for_all
+    (fun (path, ok) ->
+      match find path json with Some v -> ok v | None -> false)
+    schema
 
 let read ~dir ~suite =
   let file = path ~dir ~suite in
   if not (Sys.file_exists file) then ([], 0)
-  else begin
-    let ic = open_in file in
-    let records = ref [] and skipped = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then
-           match Obs.Jsonin.parse_result line with
-           | Error _ -> incr skipped
-           | Ok json -> (
-               match of_json json with
-               | Ok r -> records := r :: !records
-               | Error _ -> incr skipped)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    (List.rev !records, !skipped)
-  end
+  else
+    let lines =
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter (fun l -> String.trim l <> "")
+    in
+    let records =
+      List.filter_map
+        (fun l ->
+          match J.parse_result l with
+          | Ok json when valid json -> Some json
+          | _ -> None)
+        lines
+    in
+    (records, List.length lines - List.length records)

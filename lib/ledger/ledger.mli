@@ -1,78 +1,47 @@
-(** The run ledger: one append-only JSONL file per suite, one record
-    per completed flow — the durable QoR/perf trajectory the bench
-    suite accumulates across commits.
+(** The run ledger: one append-only JSONL file per suite, one line per
+    completed flow — the durable QoR/perf trajectory the bench suite
+    accumulates across commits.
 
-    Each record carries identity (suite, design, a content hash of the
-    design source, the architecture params fingerprint and segment-mix
-    name, the seed, [git describe]), the QoR headline (minimum channel
-    width, routed critical path, WNS/TNS, power, bitstream bits, LUT
-    and CLB counts), and the run's cost profile (per-stage wall and CPU
-    seconds, cache hit/miss/store counts, the jobs setting, a
-    timestamp).  The QoR fields are deterministic for a given source +
-    params + seed by the flow's determinism contract; the cost fields
-    are measurements and vary run to run.  [amdrel_report] folds a
-    ledger into [BENCH_<suite>.json] and gates on the deterministic
-    fields only (docs/OBSERVABILITY.md § Run ledger documents both
-    schemas).
+    A line is the per-design record {!Core.Flow.result_obj} builds (what
+    [BASE.result.json] holds, less its [source] path) plus one [run]
+    member stamping the run: [suite], [design_hash] (MD5 of the design
+    source text), [params_fp] (architecture-params fingerprint), [mix]
+    (segment-mix name), [seed], [jobs], [git] ([git describe --always
+    --dirty], or ["-"]) and [at] (UTC timestamp).  [amdrel_report]
+    folds a ledger into [BENCH_<suite>.json] and gates on the record's
+    deterministic QoR fields (docs/OBSERVABILITY.md § The run ledger).
 
     Appends are a single [O_APPEND] write of one line, so concurrent
     writers (the bench suite's designs, parallel CI shards on a shared
-    volume) interleave whole records rather than corrupting bytes. *)
+    volume) interleave whole lines rather than corrupting bytes. *)
 
-type t = {
-  suite : string;
-  design : string;
-  design_hash : string;  (** MD5 hex of the design source text *)
-  params_fp : string;    (** architecture-params fingerprint *)
-  mix : string;          (** segment mix, e.g. ["2xL1+1xL4"] *)
-  seed : int;
-  jobs : int;
-  git : string;          (** [git describe --always --dirty], or ["-"] *)
-  at : string;           (** UTC timestamp, [YYYY-MM-DDThh:mm:ssZ] *)
-  luts : int;
-  clbs : int;
-  width : int;           (** routed channel width *)
-  wmin : int option;     (** minimum routable width, when searched *)
-  crit_s : float;        (** routed critical path, s *)
-  wns_s : float;
-  tns_s : float;
-  power_w : float;
-  bits : int;
-  stage_wall : (string * float) list;  (** top-level stage timers, s *)
-  stage_cpu : (string * float) list;
-  cache_hits : int;
-  cache_misses : int;
-  cache_stores : int;
-}
-
-val of_result :
+val line :
   suite:string ->
   config:Core.Flow.config ->
   source:string ->
   Core.Flow.result ->
-  t
-(** Build a record from a finished flow.  [source] is the design source
-    text (hashed, not stored); identity fields come from [config],
-    measurements from the result's metric snapshot. *)
-
-val to_json : t -> Obs.Emit.t
-val of_json : Obs.Emit.t -> (t, string) result
+  Obs.Emit.t
+(** The ledger line of a finished flow.  [source] is the design source
+    text (hashed, not stored); the stamp's identity fields come from
+    [config]. *)
 
 val path : dir:string -> suite:string -> string
 (** [dir/<suite>.jsonl], the file {!append} and {!read} use. *)
 
-val append : dir:string -> t -> unit
+val append : dir:string -> suite:string -> Obs.Emit.t -> unit
 (** Append one line to [dir/<suite>.jsonl], creating [dir] (one level)
     and the file as needed. *)
 
-val read : dir:string -> suite:string -> t list * int
-(** All parseable records of [dir/<suite>.jsonl] in file order, plus
-    the count of malformed/alien lines skipped.  ([[], 0]) when the
-    file does not exist. *)
+val find : string list -> Obs.Emit.t -> Obs.Emit.t option
+(** [find path line] follows object members along [path], e.g.
+    [["metrics"; "sta.wns"; "value"]]. *)
 
-val git_describe : unit -> string
-(** Best-effort [git describe --always --dirty] of the CWD's repo;
-    ["-"] when git or the repo is unavailable. *)
+val read : dir:string -> suite:string -> Obs.Emit.t list * int
+(** The lines of [dir/<suite>.jsonl] in file order, plus the count of
+    lines skipped: malformed JSON, [ok] not [true], or a field
+    [amdrel_report] reads that is absent or of the wrong kind (so
+    old-schema lines are skipped as alien).  ([[], 0]) when the file
+    does not exist. *)
 
 val utc_now : unit -> string
-(** The [at] timestamp format. *)
+(** The [at] timestamp format, [YYYY-MM-DDThh:mm:ssZ]. *)

@@ -70,9 +70,26 @@ let connect_retry ?(retries = 0) ?(wait_ms = 200) path =
   in
   go 0
 
-let request_retry ?(retries = 0) ?(wait_ms = 200) t req =
+(* With [on_event], a progress submit answers with an accepted line,
+   then event lines, then the completion record (the first line without
+   an "event" field).  A rejection arrives as the first line, before any
+   event, so it is retried like a plain submit's. *)
+let request_retry ?(retries = 0) ?(wait_ms = 200) ?on_event t req =
+  let rec completion f =
+    let line = recv t in
+    if J.member "event" line = None then line
+    else begin
+      f line;
+      completion f
+    end
+  in
   let rec go attempt =
-    let resp = request t req in
+    let first = request t req in
+    let resp =
+      match on_event with
+      | Some f when ok first -> completion f
+      | _ -> first
+    in
     if (not (ok resp)) && code resp = Some "backpressure" && attempt < retries
     then begin
       backoff ~attempt ~wait_ms;

@@ -44,13 +44,20 @@ val with_connection : string -> (t -> 'a) -> 'a
 (** {1 Response accessors} *)
 
 val request_retry :
-  ?retries:int -> ?wait_ms:int -> t -> Protocol.request -> Obs.Emit.t
+  ?retries:int ->
+  ?wait_ms:int ->
+  ?on_event:(Obs.Emit.t -> unit) ->
+  t ->
+  Protocol.request ->
+  Obs.Emit.t
 (** {!request} with the same backoff schedule on structured
     [backpressure] rejections (a full admission queue is transient; the
     queued work ahead of us is finite).  [draining] rejections are
     {e not} retried — that daemon is going away; pick another address.
     Returns the last response (still a rejection when the budget runs
-    out). *)
+    out).  Pass [on_event] with a [progress] submit: the accepted line
+    is read past, each event line goes to [on_event] in arrival order,
+    and the completion record is returned. *)
 
 val ok : Obs.Emit.t -> bool
 (** The response's ["ok"] field ([false] when absent). *)

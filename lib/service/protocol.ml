@@ -26,6 +26,22 @@ let default_submit =
     progress = false;
   }
 
+let flow_config ~(base : Core.Flow.config) s =
+  {
+    base with
+    Core.Flow.seed = s.seed;
+    search_min_width = s.route_width = None;
+    route_width =
+      Option.value s.route_width ~default:base.Core.Flow.route_width;
+    timing_driven =
+      base.Core.Flow.timing_driven || s.timing_report || s.period_ns <> None;
+    clock_period =
+      (match s.period_ns with
+      | Some ns -> Some (ns *. 1e-9)
+      | None -> base.Core.Flow.clock_period);
+    place_starts = s.place_starts;
+  }
+
 type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
 
 let request_to_json = function

@@ -57,6 +57,12 @@ val default_submit : submit
 (** Empty source, seed 1, width search, no timing report, 1 start,
     no progress stream. *)
 
+val flow_config : base:Core.Flow.config -> submit -> Core.Flow.config
+(** [base] with the submit's output-affecting choices applied: seed,
+    fixed width (or the width search), timing-driven mode, clock
+    period and placement starts.  The daemon and a local
+    [amdrel_flow] run both build their flow config through this. *)
+
 type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
 
 val request_to_json : request -> Obs.Emit.t

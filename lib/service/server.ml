@@ -191,23 +191,8 @@ let compile t job =
   let c0 = Sys.time () in
   let wait_s = t0 -. job.enqueued_at in
   let s = job.submit in
-  let base = t.cfg.flow in
   let config =
-    {
-      base with
-      F.seed = s.P.seed;
-      search_min_width = s.P.route_width = None;
-      route_width =
-        (match s.P.route_width with Some w -> w | None -> base.F.route_width);
-      timing_driven =
-        base.F.timing_driven || s.P.timing_report || s.P.period_ns <> None;
-      clock_period =
-        (match s.P.period_ns with
-        | Some ns -> Some (ns *. 1e-9)
-        | None -> base.F.clock_period);
-      place_starts = s.P.place_starts;
-      jobs = Some t.per_request_jobs;
-    }
+    { (P.flow_config ~base:t.cfg.flow s) with F.jobs = Some t.per_request_jobs }
   in
   let obs = R.create () in
   let run () =

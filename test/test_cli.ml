@@ -1,6 +1,7 @@
 (* The amdrel_flow CLI end to end: single mode writes BASE.result.json
-   for every design, and a design that fails to compile exits 1 with an
-   ok:false record naming the failed stage. *)
+   for every design, a design that fails to compile exits 1 with an
+   ok:false record naming the failed stage, and a local-only option
+   under --remote fails before any product is written. *)
 
 module J = Obs.Jsonin
 
@@ -69,6 +70,39 @@ let test_ok_record () =
   Alcotest.(check (option string)) "vpr-route timed" (Some "timer")
     (kind "vpr-route")
 
+(* --arch picks the fabric of a local compile; the daemon compiles for
+   its own, so --remote with --arch must fail before connecting (here
+   to a socket nobody listens on), name the flag, and write nothing. *)
+let test_remote_arch () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  Fpga_arch.Archfile.to_file (path "seg.arch")
+    {
+      Fpga_arch.Params.amdrel with
+      Fpga_arch.Params.segments =
+        Fpga_arch.Params.segments_of_string "2xL1+1xL4";
+    };
+  let argv =
+    [
+      flow_exe; path "counter8.vhd"; "-d"; dir; "--arch"; path "seg.arch";
+      "--remote"; path "none.sock";
+    ]
+  in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv)
+      ^ " >/dev/null 2>" ^ Filename.quote (path "stderr.txt"))
+  in
+  Alcotest.(check bool) "exit non-zero" true (code <> 0);
+  Alcotest.(check bool) "stderr names --arch" true
+    (Str_helpers.contains
+       (In_channel.with_open_bin (path "stderr.txt") In_channel.input_all)
+       "--arch");
+  Alcotest.(check bool) "no bitstream written" false
+    (Sys.file_exists (path "counter8.bit"))
+
 let suite =
   [
     Alcotest.test_case "parse error: exit 1 + ok:false record" `Quick
@@ -77,4 +111,6 @@ let suite =
       (with_exe test_route_error);
     Alcotest.test_case "timing-report run: ok record with metrics" `Quick
       (with_exe test_ok_record);
+    Alcotest.test_case "--arch with --remote fails, writes nothing" `Quick
+      (with_exe test_remote_arch);
   ]

@@ -763,7 +763,9 @@ let test_daemon_watch () =
 
 (* Client retry: a connection refused while the daemon is still coming
    up is retried into success, and a backpressure rejection is retried
-   until the queue drains — reject first, accept later, same client. *)
+   until the queue drains — reject first, accept later, same client —
+   for a plain submit and for a progress submit, whose events go to the
+   retry's callback. *)
 let test_client_retry () =
   let sock = short_sock () in
   let cache = fresh_dir () in
@@ -801,10 +803,18 @@ let test_client_retry () =
   in
   (* fill the worker, then the queue of one (sequenced through status so
      the second submit queues instead of bouncing) *)
-  Service.Client.send filler (submit_req (Core.Bench_circuits.multiplier 4));
-  wait_until "first compile in flight" (fun () -> status "in_flight" = 1);
-  Service.Client.send filler (submit_req (Core.Bench_circuits.alu 8));
-  wait_until "queue full" (fun () -> status "queue_depth" = 1);
+  let fill seed =
+    let req vhdl = P.Submit { P.default_submit with P.vhdl; seed } in
+    Service.Client.send filler (req (Core.Bench_circuits.multiplier 4));
+    wait_until "first compile in flight" (fun () -> status "in_flight" = 1);
+    Service.Client.send filler (req (Core.Bench_circuits.alu 8));
+    wait_until "queue full" (fun () -> status "queue_depth" = 1)
+  in
+  let drain () =
+    ignore (Service.Client.recv filler);
+    ignore (Service.Client.recv filler)
+  in
+  fill 1;
   (* first attempts bounce with the structured backpressure code; the
      retry loop keeps going and wins a slot when the queue drains *)
   let resp =
@@ -814,9 +824,34 @@ let test_client_retry () =
   Alcotest.(check bool) "rejected first, accepted later" true
     (Service.Client.ok resp);
   Alcotest.(check bool) "rejections were counted" true (status "rejected" >= 1);
-  (* drain: collect the two filler completions, then shut down *)
-  ignore (Service.Client.recv filler);
-  ignore (Service.Client.recv filler);
+  drain ();
+  (* a progress submit bounces the same way, as its stream's first line.
+     Seed 2 misses the cache the first round filled, so the fillers hold
+     the worker again and the streamed compile runs its stages. *)
+  fill 2;
+  let rejected = status "rejected" in
+  let events = ref [] in
+  let resp =
+    Service.Client.request_retry ~retries:12 ~wait_ms:10
+      ~on_event:(fun e -> events := e :: !events)
+      c
+      (P.Submit
+         {
+           P.default_submit with
+           P.vhdl = Core.Bench_circuits.counter 8;
+           seed = 2;
+           progress = true;
+         })
+  in
+  Alcotest.(check bool) "streamed submit rejected first" true
+    (status "rejected" > rejected);
+  Alcotest.(check bool) "callback saw a stage-begin event" true
+    (List.exists (fun e -> event_name e = Some "stage-begin") !events);
+  Alcotest.(check bool) "returns the ok completion record" true
+    (Service.Client.ok resp
+    && event_name resp = None
+    && J.member "result" resp <> None);
+  drain ();
   Service.Client.close filler;
   let bye = Service.Client.request c P.Shutdown in
   Alcotest.(check bool) "shutdown acked" true (Service.Client.ok bye);
