@@ -511,8 +511,19 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
             ~base:{ Core.Flow.default_config with params; jobs; cache_dir }
             submit
         in
-        if batch then
+        if batch then begin
+          (* pool workers have no ambient trace or sink, so the files
+             would depend on --jobs *)
+          if trace_file <> None then
+            prerr_endline
+              "amdrel_flow: --trace is ignored with --batch (pool workers \
+               record no spans; compile one design to trace)";
+          if events_file <> None then
+            prerr_endline
+              "amdrel_flow: --events is ignored with --batch (pool workers \
+               emit no events; compile one design to capture its stream)";
           run_batch input outdir config timing_report ledger suite jobs
+        end
         else
           run_single input outdir config timing_report trace_file events_file
             ledger suite jobs
@@ -584,7 +595,9 @@ let trace_arg =
            for every flow stage, PathFinder iteration and batch, \
            annealer temperature step and STA level sweep), loadable in \
            chrome://tracing or Perfetto.  Stages answered from the cache \
-           run no code, so they are absent from the trace.")
+           run no code, so they are absent from the trace.  Local \
+           single-design runs only: ignored with $(b,--batch) or \
+           $(b,--remote).")
 
 let batch_arg =
   Arg.(

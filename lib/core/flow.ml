@@ -138,7 +138,6 @@ and v_place = "place@1"
 and v_route = "route@2" (* @2: mixed-length segmented RR graph *)
 and v_sta = "sta@1"
 and v_bitstream = "bitstream@2" (* @2: AMD2 frames with track table *)
-and v_routability = "routability@1"
 
 (* Content hash of an artifact: digest of its unshared Marshal bytes.
    Marshal is deterministic for a given value graph (Hashtbl layouts
@@ -330,20 +329,13 @@ let run_stages ~ctx (net : Logic.t) =
   R.incr ~by:anneal.Place.Anneal.moves obs "place.moves";
   (* VPR routing.  Speculative width-search probes stay un-instrumented
      (the probe set depends on the pool size); only the final routing
-     records, keeping every metric jobs-independent.  The width search
-     additionally consults a persistent routability table — probe
-     outcomes keyed on the exact (placement, params) pair — so a warm
-     search at a known placement skips probe routings it already knows
-     the answer to, even when the route stage itself must re-run (e.g.
-     after toggling timing_driven). *)
-  let placement_hash = lazy (artifact_hash placement) in
-  let params_fp = lazy (artifact_hash p) in
+     records, keeping every metric jobs-independent. *)
   let routed =
     stage ctx "route" v_route
       (fun () ->
         [
-          Lazy.force placement_hash;
-          Lazy.force params_fp;
+          artifact_hash placement;
+          artifact_hash p;
           fp_bool config.search_min_width;
           (if config.search_min_width then "-"
            else string_of_int config.route_width);
@@ -355,41 +347,9 @@ let run_stages ~ctx (net : Logic.t) =
               if config.timing_driven then Some Place.Td_timing.default_model
               else None
             in
-            if config.search_min_width then begin
-              let rkey =
-                lazy
-                  (Cache.Store.key
-                     [
-                       "routability";
-                       v_routability;
-                       Lazy.force placement_hash;
-                       Lazy.force params_fp;
-                     ])
-              in
-              let table : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-              (match ctx.store with
-              | Some store -> (
-                  match Cache.Store.find store (Lazy.force rkey) with
-                  | Some (entries : (int * bool) list) ->
-                      List.iter
-                        (fun (w, ok) -> Hashtbl.replace table w ok)
-                        entries
-                  | None -> ())
-              | None -> ());
-              let r =
-                Route.Router.route_min_width ?timing ~table ?jobs:config.jobs
-                  ~obs p placement
-              in
-              (match ctx.store with
-              | Some store ->
-                  let entries =
-                    List.sort compare
-                      (Hashtbl.fold (fun w ok acc -> (w, ok) :: acc) table [])
-                  in
-                  Cache.Store.store store (Lazy.force rkey) entries
-              | None -> ());
-              r
-            end
+            if config.search_min_width then
+              Route.Router.route_min_width ?timing ?jobs:config.jobs ~obs p
+                placement
             else
               Route.Router.route_fixed ?timing ?jobs:config.jobs ~obs p
                 placement ~width:config.route_width))

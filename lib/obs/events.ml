@@ -1,12 +1,12 @@
-(* Bounded SPSC progress-event ring.
+(* Bounded progress-event queue under one mutex.
 
-   The producer (the domain running a flow) publishes an event by
-   writing its slot and then Atomic.set-ing [tail] — the release store
-   that makes the slot visible.  The consumer (daemon IO loop or CLI)
-   reads [tail] with an acquire load and walks [head..tail).  Overflow
-   never blocks the producer: when the ring is full the event is counted
-   into [dropped] and discarded, and the next drain synthesizes a
-   [Dropped] record for the gap.
+   The producer (the domain running a flow) appends under the lock; the
+   consumer (daemon IO loop or CLI) takes the whole queue under the same
+   lock and stamps and frames the events after releasing it, so the
+   producer never waits on the consumer's socket IO.  A full queue
+   never back-pressures the producer: when it holds [cap] events the new
+   one is counted into [dropped] and discarded, and the next drain
+   synthesizes a [Dropped] record for the gap.
 
    The ambient slot mirrors Span's discipline exactly: one DLS cell per
    domain, [with_sink] installs/restores, pool worker domains see no
@@ -30,27 +30,22 @@ type kind =
 
 type event = { seq : int; t_s : float; kind : kind }
 
-type slot = { s_t : float; s_kind : kind }
-
 type sink = {
-  slots : slot option array;
+  lock : Mutex.t;
+  queue : (float * kind) Queue.t; (* (t_s, kind) in emission order *)
   cap : int;
-  head : int Atomic.t; (* consumer-owned: next index to read *)
-  tail : int Atomic.t; (* producer-owned: next index to write *)
-  dropped : int Atomic.t;
+  mutable dropped : int; (* under [lock] *)
   epoch : float;
   mutable next_seq : int; (* consumer-owned *)
   mutable drop_seen : int; (* consumer-owned: drops already reported *)
 }
 
 let create ?(capacity = 8192) () =
-  let cap = max 16 capacity in
   {
-    slots = Array.make cap None;
-    cap;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-    dropped = Atomic.make 0;
+    lock = Mutex.create ();
+    queue = Queue.create ();
+    cap = max 16 capacity;
+    dropped = 0;
     epoch = Unix.gettimeofday ();
     next_seq = 0;
     drop_seen = 0;
@@ -74,15 +69,9 @@ let without f =
 let active () = Option.is_some !(Domain.DLS.get ambient)
 
 let emit_to s kind =
-  let tail = Atomic.get s.tail in
-  let head = Atomic.get s.head in
-  if tail - head >= s.cap then Atomic.incr s.dropped
-  else begin
-    s.slots.(tail mod s.cap) <-
-      Some { s_t = Unix.gettimeofday () -. s.epoch; s_kind = kind };
-    (* release: publishes the slot write above *)
-    Atomic.set s.tail (tail + 1)
-  end
+  Mutex.protect s.lock (fun () ->
+      if Queue.length s.queue >= s.cap then s.dropped <- s.dropped + 1
+      else Queue.push (Unix.gettimeofday () -. s.epoch, kind) s.queue)
 
 let emit kind =
   match !(Domain.DLS.get ambient) with
@@ -101,29 +90,22 @@ let next_seq s =
 
 let heartbeat s = stamp s Heartbeat (Unix.gettimeofday () -. s.epoch)
 
-let dropped_total s = Atomic.get s.dropped
+let dropped_total s = Mutex.protect s.lock (fun () -> s.dropped)
 
 let drain s =
-  let tail = Atomic.get s.tail (* acquire: slots up to here are visible *) in
-  let head = Atomic.get s.head in
-  let gap =
-    let d = Atomic.get s.dropped in
-    let fresh = d - s.drop_seen in
-    s.drop_seen <- d;
-    fresh
+  let taken = Queue.create () in
+  let dropped =
+    Mutex.protect s.lock (fun () ->
+        Queue.transfer s.queue taken;
+        s.dropped)
   in
+  let gap = dropped - s.drop_seen in
+  s.drop_seen <- dropped;
   let out = ref [] in
   if gap > 0 then
     out :=
       [ stamp s (Dropped { count = gap }) (Unix.gettimeofday () -. s.epoch) ];
-  for i = head to tail - 1 do
-    match s.slots.(i mod s.cap) with
-    | None -> ()
-    | Some sl ->
-        s.slots.(i mod s.cap) <- None;
-        out := stamp s sl.s_kind sl.s_t :: !out
-  done;
-  Atomic.set s.head tail;
+  Queue.iter (fun (t_s, kind) -> out := stamp s kind t_s :: !out) taken;
   List.rev !out
 
 let kind_name = function

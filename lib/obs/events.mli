@@ -1,18 +1,18 @@
-(** Bounded, lock-free progress-event sink: the flow's live telemetry
-    channel.
+(** Bounded progress-event sink: the flow's live telemetry channel.
 
-    A {!sink} is a single-producer/single-consumer ring buffer of
-    progress events.  The {e producer} is the domain running a flow
-    (instrumentation sites call {!emit} against the ambient sink, a
-    per-domain slot installed with {!with_sink} — exactly the
-    {!Obs.Span} ambient discipline, so a site with no ambient sink costs
-    one domain-local read).  The {e consumer} is whoever relays events
-    onward: the compile daemon's IO loop framing them to subscribed
-    clients, or a CLI draining the ring after a local run.  Producer and
-    consumer may be different domains; the ring's head/tail are atomics,
-    the hot path takes no lock and never blocks.
+    A {!sink} is a bounded queue of progress events behind one mutex.
+    The {e producer} is the domain running a flow (instrumentation sites
+    call {!emit} against the ambient sink, a per-domain slot installed
+    with {!with_sink} — exactly the {!Obs.Span} ambient discipline, so a
+    site with no ambient sink costs one domain-local read).  The
+    {e consumer} is whoever relays events onward: the compile daemon's
+    IO loop framing them to subscribed clients, or a CLI draining the
+    queue after a local run.  Producer and consumer may be different
+    domains.  Each {!emit} and each {!drain} takes the lock once, and
+    the consumer holds it only to take the queue, so the producer never
+    waits on the consumer's IO.
 
-    {b Bounding and loss.}  The ring holds at most [capacity] events.
+    {b Bounding and loss.}  The queue holds at most [capacity] events.
     When the producer outruns the consumer the overflowing event is
     {e dropped} (the flow is never back-pressured by a slow watcher) and
     counted; the next {!drain} reports the gap as a synthetic
@@ -53,7 +53,7 @@ type kind =
       (** one annealer temperature checkpoint *)
   | Heartbeat  (** consumer-side liveness tick; volatile *)
   | Dropped of { count : int }
-      (** [count] events were lost to the ring bound since the previous
+      (** [count] events were lost to the queue bound since the previous
           drain; volatile *)
 
 type event = { seq : int; t_s : float; kind : kind }
@@ -62,7 +62,7 @@ type event = { seq : int; t_s : float; kind : kind }
 type sink
 
 val create : ?capacity:int -> unit -> sink
-(** A fresh sink.  [capacity] (default 8192) bounds the ring. *)
+(** A fresh sink.  [capacity] (default 8192) bounds the queue. *)
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink s f] runs [f] with [s] as this domain's ambient sink,
@@ -78,7 +78,8 @@ val active : unit -> bool
 
 val emit : kind -> unit
 (** Producer: append one event to the ambient sink, if any.  Never
-    blocks; drops (and counts) when the ring is full. *)
+    waits on the consumer's IO; drops (and counts) when the queue is
+    full. *)
 
 val emit_to : sink -> kind -> unit
 (** Producer: append directly to [s], bypassing the ambient slot. *)
@@ -103,7 +104,7 @@ val next_seq : sink -> int
     notices). *)
 
 val dropped_total : sink -> int
-(** Events lost to the ring bound over the sink's lifetime. *)
+(** Events lost to the queue bound over the sink's lifetime. *)
 
 (** {1 Rendering} *)
 

@@ -1,12 +1,11 @@
-(** Typed metric registry with domain-safe recording and deterministic
-    merge.
+(** Typed metric registry with domain-safe recording.
 
     A registry replaces the flow's previous stringly
     [times : (string * float) list] accumulation.  Four metric kinds:
 
     - {b Counter} — monotonic integer ([incr]); merged by summation.
-    - {b Gauge} — a float set point-in-time ([set]); merged
-      last-write-wins by a global sequence number.
+    - {b Gauge} — a float set point-in-time ([set]); the last write
+      wins.
     - {b Timer} — accumulated wall {e and} CPU seconds plus an interval
       count ([time] / [add_time]); merged by summation.  Timers are
       always {e volatile}: elapsed time never reproduces across runs, so
@@ -18,23 +17,22 @@
       exposed — float accumulation order would depend on domain
       scheduling.
 
-    Recording is domain-safe and lock-free on the hot path: each domain
-    writes to a private buffer, found through a one-entry per-domain
-    cache of the last registry this domain recorded into; [snapshot]
-    merges all buffers with commutative, order-independent operations,
-    so the merged result is bit-identical at any [jobs] value provided
-    the {e set of recorded values} is itself deterministic.  Snapshot
-    only observes worker-side records that happened before the workers
-    were joined (Util.Parallel.map joins its domains before returning).
+    Recording is domain-safe: a registry is one table behind one mutex,
+    and every record and every {!snapshot} takes that lock once.
+    Counter, timer and histogram updates are commutative (sums, min/max,
+    bucket counts), so the snapshot does not depend on which domain
+    recorded what and is bit-identical at any [jobs] value provided the
+    {e set of recorded values} is itself deterministic.  Snapshot only
+    observes worker-side records that happened before the workers were
+    joined (Util.Parallel.map joins its domains before returning).
 
     Registries are {e scoped and cheap}: all of a registry's state is
-    reachable only from the registry value itself (plus the single
-    per-domain cache slot, which holds at most the most recently used
-    registry), so a long-running service can create one registry per
-    request — isolating every request's metrics from every other's —
-    without growing any process-wide structure.  Two back-to-back runs
-    recording into two fresh registries produce byte-identical
-    deterministic JSON to two fresh-process runs.
+    reachable only from the registry value itself, so a long-running
+    service can create one registry per request — isolating every
+    request's metrics from every other's — without growing any
+    process-wide structure.  Two back-to-back runs recording into two
+    fresh registries produce byte-identical deterministic JSON to two
+    fresh-process runs.
 
     Keys are dotted names following the docs/OBSERVABILITY.md schema.
     Recording a key with two different kinds raises [Invalid_argument]. *)
@@ -78,13 +76,14 @@ type value =
 type entry = { key : string; value : value; volatile : bool }
 
 type snapshot = entry list
-(** Merged point-in-time view: the creating domain's first-record order
-    first (the flow's stage order), then worker-only keys in ascending
-    key order. *)
+(** Point-in-time view: the creating domain's first-record order first
+    (the flow's stage order), then the keys only other domains recorded,
+    in ascending key order. *)
 
 val snapshot : t -> snapshot
-(** Merge every domain's buffer.  Safe to call repeatedly; the registry
-    keeps accumulating afterwards. *)
+(** Read every entry under the registry's lock.  Safe to call
+    repeatedly, from any domain; the registry keeps accumulating
+    afterwards. *)
 
 val find : snapshot -> string -> value option
 

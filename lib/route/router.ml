@@ -132,12 +132,12 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
   (* width -> routable?; probes are deterministic, so caching loses
      nothing and speculation never repeats work.  [table], when given,
-     IS the memo: entries seeded by the caller (e.g. from the flow's
-     persistent routability table) are outcomes this search never has
-     to probe for, and the table is mutated in place so the caller can
-     persist whatever this search learned.  Seeding only ever changes
-     which probes run, never their outcomes, so the found minimum (and
-     the final routing) stays bit-identical to an unseeded search. *)
+     IS the memo and the caller owns it: entries it already holds are
+     outcomes this search never has to probe for, and the table is
+     mutated in place so the caller keeps whatever this search learned.
+     Seeding only ever changes which probes run, never their outcomes,
+     so the found minimum (and the final routing) stays bit-identical to
+     an unseeded search. *)
   let cache : (int, bool) Hashtbl.t =
     match table with Some t -> t | None -> Hashtbl.create 16
   in

@@ -62,19 +62,18 @@ val route_min_width :
     records into [obs]: the speculative probe set depends on the pool
     size, so instrumenting it would make metrics jobs-dependent.
 
-    [table] is the probe memo ([width -> routable?]), exposed so a
-    caller can persist routability across runs: entries already present
-    are trusted and never re-probed, and the table is updated in place
-    with every outcome this search learns.  Seeding affects which probes
-    run, never their outcomes — callers must only seed entries obtained
-    from an identical (params, placement) search, which is exactly what
-    the flow's persistent routability table keys on
-    (docs/ARCHITECTURE.md).  The number of probe routings actually run
-    is recorded into [obs] as the {e volatile} gauge
+    [table] is the probe memo ([width -> routable?]), owned by the
+    caller when given: entries already present are trusted and never
+    re-probed, and the table is updated in place with every outcome
+    this search learns.  Seeding affects which probes run, never their
+    outcomes — callers must only seed entries obtained from an identical
+    (params, placement) search.  The number of probe routings actually
+    run is recorded into [obs] as the {e volatile} gauge
     [route.width-probes] (volatile: the probe set depends on the pool
-    size as well as the seed, so it is excluded from the deterministic
-    metrics view); a warm table yields strictly fewer probes than a
-    cold search, down to 0 when it covers the whole decision path.
+    size as well as on what [table] already holds, so it is excluded
+    from the deterministic metrics view); a warm table yields strictly
+    fewer probes than a cold search, down to 0 when it covers the whole
+    decision path.
     @raise Failure when unroutable even at width 128. *)
 
 val sta :

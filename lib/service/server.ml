@@ -467,7 +467,7 @@ let rec drain_pipe t buf =
 
 (* Frame one event line to the stream's owner and watchers.  Dead
    connections drop their copy silently — a slow or vanished watcher
-   never stalls the compile (the ring bound upstream already guarantees
+   never stalls the compile (the queue bound upstream already guarantees
    the producer side of that). *)
 let deliver_line t st line =
   let to_uid uid =

@@ -1,6 +1,6 @@
 (* The content-addressed stage store and the flow's memoisation on top
    of it: key schema, corrupt-entry tolerance, warm-run byte-identity,
-   invalidation granularity, and the persistent routability table. *)
+   invalidation granularity, and the router's probe memo. *)
 
 module R = Obs.Registry
 
@@ -112,8 +112,7 @@ let test_flow_warm_hits () =
   let cold, obs_c, tr_c = run_cached ~dir vhdl in
   Alcotest.(check int) "cold: no hits" 0
     (R.counter (R.snapshot obs_c) "cache.hit");
-  (* seven stages + the routability table *)
-  Alcotest.(check int) "cold: every stage stored" 8
+  Alcotest.(check int) "cold: every stage stored" 7
     (R.counter (R.snapshot obs_c) "cache.store");
   let warm, obs_w, tr_w = run_cached ~dir vhdl in
   Alcotest.(check int) "warm: all seven stages hit" 7
@@ -175,7 +174,7 @@ let test_flow_invalidation () =
   let _, obs_s, _ = run_cached ~config ~dir vhdl in
   Alcotest.(check int) "seed change: front end hits" 3
     (R.counter (R.snapshot obs_s) "cache.hit");
-  Alcotest.(check int) "seed change: place and below miss" 5
+  Alcotest.(check int) "seed change: place and below miss" 4
     (R.counter (R.snapshot obs_s) "cache.miss");
   (* arch-param perturbation: segment length feeds routing only — the
      placement (which ignores routing params) still hits *)
@@ -187,7 +186,7 @@ let test_flow_invalidation () =
   let _, obs_p, _ = run_cached ~config ~dir vhdl in
   Alcotest.(check int) "segment change: hits through place" 4
     (R.counter (R.snapshot obs_p) "cache.hit");
-  Alcotest.(check int) "segment change: route and below miss" 4
+  Alcotest.(check int) "segment change: route and below miss" 3
     (R.counter (R.snapshot obs_p) "cache.miss")
 
 let test_flow_jobs_key_stable () =
@@ -202,7 +201,7 @@ let test_flow_jobs_key_stable () =
     (R.counter (R.snapshot obs_w) "cache.miss");
   Alcotest.(check string) "bitstream identical" (bytes_of cold) (bytes_of warm)
 
-(* ---------- persistent routability table ---------- *)
+(* ---------- the router's probe memo ---------- *)
 
 let test_routability_table_fewer_probes () =
   let net = Synth.Diviner.synthesize (Core.Bench_circuits.counter 8) in

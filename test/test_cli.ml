@@ -1,7 +1,8 @@
 (* The amdrel_flow CLI end to end: single mode writes BASE.result.json
    for every design, a design that fails to compile exits 1 with an
-   ok:false record naming the failed stage, and a local-only option
-   under --remote fails before any product is written. *)
+   ok:false record naming the failed stage, a local-only option under
+   --remote fails before any product is written, and local --batch
+   warns about the single-design flags it ignores. *)
 
 module J = Obs.Jsonin
 
@@ -103,6 +104,42 @@ let test_remote_arch () =
   Alcotest.(check bool) "no bitstream written" false
     (Sys.file_exists (path "counter8.bit"))
 
+(* Local --batch compiles in pool workers, which have no ambient trace
+   or event sink: --trace and --events are refused with a warning each
+   rather than silently writing nothing. *)
+let test_batch_ignores_trace_events () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  Out_channel.with_open_bin (path "designs.txt") (fun oc ->
+      output_string oc "counter8.vhd\n");
+  let argv =
+    [
+      flow_exe; path "designs.txt"; "--batch"; "-d"; dir; "--no-cache";
+      "-j"; "1"; "--trace"; path "t.json"; "--events"; path "e.jsonl";
+    ]
+  in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv)
+      ^ " >/dev/null 2>" ^ Filename.quote (path "stderr.txt"))
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "record written" true
+    (Sys.file_exists (path "counter8.result.json"));
+  let stderr =
+    In_channel.with_open_bin (path "stderr.txt") In_channel.input_all
+  in
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool) ("stderr names " ^ flag) true
+        (Str_helpers.contains stderr flag))
+    [ "--trace"; "--events" ];
+  Alcotest.(check bool) "no trace file" false (Sys.file_exists (path "t.json"));
+  Alcotest.(check bool) "no events file" false
+    (Sys.file_exists (path "e.jsonl"))
+
 let suite =
   [
     Alcotest.test_case "parse error: exit 1 + ok:false record" `Quick
@@ -113,4 +150,6 @@ let suite =
       (with_exe test_ok_record);
     Alcotest.test_case "--arch with --remote fails, writes nothing" `Quick
       (with_exe test_remote_arch);
+    Alcotest.test_case "--batch ignores --trace and --events" `Quick
+      (with_exe test_batch_ignores_trace_events);
   ]

@@ -181,9 +181,6 @@ let test_hist_edge_cases () =
 
 let test_merge_across_domains () =
   let module R = Obs.Registry in
-  (* 8 chunks of records; a sequential registry vs one filled from a
-     4-domain pool must render identically (deterministic view). *)
-  let chunks = Array.init 8 (fun i -> List.init 25 (fun j -> (i * 25) + j)) in
   let record r chunk =
     List.iter
       (fun v ->
@@ -191,18 +188,40 @@ let test_merge_across_domains () =
         R.observe r "dist" (float_of_int v))
       chunk
   in
-  let seq = R.create () in
-  Array.iter (record seq) chunks;
-  let par = R.create () in
-  ignore (Util.Parallel.map ~jobs:4 (record par) chunks);
   let render r =
     Obs.Emit.to_string (R.to_json ~deterministic:true (R.snapshot r))
   in
-  Alcotest.(check string) "sequential = 4-domain merge" (render seq)
-    (render par);
-  match R.find (R.snapshot par) "events" with
-  | Some (R.Counter n) -> Alcotest.(check int) "all records merged" 200 n
-  | _ -> Alcotest.fail "counter missing"
+  (* a sequential registry vs one filled from a 4-domain pool must
+     render identically (deterministic view) and lose no record: 8 small
+     chunks, then 4 chunks of 25 000 that hammer the shared keys from
+     every domain at once *)
+  List.iter
+    (fun (n, size) ->
+      let chunks = Array.init n (fun i -> List.init size (fun j -> (i * size) + j)) in
+      let seq = R.create () in
+      Array.iter (record seq) chunks;
+      let par = R.create () in
+      ignore (Util.Parallel.map ~jobs:4 (record par) chunks);
+      Alcotest.(check string) "sequential = 4-domain merge" (render seq)
+        (render par);
+      let snap = R.snapshot par in
+      Alcotest.(check int) "all records merged" (n * size)
+        (R.counter snap "events");
+      match R.find snap "dist" with
+      | Some (R.Histogram h) ->
+          Alcotest.(check int) "all samples merged" (n * size) h.R.count
+      | _ -> Alcotest.fail "histogram missing")
+    [ (8, 25); (4, 25_000) ];
+  (* snapshot order: the creating domain's first-record order, then the
+     keys only other domains recorded, ascending — "y", first recorded
+     elsewhere, takes its place from the owner's own first record *)
+  let r = R.create () in
+  R.incr r "z";
+  Domain.join (Domain.spawn (fun () -> List.iter (R.incr r) [ "b"; "a"; "y" ]));
+  List.iter (R.incr r) [ "c"; "y" ];
+  Alcotest.(check (list string)) "snapshot order across domains"
+    [ "z"; "c"; "y"; "a"; "b" ]
+    (List.map (fun (e : R.entry) -> e.R.key) (R.snapshot r))
 
 (* ---------- Span tracing ---------- *)
 

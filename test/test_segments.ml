@@ -490,7 +490,7 @@ let test_cache_segment_mix_granularity () =
     (r, obs)
   in
   let cold, obs_c = run (config "1xL1+1xL4") vhdl in
-  Alcotest.(check int) "cold: every stage stored" 8
+  Alcotest.(check int) "cold: every stage stored" 7
     (R.counter (R.snapshot obs_c) "cache.store");
   let warm, obs_w = run (config "1xL1+1xL4") vhdl in
   Alcotest.(check int) "warm: all seven stages hit" 7
@@ -512,7 +512,7 @@ let test_cache_segment_mix_granularity () =
   let _, obs_m = run (config "1xL1+1xL2") vhdl in
   Alcotest.(check int) "mix change: hits through place" 4
     (R.counter (R.snapshot obs_m) "cache.hit");
-  Alcotest.(check int) "mix change: route and below miss" 4
+  Alcotest.(check int) "mix change: route and below miss" 3
     (R.counter (R.snapshot obs_m) "cache.miss")
 
 let suite =
