@@ -1,10 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md §3) plus the flow QoR table and the
-   architecture ablations, and times the CAD stages with Bechamel.
+   evaluation (see DESIGN.md §3) plus the flow QoR, timing-driven and
+   full-flow stress tables and the architecture ablations.  Per-stage
+   times come from the flow's own stage timers (EXPERIMENTS.md) and
+   per-layer times from perfbench.
 
    Usage:
      dune exec bench/main.exe             # everything
-     dune exec bench/main.exe -- table1 table3 fig9 flow ablate stages
+     dune exec bench/main.exe -- table1 table3 fig9 flow timing ablate stress
      dune exec bench/main.exe -- --ledger bench/ledger --suite suite flow
 
    With --ledger DIR the flow experiment appends one ledger line per
@@ -475,75 +477,6 @@ let timing () =
     [ "circuit"; "rt dmax(ns)"; "td dmax(ns)"; "rt Wmin"; "td Wmin" ]
     (Util.Parallel.map_list compare_one Core.Bench_circuits.quick_suite)
 
-(* ---------- Bechamel stage timings ---------- *)
-
-let stage_timings () =
-  hr "CAD stage timings (Bechamel)";
-  let open Bechamel in
-  let vhdl = Core.Bench_circuits.alu 8 in
-  let synth () = ignore (Synth.Diviner.synthesize vhdl) in
-  let synthesized = Synth.Diviner.synthesize vhdl in
-  let map () =
-    ignore
-      (Techmap.Mapper.map_network ~k:4 ~verify:false
-         (Netlist.Logic.copy synthesized))
-  in
-  let mapped, _ =
-    Techmap.Mapper.map_network ~k:4 ~verify:false
-      (Netlist.Logic.copy synthesized)
-  in
-  let packf () = ignore (Pack.Cluster.pack ~n:5 ~i:12 mapped) in
-  let packing = Pack.Cluster.pack ~n:5 ~i:12 mapped in
-  let place () =
-    ignore (Place.Anneal.run (Place.Problem.build packing))
-  in
-  let placed = Place.Anneal.run (Place.Problem.build packing) in
-  let route () =
-    ignore
-      (Route.Router.route_min_width Fpga_arch.Params.amdrel
-         placed.Place.Anneal.placement)
-  in
-  let routed =
-    Route.Router.route_min_width Fpga_arch.Params.amdrel
-      placed.Place.Anneal.placement
-  in
-  let power () = ignore (Power.Model.estimate routed) in
-  let dagger () = ignore (Bitstream.Dagger.generate routed) in
-  let tests =
-    [
-      Test.make ~name:"diviner-synth" (Staged.stage synth);
-      Test.make ~name:"sis-flowmap" (Staged.stage map);
-      Test.make ~name:"t-vpack" (Staged.stage packf);
-      Test.make ~name:"vpr-place" (Staged.stage place);
-      Test.make ~name:"vpr-route" (Staged.stage route);
-      Test.make ~name:"powermodel" (Staged.stage power);
-      Test.make ~name:"dagger" (Staged.stage dagger);
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name raw ->
-          (* average ns per run from the measurement set *)
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              (Toolkit.Instance.monotonic_clock) raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] ->
-              Printf.printf "  %-16s %10.3f ms/run\n" name (est /. 1e6)
-          | _ -> Printf.printf "  %-16s (no estimate)\n" name)
-        results)
-    tests
-
 (* ---------- driver ---------- *)
 
 let all =
@@ -558,7 +491,6 @@ let all =
     ("timing", timing);
     ("ablate", ablations);
     ("stress", stress);
-    ("stages", stage_timings);
   ]
 
 let () =

@@ -357,12 +357,12 @@ let render_event design ev =
           (get "stage" J.get_string)
     | Some "route-iteration" ->
         Some
-          (Printf.sprintf "vpr-route iter %d, %d overused"
+          (Printf.sprintf "route iter %d, %d overused"
              (Option.value (get "iteration" J.get_int) ~default:0)
              (Option.value (get "overused" J.get_int) ~default:0))
     | Some "place-temperature" ->
         Some
-          (Printf.sprintf "vpr-place step %d, accept %.0f%%"
+          (Printf.sprintf "place step %d, accept %.0f%%"
              (Option.value (get "step" J.get_int) ~default:0)
              (100.0
              *. Option.value (get "accept_rate" J.get_float) ~default:0.0))
@@ -468,7 +468,7 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
     failwith
       "--arch works only for local compiles (amdreld has no --arch option \
        and compiles for its own fabric); drop --remote or --arch";
-  (try Sys.mkdir outdir 0o755 with Sys_error _ -> ());
+  Util.Fs.mkdir_p outdir;
   if arch_sweep then run_arch_sweep outdir sweep_mixes sweep_widths jobs
   else
     let input =
@@ -479,8 +479,10 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
     (* --events alone also subscribes under --remote: an empty capture
        file from a non-streaming submit helps nobody *)
     let submit =
-      make_submit seed fixed_width timing_report period_ns
-        ~progress:(progress || events_file <> None)
+      Tool_common.or_die
+        (Service.Protocol.validate
+           (make_submit seed fixed_width timing_report period_ns
+              ~progress:(progress || events_file <> None)))
     in
     match remote with
     | Some socket ->
@@ -505,6 +507,7 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
           | Some file -> Fpga_arch.Archfile.of_file file
           | None -> Core.Flow.default_config.Core.Flow.params
         in
+        Option.iter Util.Fs.mkdir_p ledger;
         let cache_dir = if no_cache then None else Some cache_dir in
         let config =
           Service.Protocol.flow_config

@@ -5,17 +5,8 @@ module R = Obs.Registry
 
 type t = { dir : string; obs : R.t }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.is_directory dir -> ()
-    (* lost a creation race to a concurrent opener: the directory is
-       there, which is all we wanted *)
-  end
-
 let open_ ?obs dir =
-  mkdir_p dir;
+  Util.Fs.mkdir_p dir;
   if not (Sys.is_directory dir) then
     raise (Sys_error (dir ^ ": not a directory"));
   { dir; obs = (match obs with Some o -> o | None -> R.create ()) }

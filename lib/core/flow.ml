@@ -6,20 +6,24 @@
    (architecture file), VPR (place & route), PowerModel and DAGGER.  Every
    stage can also run standalone through the bin/ executables.
 
-   The flow is organised as seven individually memoisable stages
+   The flow is one table of seven stages
 
      synth -> techmap -> pack -> place -> route -> sta -> bitstream
 
-   each wrapped in a lookup against a content-addressed store
-   (lib/cache) when [config.cache_dir] is set.  A stage's key is the
-   digest of (stage name, code-version tag, content hash of its input
-   artifact, the config fields that influence its output) — so a warm
-   re-run of an unchanged design returns every artifact from the store
-   byte-identically, and an edited source re-runs only the stages whose
-   inputs actually changed (hashing the real input artifact, not the
-   upstream key, gives early cutoff: a source edit that synthesises to
-   the same netlist stops re-running at synth).  The full key schema
-   and invalidation rules live in docs/ARCHITECTURE.md. *)
+   and [run_stage] is the only place a stage is instrumented: its name is
+   the cache-key prefix, the registry timer, the trace span, the
+   [stage-begin]/[stage-end]/[cache] event stage and the [Flow_error]
+   tag.  A tool inside a multi-tool stage records one sub-timer,
+   [<stage>.<tool>], and nothing else.  With [config.cache_dir] set a
+   stage is looked up in a content-addressed store (lib/cache) first.  A
+   stage's key is the digest of (stage name, code-version tag, content
+   hash of its input artifact, the config fields that influence its
+   output) — so a warm re-run of an unchanged design returns every
+   artifact from the store byte-identically, and an edited source re-runs
+   only the stages whose inputs actually changed (hashing the real input
+   artifact, not the upstream key, gives early cutoff: a source edit that
+   synthesises to the same netlist stops re-running at synth).  The full
+   key schema and invalidation rules live in docs/ARCHITECTURE.md. *)
 
 open Netlist
 module R = Obs.Registry
@@ -103,41 +107,26 @@ type result = {
 exception Flow_error of string * exn
 (** Stage name and underlying failure. *)
 
-(* Each stage is one registry timer (wall + CPU seconds) and one trace
-   span of the same name.  Nothing is recorded when the stage fails. *)
-let timed obs label f =
-  Obs.Events.emit (Obs.Events.Stage_begin { stage = label });
-  let t0 = Unix.gettimeofday () in
-  let finish () =
-    Obs.Events.emit
-      (Obs.Events.Stage_end
-         { stage = label; wall_s = Unix.gettimeofday () -. t0 })
-  in
-  match
-    Obs.Span.with_ ~name:label (fun () ->
-        try R.time obs label f with e -> raise (Flow_error (label, e)))
-  with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+(* ---------- the stage table ---------- *)
 
-(* ---------- stage memoisation ---------- *)
+(* The seven stages in flow order.  [version] is part of every cache key
+   of its stage, so bumping it invalidates exactly that stage's entries
+   — the cheap, explicit alternative to hashing the binary.  Bump on any
+   change that alters a stage's output for identical inputs, or the type
+   it stores. *)
+type stage = { name : string; version : int }
 
-(* Per-stage code-version tags.  A tag is part of every cache key for
-   that stage, so bumping it invalidates exactly the stage(s) whose
-   algorithm or cached-result shape changed — the cheap, explicit
-   alternative to hashing the binary.  Bump on any change that alters a
-   stage's output for identical inputs, or the type it stores. *)
-let v_synth = "synth@1"
-and v_techmap = "techmap@1"
-and v_pack = "pack@1"
-and v_place = "place@1"
-and v_route = "route@2" (* @2: mixed-length segmented RR graph *)
-and v_sta = "sta@1"
-and v_bitstream = "bitstream@2" (* @2: AMD2 frames with track table *)
+let synth = { name = "synth"; version = 1 }
+and techmap = { name = "techmap"; version = 1 }
+and pack = { name = "pack"; version = 1 }
+and place = { name = "place"; version = 1 }
+and route = { name = "route"; version = 2 } (* mixed-length RR graph *)
+and sta = { name = "sta"; version = 1 }
+and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
+
+let stages =
+  List.map (fun s -> s.name)
+    [ synth; techmap; pack; place; route; sta; bitstream ]
 
 (* Content hash of an artifact: digest of its unshared Marshal bytes.
    Marshal is deterministic for a given value graph (Hashtbl layouts
@@ -154,47 +143,78 @@ let fp_float_opt = function None -> "-" | Some f -> fp_float f
 
 type ctx = { config : config; obs : R.t; store : Cache.Store.t option }
 
-let make_ctx ~config ~obs =
-  {
-    config;
-    obs;
-    store = Option.map (fun d -> Cache.Store.open_ ~obs d) config.cache_dir;
-  }
-
-(* Wrap one stage in a store lookup.  [key] (invoked only when a store
-   is configured) lists the content hashes and config fingerprints the
-   stage's output depends on.  On a hit the compute function — and with
-   it every timer and span inside — is skipped entirely, which is why
-   warm runs show neither the stage timers nor the stage spans; on a
-   miss the computed value is stored for next time.  Nothing is stored
-   when [compute] raises. *)
-let stage ctx name version key compute =
+(* Run one stage.  With a store, the lookup comes first and emits the
+   [cache] event; [key] (invoked only then) lists the content hashes and
+   config fingerprints the stage's output depends on.  A hit returns the
+   stored artifact and runs nothing — no timer, span or begin/end event.
+   Otherwise [compute] runs between [stage-begin] and [stage-end], inside
+   the span and the registry timer of the stage's name, with any failure
+   raised as [Flow_error (name, e)]; its result is stored for next time.
+   Nothing is timed or stored when [compute] raises. *)
+let run_stage ctx s key compute =
+  let run () =
+    Obs.Events.emit (Obs.Events.Stage_begin { stage = s.name });
+    let t0 = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Events.emit
+          (Obs.Events.Stage_end
+             { stage = s.name; wall_s = Unix.gettimeofday () -. t0 }))
+      (fun () ->
+        Obs.Span.with_ ~name:s.name (fun () ->
+            try R.time ctx.obs s.name compute
+            with e -> raise (Flow_error (s.name, e))))
+  in
   match ctx.store with
-  | None -> compute ()
+  | None -> run ()
   | Some store -> (
-      let k = Cache.Store.key (name :: version :: key ()) in
-      match Cache.Store.find store k with
-      | Some v ->
-          Obs.Events.emit (Obs.Events.Cache_lookup { stage = name; hit = true });
-          v
+      let k =
+        Cache.Store.key
+          (s.name :: Printf.sprintf "%s@%d" s.name s.version :: key ())
+      in
+      let found = Cache.Store.find store k in
+      Obs.Events.emit
+        (Obs.Events.Cache_lookup
+           { stage = s.name; hit = Option.is_some found });
+      match found with
+      | Some v -> v
       | None ->
-          Obs.Events.emit
-            (Obs.Events.Cache_lookup { stage = name; hit = false });
-          let v = compute () in
+          let v = run () in
           Cache.Store.store store k v;
           v)
 
-(* Shared back half of every entry point: from a Logic network in
-   library-gate form to the bitstream, recording into [ctx.obs]. *)
-let run_stages ~ctx (net : Logic.t) =
+(* One tool of a multi-tool stage: a registry timer [<stage>.<tool>],
+   nothing else. *)
+let tool ctx s name f = R.time ctx.obs (s.name ^ "." ^ name) f
+
+(* The seven stages, from VHDL source text to the bitstream, recording
+   into [ctx.obs]. *)
+let run_stages ctx text =
   let config = ctx.config and obs = ctx.obs in
   let p = config.params in
+  (* VHDL Parser + DIVINER.  synth keys on the source bytes alone:
+     parsing and elaboration have no knobs.  Early cutoff happens one
+     stage later — an edited source that still elaborates to the same
+     network gives techmap an unchanged input hash. *)
+  let net =
+    run_stage ctx synth
+      (fun () -> [ Digest.to_hex (Digest.string text) ])
+      (fun () ->
+        let file =
+          tool ctx synth "vhdl-parser" (fun () ->
+              Netlist.Vhdl_parser.file_of_string text)
+        in
+        let top = List.nth file (List.length file - 1) in
+        tool ctx synth "diviner-synth" (fun () ->
+            Synth.Diviner.synthesize_ast ~library:file top))
+  in
+  Obs.Span.annotate [ ("design", Obs.Emit.String net.Logic.model) ];
   let source_stats = Logic.stats net in
   (* DIVINER end: EDIF out; DRUID: normalise; E2FMT: back to BLIF/logic;
-     SIS: LUT mapping.  One cache stage: the intermediate EDIF forms are
+     SIS: LUT mapping.  One stage: the intermediate EDIF forms are
      worthless without the mapping that follows them. *)
   let edif_text, mapped =
-    stage ctx "techmap" v_techmap
+    run_stage ctx techmap
       (fun () ->
         [
           artifact_hash net;
@@ -203,17 +223,17 @@ let run_stages ~ctx (net : Logic.t) =
         ])
       (fun () ->
         let edif =
-          timed obs "diviner-edif" (fun () -> Netlist.Edif.of_logic net)
+          tool ctx techmap "diviner-edif" (fun () -> Netlist.Edif.of_logic net)
         in
         let edif_text = Netlist.Edif.to_string edif in
         let normalized =
-          timed obs "druid" (fun () -> Synth.Druid.normalize edif)
+          tool ctx techmap "druid" (fun () -> Synth.Druid.normalize edif)
         in
         let net2 =
-          timed obs "e2fmt" (fun () -> Netlist.Edif.to_logic normalized)
+          tool ctx techmap "e2fmt" (fun () -> Netlist.Edif.to_logic normalized)
         in
         let mapped, _map_report =
-          timed obs "sis-flowmap" (fun () ->
+          tool ctx techmap "sis-flowmap" (fun () ->
               Techmap.Mapper.map_network ~k:p.Fpga_arch.Params.k
                 ~verify:config.verify_mapping net2)
         in
@@ -222,7 +242,7 @@ let run_stages ~ctx (net : Logic.t) =
   let blif_mapped = Netlist.Blif.to_string mapped in
   (* T-VPack *)
   let packing =
-    stage ctx "pack" v_pack
+    run_stage ctx pack
       (fun () ->
         [
           artifact_hash mapped;
@@ -230,9 +250,8 @@ let run_stages ~ctx (net : Logic.t) =
           string_of_int p.Fpga_arch.Params.i;
         ])
       (fun () ->
-        timed obs "t-vpack" (fun () ->
-            Pack.Cluster.pack ~n:p.Fpga_arch.Params.n ~i:p.Fpga_arch.Params.i
-              mapped))
+        Pack.Cluster.pack ~n:p.Fpga_arch.Params.n ~i:p.Fpga_arch.Params.i
+          mapped)
   in
   let sta_constraints =
     { Sta.Analysis.default_constraints with
@@ -245,7 +264,7 @@ let run_stages ~ctx (net : Logic.t) =
      are deliberately absent from the key: they are bit-identical
      switches, so flipping them must keep hitting the same entry. *)
   let anneal =
-    stage ctx "place" v_place
+    run_stage ctx place
       (fun () ->
         [
           artifact_hash packing;
@@ -259,7 +278,7 @@ let run_stages ~ctx (net : Logic.t) =
         ])
       (fun () ->
         let problem, sta_graph =
-          timed obs "vpr-setup" (fun () ->
+          tool ctx place "vpr-setup" (fun () ->
               let problem = Place.Problem.build ~io_rat:config.io_rat packing in
               (problem, Sta.Graph.build problem))
         in
@@ -298,7 +317,7 @@ let run_stages ~ctx (net : Logic.t) =
             state := Some a;
             Sta.Analysis.to_td a
         in
-        timed obs "vpr-place" (fun () ->
+        tool ctx place "vpr-place" (fun () ->
             let timing =
               if config.timing_driven then
                 Some
@@ -331,7 +350,7 @@ let run_stages ~ctx (net : Logic.t) =
      (the probe set depends on the pool size); only the final routing
      records, keeping every metric jobs-independent. *)
   let routed =
-    stage ctx "route" v_route
+    run_stage ctx route
       (fun () ->
         [
           artifact_hash placement;
@@ -342,17 +361,16 @@ let run_stages ~ctx (net : Logic.t) =
           fp_bool config.timing_driven;
         ])
       (fun () ->
-        timed obs "vpr-route" (fun () ->
-            let timing =
-              if config.timing_driven then Some Place.Td_timing.default_model
-              else None
-            in
-            if config.search_min_width then
-              Route.Router.route_min_width ?timing ?jobs:config.jobs ~obs p
-                placement
-            else
-              Route.Router.route_fixed ?timing ?jobs:config.jobs ~obs p
-                placement ~width:config.route_width))
+        let timing =
+          if config.timing_driven then Some Place.Td_timing.default_model
+          else None
+        in
+        if config.search_min_width then
+          Route.Router.route_min_width ?timing ?jobs:config.jobs ~obs p
+            placement
+        else
+          Route.Router.route_fixed ?timing ?jobs:config.jobs ~obs p placement
+            ~width:config.route_width)
   in
   (* Unified STA: the placement-distance analysis at the final placement
      and the routed-Elmore analysis over the actual route trees, both on
@@ -360,27 +378,24 @@ let run_stages ~ctx (net : Logic.t) =
      gauges (sta.* entries are seconds-of-delay/slack, not durations). *)
   let routed_hash = lazy (artifact_hash routed) in
   let sta_pre, sta_post =
-    stage ctx "sta" v_sta
+    run_stage ctx sta
       (fun () -> [ Lazy.force routed_hash; fp_float_opt config.clock_period ])
       (fun () ->
-        timed obs "sta" (fun () ->
-            let sta_graph = Sta.Graph.build routed.Route.Router.problem in
-            let provider =
-              Sta.Delays.of_placement
-                ~producer:sta_graph.Sta.Graph.block_of
-                routed.Route.Router.problem
-                ~coords:
-                  (Place.Placement.coords routed.Route.Router.placement)
-            in
-            let pre =
-              Sta.Analysis.run ~constraints:sta_constraints ?jobs:config.jobs
-                ~obs sta_graph provider
-            in
-            let post =
-              Route.Router.sta ~constraints:sta_constraints ~graph:sta_graph
-                ~obs routed
-            in
-            (pre, post)))
+        let sta_graph = Sta.Graph.build routed.Route.Router.problem in
+        let provider =
+          Sta.Delays.of_placement ~producer:sta_graph.Sta.Graph.block_of
+            routed.Route.Router.problem
+            ~coords:(Place.Placement.coords routed.Route.Router.placement)
+        in
+        let pre =
+          Sta.Analysis.run ~constraints:sta_constraints ?jobs:config.jobs ~obs
+            sta_graph provider
+        in
+        let post =
+          Route.Router.sta ~constraints:sta_constraints ~graph:sta_graph ~obs
+            routed
+        in
+        (pre, post))
   in
   R.set obs "sta.dmax" sta_post.Sta.Analysis.dmax;
   R.set obs "sta.wns" sta_post.Sta.Analysis.wns;
@@ -406,7 +421,7 @@ let run_stages ~ctx (net : Logic.t) =
   (* PowerModel + DAGGER + the two bitstream verifications, one stage:
      all pure functions of the routed design and the options. *)
   let power, bitstream, bitstream_verified, fabric_verified =
-    stage ctx "bitstream" v_bitstream
+    run_stage ctx bitstream
       (fun () ->
         [
           Lazy.force routed_hash;
@@ -416,24 +431,24 @@ let run_stages ~ctx (net : Logic.t) =
         ])
       (fun () ->
         let power =
-          timed obs "powermodel" (fun () ->
+          tool ctx bitstream "powermodel" (fun () ->
               Power.Model.estimate ~options:config.power_options routed)
         in
-        let bitstream =
-          timed obs "dagger" (fun () -> Bitstream.Dagger.generate routed)
+        let generated =
+          tool ctx bitstream "dagger" (fun () ->
+              Bitstream.Dagger.generate routed)
         in
+        let bytes = generated.Bitstream.Dagger.bytes in
         let bitstream_verified =
           (not config.verify_bitstream)
-          || Bitstream.Dagger.verify routed bitstream.Bitstream.Dagger.bytes
-             = Bitstream.Dagger.Verified
+          || Bitstream.Dagger.verify routed bytes = Bitstream.Dagger.Verified
         in
         let fabric_verified =
           (not config.verify_fabric)
-          || timed obs "fabric-emulation" (fun () ->
-                 Bitstream.Dagger.verify_functional routed
-                   bitstream.Bitstream.Dagger.bytes)
+          || tool ctx bitstream "fabric-emulation" (fun () ->
+                 Bitstream.Dagger.verify_functional routed bytes)
         in
-        (power, bitstream, bitstream_verified, fabric_verified))
+        (power, generated, bitstream_verified, fabric_verified))
   in
   (* pool observability: the configured worker count and the measured
      CPU/wall ratio summed over the stage timers (~1.0 sequential,
@@ -477,43 +492,11 @@ let run_stages ~ctx (net : Logic.t) =
     metrics = R.snapshot obs;
   }
 
-(* Run from a Logic network already in library-gate form (the entry point
-   the BLIF-based tools share). *)
-let run_network ?(config = default_config) ?obs (net : Logic.t) =
-  let obs = match obs with Some o -> o | None -> R.create () in
-  let ctx = make_ctx ~config ~obs in
-  Obs.Span.with_ ~name:"flow"
-    ~args:[ ("design", Obs.Emit.String net.Logic.model) ]
-    (fun () -> run_stages ~ctx net)
-
-(* Full flow from VHDL source text. *)
+(* The full flow from VHDL source text. *)
 let run_vhdl ?(config = default_config) ?obs text =
   let obs = match obs with Some o -> o | None -> R.create () in
-  let ctx = make_ctx ~config ~obs in
-  Obs.Span.with_ ~name:"flow" (fun () ->
-      let net =
-        (* synth keys on the source bytes alone: parsing and elaboration
-           have no knobs.  Early cutoff happens one stage later — an
-           edited source that still elaborates to the same network gives
-           techmap an unchanged input hash. *)
-        stage ctx "synth" v_synth
-          (fun () -> [ Digest.to_hex (Digest.string text) ])
-          (fun () ->
-            let file =
-              timed obs "vhdl-parser" (fun () ->
-                  Netlist.Vhdl_parser.file_of_string text)
-            in
-            let top = List.nth file (List.length file - 1) in
-            timed obs "diviner-synth" (fun () ->
-                Synth.Diviner.synthesize_ast ~library:file top))
-      in
-      Obs.Span.annotate [ ("design", Obs.Emit.String net.Logic.model) ];
-      run_stages ~ctx net)
-
-(* Entry from a BLIF netlist (skips the VHDL/EDIF front end). *)
-let run_blif ?(config = default_config) ?obs text =
-  let net = Netlist.Blif.of_string text in
-  run_network ~config ?obs net
+  let store = Option.map (fun d -> Cache.Store.open_ ~obs d) config.cache_dir in
+  Obs.Span.with_ ~name:"flow" (fun () -> run_stages { config; obs; store } text)
 
 (* Machine-readable timing report: the pre-route (placement-distance)
    and post-route (routed-Elmore) analyses side by side, one JSON object

@@ -6,22 +6,29 @@
     DUTYS (architecture), VPR (place & route), PowerModel and DAGGER.
     Every stage also runs standalone through the bin/ executables.
 
-    The tools compose into seven {e individually memoisable stages}
+    The tools compose into one table of seven stages ({!stages})
 
     {v synth -> techmap -> pack -> place -> route -> sta -> bitstream v}
 
-    each wrapped, when {!config.cache_dir} is set, in a lookup against a
-    content-addressed store ({!Cache.Store}).  A stage's key digests its
-    stage name, a code-version tag, the content hash of its input
-    artifact and the config fields that influence its output — so a warm
-    re-run of an unchanged design returns every artifact from the store
-    byte-identically (same bitstream bytes, same timing report), while
-    an edited source re-runs only the stages whose inputs actually
+    and a stage's name is its whole telemetry vocabulary: its registry
+    timer, its trace span (a child of the [flow] span), the [stage] of
+    its [stage-begin], [stage-end] and [cache] events, and the tag of a
+    {!Flow_error} it raises.  A tool inside a multi-tool stage records a
+    sub-timer [<stage>.<tool>] ([synth.vhdl-parser], [place.vpr-place],
+    ...) and nothing else.
+
+    Each stage is wrapped, when {!config.cache_dir} is set, in a lookup
+    against a content-addressed store ({!Cache.Store}).  A stage's key
+    digests its stage name, a code-version tag, the content hash of its
+    input artifact and the config fields that influence its output — so
+    a warm re-run of an unchanged design returns every artifact from the
+    store byte-identically (same bitstream bytes, same timing report),
+    while an edited source re-runs only the stages whose inputs actually
     changed.  Keys hash the {e real} input artifact rather than the
     upstream stage's key, giving early cutoff: a source edit that
     synthesises to the same netlist stops recomputing after synth.  On a
-    stage hit the stage's timers and trace spans are skipped along with
-    the work, and the [cache.hit]/[cache.miss]/[cache.store]/
+    stage hit the stage's timers, span and begin/end events are skipped
+    along with the work, and the [cache.hit]/[cache.miss]/[cache.store]/
     [cache.bytes] counters record the traffic; the deterministic
     counters and gauges derived from cached artifacts ([place.*],
     [vpr-route.*], [sta.dmax] …) are re-emitted identically either way.
@@ -120,20 +127,20 @@ type result = {
           docs/OBSERVABILITY.md. *)
 }
 
-exception Flow_error of string * exn
-(** Stage name and the underlying failure. *)
+val stages : string list
+(** The seven stage names in flow order: [synth], [techmap], [pack],
+    [place], [route], [sta], [bitstream]. *)
 
-val run_network : ?config:config -> ?obs:Obs.Registry.t -> Netlist.Logic.t -> result
-(** Run from a Logic network already in library-gate form (the entry the
-    BLIF-based tools share).  [?obs] supplies the metric registry to
-    record into (a fresh one is created when omitted); spans are emitted
-    into the ambient {!Obs.Span} trace, if any. *)
+exception Flow_error of string * exn
+(** The failed stage's name (one of {!stages}) and the underlying
+    failure. *)
 
 val run_vhdl : ?config:config -> ?obs:Obs.Registry.t -> string -> result
 (** The full flow from VHDL source text (possibly several entities; the
-    last is the top). *)
-
-val run_blif : ?config:config -> ?obs:Obs.Registry.t -> string -> result
+    last is the top).  [?obs] supplies the metric registry to record
+    into (a fresh one is created when omitted); spans are emitted into
+    the ambient {!Obs.Span} trace and events into the ambient
+    {!Obs.Events} sink, if any. *)
 
 val timing_report_obj : ?design:string -> result -> Obs.Emit.t
 (** One JSON object holding the pre-route and post-route

@@ -47,8 +47,7 @@ let line ~suite ~config ~source r =
 let path ~dir ~suite = Filename.concat dir (suite ^ ".jsonl")
 
 let append ~dir ~suite line =
-  (try Unix.mkdir dir 0o755
-   with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ());
+  Util.Fs.mkdir_p dir;
   let fd =
     Unix.openfile (path ~dir ~suite)
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644

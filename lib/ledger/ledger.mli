@@ -29,8 +29,8 @@ val path : dir:string -> suite:string -> string
 (** [dir/<suite>.jsonl], the file {!append} and {!read} use. *)
 
 val append : dir:string -> suite:string -> Obs.Emit.t -> unit
-(** Append one line to [dir/<suite>.jsonl], creating [dir] (one level)
-    and the file as needed. *)
+(** Append one line to [dir/<suite>.jsonl], creating [dir] (with any
+    missing parents) and the file as needed. *)
 
 val find : string list -> Obs.Emit.t -> Obs.Emit.t option
 (** [find path line] follows object members along [path], e.g.

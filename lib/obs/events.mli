@@ -38,7 +38,7 @@
 
 type kind =
   | Stage_begin of { stage : string }
-      (** a flow stage (timer label) started *)
+      (** a flow stage (one of [Core.Flow.stages]) started *)
   | Stage_end of { stage : string; wall_s : float }
       (** ...and finished; [wall_s] is volatile *)
   | Cache_lookup of { stage : string; hit : bool }

@@ -42,6 +42,15 @@ let flow_config ~(base : Core.Flow.config) s =
     place_starts = s.place_starts;
   }
 
+let validate s =
+  let bad field rule = Error (Printf.sprintf "field %S must be %s" field rule) in
+  match s with
+  | { place_starts; _ } when place_starts < 1 -> bad "place_starts" ">= 1"
+  | { route_width = Some w; _ } when w < 1 -> bad "route_width" ">= 1"
+  | { period_ns = Some p; _ } when not (Float.is_finite p && p > 0.0) ->
+      bad "period_ns" "finite and > 0"
+  | _ -> Ok s
+
 type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
 
 let request_to_json = function
@@ -106,17 +115,19 @@ let submit_of_json json =
     field json "place_starts" J.get_int ~default:d.place_starts
   in
   let* progress = field json "progress" J.get_bool ~default:d.progress in
-  Ok
-    (Submit
-       {
-         vhdl;
-         seed;
-         route_width;
-         timing_report;
-         period_ns;
-         place_starts;
-         progress;
-       })
+  let* s =
+    validate
+      {
+        vhdl;
+        seed;
+        route_width;
+        timing_report;
+        period_ns;
+        place_starts;
+        progress;
+      }
+  in
+  Ok (Submit s)
 
 let request_of_json json =
   match Option.bind (J.member "verb" json) J.get_string with

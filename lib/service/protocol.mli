@@ -63,14 +63,21 @@ val flow_config : base:Core.Flow.config -> submit -> Core.Flow.config
     period and placement starts.  The daemon and a local
     [amdrel_flow] run both build their flow config through this. *)
 
+val validate : submit -> (submit, string) result
+(** The submit unchanged, or an error naming the first field outside its
+    domain: [place_starts >= 1], [route_width >= 1], [period_ns] finite
+    and [> 0].  {!request_of_json} applies it, and so does a local
+    [amdrel_flow] run before it compiles. *)
+
 type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
 
 val request_to_json : request -> Obs.Emit.t
 
 val request_of_json : Obs.Emit.t -> (request, string) result
 (** Inverse of {!request_to_json}; [Error] describes the malformation.
-    Unknown verbs and missing/mistyped required fields are errors;
-    omitted optional submit fields take {!default_submit}'s values. *)
+    Unknown verbs, missing/mistyped required fields and submit fields
+    outside their domain ({!validate}) are errors; omitted optional
+    submit fields take {!default_submit}'s values. *)
 
 (** {1 Bitstream transport} *)
 

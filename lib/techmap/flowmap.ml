@@ -253,7 +253,8 @@ let cone_function (net : Logic.t) v cut =
   tt_of v
 
 (* Map the network into K-LUTs.  Latches, inputs, constants and output
-   names are preserved. *)
+   names are preserved.  The depth is the labels' bound: the worst label
+   over every combinational endpoint (primary outputs and latch data). *)
 let map ?(k = 4) (net : Logic.t) =
   let info = compute_labels net ~k in
   let mapped = Logic.create ~model:net.Logic.model () in
@@ -312,12 +313,6 @@ let map ?(k = 4) (net : Logic.t) =
       | _ -> ())
     (Logic.latches net);
   List.iter (fun o -> Logic.set_output mapped translated.(o)) (Logic.outputs net);
-  Synth.Opt.garbage_collect mapped
-
-(* Depth of the mapped solution predicted by the labels: the worst label
-   over every combinational endpoint (primary outputs and latch data). *)
-let predicted_depth (net : Logic.t) ~k =
-  let info = compute_labels net ~k in
   let label_of id =
     match Logic.driver net id with
     | Logic.Gate _ -> info.(id).label
@@ -332,4 +327,5 @@ let predicted_depth (net : Logic.t) ~k =
           | _ -> None)
         (Logic.latches net)
   in
-  List.fold_left (fun m e -> max m (label_of e)) 0 endpoints
+  ( Synth.Opt.garbage_collect mapped,
+    List.fold_left (fun m e -> max m (label_of e)) 0 endpoints )

@@ -20,9 +20,8 @@ val compute_labels : Netlist.Logic.t -> k:int -> cut_info array
 val cone_function : Netlist.Logic.t -> int -> int list -> Netlist.Tt.t
 (** Truth table of the cone rooted at a signal over the ordered cut. *)
 
-val map : ?k:int -> Netlist.Logic.t -> Netlist.Logic.t
-(** Map into K-LUTs (default K = 4).  Latches, inputs, constants and
-    output names are preserved; function is preserved (property-tested). *)
-
-val predicted_depth : Netlist.Logic.t -> k:int -> int
-(** The label bound: worst label over outputs and latch-data endpoints. *)
+val map : ?k:int -> Netlist.Logic.t -> Netlist.Logic.t * int
+(** Map into K-LUTs (default K = 4), with the label bound on the mapped
+    depth: the worst label over outputs and latch-data endpoints.
+    Latches, inputs, constants and output names are preserved; function
+    is preserved (property-tested). *)

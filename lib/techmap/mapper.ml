@@ -21,8 +21,7 @@ let map_network ?(k = 4) ?(verify = true) (net : Logic.t) =
   let reference = Logic.copy net in
   let opt = Synth.Opt.optimize (Logic.copy net) in
   let two = Decompose.decompose2 opt in
-  let depth = Flowmap.predicted_depth two ~k in
-  let mapped = Flowmap.map ~k two in
+  let mapped, depth = Flowmap.map ~k two in
   if verify && not (Simcheck.is_equivalent reference mapped) then
     raise Mapping_changed_function;
   let after = Logic.stats mapped in

@@ -126,6 +126,46 @@ let test_flow_warm_hits () =
   Alcotest.(check string) "timing report byte-identical"
     (Core.Flow.timing_report_json cold)
     (Core.Flow.timing_report_json warm);
+  (* one stage vocabulary: on the cold run the stage table names the
+     undotted timers (in snapshot order) and the flow span's children *)
+  Alcotest.(check (list string)) "the stage table"
+    [ "synth"; "techmap"; "pack"; "place"; "route"; "sta"; "bitstream" ]
+    Core.Flow.stages;
+  Alcotest.(check (list string)) "cold undotted timers are the stages"
+    Core.Flow.stages
+    (List.filter_map
+       (fun (e : R.entry) ->
+         match e.R.value with
+         | R.Timer _ when not (String.contains e.R.key '.') -> Some e.R.key
+         | _ -> None)
+       cold.Core.Flow.metrics);
+  (match Obs.Span.roots tr_c with
+  | [ flow ] ->
+      Alcotest.(check (list string)) "flow span children are the stages"
+        Core.Flow.stages
+        (List.map (fun (s : Obs.Span.span) -> s.Obs.Span.name)
+           flow.Obs.Span.children)
+  | roots -> Alcotest.failf "expected one flow root, got %d" (List.length roots));
+  (* a multi-tool stage times each tool as <stage>.<tool>, inside the
+     stage's own time *)
+  let wall key =
+    match R.find cold.Core.Flow.metrics key with
+    | Some (R.Timer { wall_s; _ }) -> wall_s
+    | _ -> Alcotest.failf "timer %s missing" key
+  in
+  List.iter
+    (fun (stage, tools) ->
+      let sum =
+        List.fold_left (fun acc t -> acc +. wall (stage ^ "." ^ t)) 0.0 tools
+      in
+      Alcotest.(check bool) (stage ^ " sub-timers within the stage") true
+        (sum <= wall stage))
+    [
+      ("synth", [ "vhdl-parser"; "diviner-synth" ]);
+      ("techmap", [ "diviner-edif"; "druid"; "e2fmt"; "sis-flowmap" ]);
+      ("place", [ "vpr-setup"; "vpr-place" ]);
+      ("bitstream", [ "powermodel"; "dagger"; "fabric-emulation" ]);
+    ];
   (* skipped stages leave neither a timer in the registry nor a span in
      the trace *)
   List.iter
@@ -138,10 +178,7 @@ let test_flow_warm_hits () =
         (List.mem stage (trace_names tr_c));
       Alcotest.(check bool) (stage ^ " span absent from warm trace") false
         (List.mem stage (trace_names tr_w)))
-    [
-      "vhdl-parser"; "diviner-synth"; "sis-flowmap"; "t-vpack"; "vpr-place";
-      "vpr-route"; "sta"; "dagger";
-    ];
+    Core.Flow.stages;
   (* the deterministic figures derived from cached artifacts are
      re-emitted identically on the warm path *)
   List.iter
@@ -253,7 +290,7 @@ let test_mult12_warm_regression () =
         (List.mem s (trace_names tr_c));
       Alcotest.(check bool) (s ^ " span absent from warm trace") false
         (List.mem s (trace_names tr_w)))
-    [ "diviner-synth"; "t-vpack"; "vpr-place"; "vpr-route"; "sta"; "dagger" ];
+    Core.Flow.stages;
   (* nothing ran, so the warm trace is the bare flow root *)
   Alcotest.(check (list string)) "warm trace is the flow root alone"
     [ "flow" ] (trace_names tr_w)

@@ -1,7 +1,8 @@
 (* The amdrel_flow CLI end to end: single mode writes BASE.result.json
    for every design, a design that fails to compile exits 1 with an
    ok:false record naming the failed stage, a local-only option under
-   --remote fails before any product is written, and local --batch
+   --remote or an out-of-domain --period fails before any product is
+   written, -d and --ledger create missing parents, and local --batch
    warns about the single-design flags it ignores. *)
 
 module J = Obs.Jsonin
@@ -43,10 +44,10 @@ let with_exe f () =
   if Sys.file_exists flow_exe then f () else Alcotest.skip ()
 
 let test_parse_error () =
-  check_failure ~stage:"vhdl-parser" (run_flow "broken" "entity broken is\n")
+  check_failure ~stage:"synth" (run_flow "broken" "entity broken is\n")
 
 let test_route_error () =
-  check_failure ~stage:"vpr-route"
+  check_failure ~stage:"route"
     (run_flow ~args:[ "--route-width"; "1" ] "counter8"
        (Core.Bench_circuits.counter 8))
 
@@ -68,8 +69,57 @@ let test_ok_record () =
     (kind "vpr-route.heap-pops");
   Alcotest.(check (option string)) "sta.dmax gauge" (Some "gauge")
     (kind "sta.dmax");
-  Alcotest.(check (option string)) "vpr-route timed" (Some "timer")
-    (kind "vpr-route")
+  Alcotest.(check (option string)) "route timed" (Some "timer")
+    (kind "route")
+
+(* -d and --ledger create missing parent directories before the
+   compile, so the record and the ledger line both land. *)
+let test_missing_parents () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  let outdir = path "a/b/c" and ledger = path "l/m" in
+  let argv =
+    [
+      flow_exe; path "counter8.vhd"; "-d"; outdir; "--ledger"; ledger;
+      "--no-cache"; "-j"; "1";
+    ]
+  in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv) ^ " >/dev/null 2>&1")
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "record written" true
+    (Sys.file_exists (Filename.concat outdir "counter8.result.json"));
+  Alcotest.(check int) "one ledger line" 1
+    (List.length
+       (In_channel.with_open_bin (Filename.concat ledger "suite.jsonl")
+          In_channel.input_lines))
+
+(* A period outside its domain is refused before anything compiles, by
+   the same check the daemon applies to a submit. *)
+let test_bad_period () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  let argv =
+    [ flow_exe; path "counter8.vhd"; "-d"; dir; "--no-cache"; "--period"; "0" ]
+  in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote argv)
+      ^ " >/dev/null 2>" ^ Filename.quote (path "stderr.txt"))
+  in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check bool) "stderr names period_ns" true
+    (Str_helpers.contains
+       (In_channel.with_open_bin (path "stderr.txt") In_channel.input_all)
+       "period_ns");
+  Alcotest.(check bool) "no record written" false
+    (Sys.file_exists (path "counter8.result.json"))
 
 (* --arch picks the fabric of a local compile; the daemon compiles for
    its own, so --remote with --arch must fail before connecting (here
@@ -152,4 +202,8 @@ let suite =
       (with_exe test_remote_arch);
     Alcotest.test_case "--batch ignores --trace and --events" `Quick
       (with_exe test_batch_ignores_trace_events);
+    Alcotest.test_case "-d and --ledger create missing parents" `Quick
+      (with_exe test_missing_parents);
+    Alcotest.test_case "--period 0 exits 1 before compiling" `Quick
+      (with_exe test_bad_period);
   ]

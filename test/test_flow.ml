@@ -41,7 +41,7 @@ let test_flow_mapped_matches_source () =
 
 let test_flow_error_reporting () =
   match Core.Flow.run_vhdl "entity broken" with
-  | exception Core.Flow.Flow_error ("vhdl-parser", _) -> ()
+  | exception Core.Flow.Flow_error ("synth", _) -> ()
   | exception e -> Alcotest.failf "wrong error: %s" (Printexc.to_string e)
   | _ -> Alcotest.fail "expected a parse failure"
 

@@ -214,7 +214,7 @@ let test_line () =
     [ "min_width" ];
   check "bits" (E.Int r.Core.Flow.bitstream.Bitstream.Dagger.bits) [ "bits" ];
   check "stage timers present" (E.String "timer")
-    [ "metrics"; "vpr-route"; "kind" ];
+    [ "metrics"; "route"; "kind" ];
   check "work counters present" (E.String "counter")
     [ "metrics"; "vpr-route.heap-pops"; "kind" ];
   (* a real line passes the reader's schema *)

@@ -441,11 +441,11 @@ let test_flow_trace () =
     (fun want ->
       Alcotest.(check bool) (want ^ " span present") true
         (List.mem want !names))
-    [
-      "flow"; "vhdl-parser"; "diviner-synth"; "vpr-place"; "vpr-route";
-      "route.iteration"; "route.batch"; "place.temperature"; "sta.forward";
-      "sta.backward"; "sta.level";
-    ];
+    (("flow" :: Core.Flow.stages)
+    @ [
+        "route.iteration"; "route.batch"; "place.temperature"; "sta.forward";
+        "sta.backward"; "sta.level";
+      ]);
   (* and the export obeys the Chrome B/E discipline end to end *)
   match obj_field (parse_json (Obs.Span.to_chrome_string tr)) "traceEvents" with
   | Some (Jarr events) ->

@@ -177,6 +177,19 @@ let test_protocol_errors () =
   err {|{"verb":"submit"}|} (* vhdl required *);
   err {|{"verb":"submit","vhdl":3}|};
   err {|{"verb":"submit","vhdl":"x","seed":"high"}|};
+  (* well-typed fields outside their domain: the error names the field *)
+  List.iter
+    (fun (field, value) ->
+      let s = Printf.sprintf {|{"verb":"submit","vhdl":"x",%S:%s}|} field value in
+      match P.request_of_json (J.parse s) with
+      | Error msg ->
+          Alcotest.(check bool) (s ^ " error names the field") true
+            (Str_helpers.contains msg field)
+      | Ok _ -> Alcotest.failf "accepted %S" s)
+    [
+      ("place_starts", "0"); ("place_starts", "-2"); ("route_width", "0");
+      ("route_width", "-1"); ("period_ns", "0"); ("period_ns", "-1");
+    ];
   (* null optional fields read as absent, not as type errors *)
   match P.request_of_json (J.parse {|{"verb":"submit","vhdl":"x","route_width":null}|}) with
   | Ok (P.Submit s) ->
@@ -666,10 +679,7 @@ let test_daemon_streaming () =
       Alcotest.(check bool)
         (Printf.sprintf "stage %s streamed" stage)
         true (List.mem stage begins))
-    [
-      "vhdl-parser"; "diviner-synth"; "sis-flowmap"; "t-vpack"; "vpr-place";
-      "vpr-route"; "sta"; "powermodel"; "dagger";
-    ];
+    Core.Flow.stages;
   check_seqs "stream" events;
   (match List.rev events with
   | last :: _ ->
