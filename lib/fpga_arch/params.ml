@@ -110,9 +110,10 @@ let validate_segment idx (s : segment) =
   if s.s_count < 1 then
     fail "count must be a positive number of tracks per pattern (got %d)"
       s.s_count;
-  if s.s_fc_in <= 0.0 || s.s_fc_in > 1.0 then
+  (* negated ranges, so NaN fails them too *)
+  if not (s.s_fc_in > 0.0 && s.s_fc_in <= 1.0) then
     fail "Fc_in must be in (0, 1] (got %g)" s.s_fc_in;
-  if s.s_fc_out <= 0.0 || s.s_fc_out > 1.0 then
+  if not (s.s_fc_out > 0.0 && s.s_fc_out <= 1.0) then
     fail "Fc_out must be in (0, 1] (got %g)" s.s_fc_out
 
 let validate p =
@@ -121,12 +122,13 @@ let validate p =
   if p.n < 1 then fail "N must be positive";
   if p.i < p.k then fail "I must be at least K";
   if p.i > p.k * p.n then fail "I must not exceed K*N (a full crossbar)";
-  if p.fc_in <= 0.0 || p.fc_in > 1.0 then fail "Fc_in must be in (0, 1]";
-  if p.fc_out <= 0.0 || p.fc_out > 1.0 then fail "Fc_out must be in (0, 1]";
+  if not (p.fc_in > 0.0 && p.fc_in <= 1.0) then fail "Fc_in must be in (0, 1]";
+  if not (p.fc_out > 0.0 && p.fc_out <= 1.0) then fail "Fc_out must be in (0, 1]";
   if p.fs <> 3 then fail "only the disjoint switch box (Fs = 3) is supported";
   if p.segment_length < 1 then fail "segment length must be positive";
   List.iteri validate_segment p.segments;
-  if p.switch_width < 1.0 then fail "switch width below minimum";
+  if not (p.switch_width >= 1.0 && Float.is_finite p.switch_width) then
+    fail "switch width must be finite and at least the minimum (1)";
   if p.io_rat < 1 then fail "io_rat must be positive";
   p
 

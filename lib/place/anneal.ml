@@ -12,11 +12,16 @@
    the incremental hook, when the flow provides one, so the refresh costs
    a cone update rather than a full re-analysis).
 
-   Move evaluation is incremental end to end: per-net bounding boxes are
-   cached with count-at-boundary bookkeeping ([Placement.bbox_cache]), so
-   a move's wirelength delta costs O(touched nets) with no terminal
-   rescans.  Boxes keep integer extents, so cached costs are bit-identical
-   to [Placement.net_cost] — and both running totals are nevertheless
+   A move costs O(touched nets + their sinks).  Per-net bounding boxes
+   are cached with count-at-boundary bookkeeping ([Placement.bbox_cache]),
+   so the wirelength delta needs no terminal rescans, and each touched
+   net's timing cost is computed once per move — from the block
+   locations and the criticality powers refreshed per temperature — then
+   copied on accept.  The move loop allocates no list, tuple, closure or
+   float per net or sink.  The float sums keep a fixed order (the
+   annealer's determinism contract in docs/ARCHITECTURE.md).  Boxes keep
+   integer extents, so cached costs are bit-identical to
+   [Placement.net_cost] — and both running totals are nevertheless
    resummed from the per-net arrays at every temperature step and at
    exit, because a total accumulated incrementally across millions of
    moves carries unbounded float drift (the bb_total half of this was a
@@ -66,91 +71,71 @@ type result = {
   accepted : int;
 }
 
-(* Swap/move a block to a target slot; if the slot is occupied the occupants
-   exchange places.  Returns an undo closure. *)
-let apply_move (pl : Placement.t) b target =
-  let clear l =
-    match l with
-    | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- -1
-    | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.remove pl.Placement.pad_at (x, y, s)
-  in
-  let put blk l =
-    pl.Placement.loc.(blk) <- l;
-    match l with
-    | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- blk
-    | Fpga_arch.Grid.Pad (x, y, s) ->
-        Hashtbl.replace pl.Placement.pad_at (x, y, s) blk
-  in
-  let from = pl.Placement.loc.(b) in
-  let occupant =
-    match target with
-    | Fpga_arch.Grid.Clb (x, y) ->
-        let o = pl.Placement.clb_at.(x).(y) in
-        if o >= 0 then Some o else None
-    | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.find_opt pl.Placement.pad_at (x, y, s)
-  in
-  let swap blk1 l1 blk2_opt l2 =
-    (* clear both slots first so a swap never stomps the slot it fills *)
-    clear l1;
-    clear l2;
-    put blk1 l1;
-    match blk2_opt with Some o -> put o l2 | None -> ()
-  in
-  swap b target occupant from;
-  fun () -> swap b from occupant target
+(* Slot bookkeeping.  A move of block [b] to [target] swaps it with the
+   target's occupant (if any); undoing it is the same swap back, so both
+   directions run the same four slot operations — clear, clear, put, put
+   — and the pad table sees one fixed operation order. *)
+let occupant (pl : Placement.t) = function
+  | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y)
+  | Fpga_arch.Grid.Pad (x, y, s) -> (
+      match Hashtbl.find_opt pl.Placement.pad_at (x, y, s) with
+      | Some o -> o
+      | None -> -1)
 
-(* Reusable per-net costing scratch.  A run fully overwrites the first
-   n_nets slots of both arrays before reading them, so a scratch can be
-   handed to consecutive runs (multi-start seeds executing on the same
-   domain) with no effect on any result — it only saves the per-start
-   allocation.  Never share a scratch between runs that are suspended
-   concurrently (the pruned multi-start path allocates per state). *)
-type scratch = { mutable bb : float array; mutable td : float array }
+let clear (pl : Placement.t) = function
+  | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- -1
+  | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.remove pl.Placement.pad_at (x, y, s)
 
-let create_scratch () = { bb = [||]; td = [||] }
+let put (pl : Placement.t) blk l =
+  pl.Placement.loc.(blk) <- l;
+  match l with
+  | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- blk
+  | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.replace pl.Placement.pad_at (x, y, s) blk
 
-let scratch_arrays scratch n =
-  match scratch with
-  | Some s ->
-      if Array.length s.bb < n then begin
-        s.bb <- Array.make n 0.0;
-        s.td <- Array.make n 0.0
-      end;
-      (s.bb, s.td)
-  | None -> (Array.make n 0.0, Array.make n 0.0)
+(* [b1] onto [l1] and, when [b2 >= 0], [b2] onto [l2]; both slots are
+   cleared first so a swap never stomps the slot it fills. *)
+let swap pl b1 l1 b2 l2 =
+  clear pl l1;
+  clear pl l2;
+  put pl b1 l1;
+  if b2 >= 0 then put pl b2 l2
 
-(* Nets touching a block. *)
-let nets_of_block (problem : Problem.t) =
-  let touch = Array.make (Array.length problem.Problem.blocks) [] in
-  Array.iteri
-    (fun ni (net : Problem.net) ->
-      touch.(net.Problem.driver) <- ni :: touch.(net.Problem.driver);
-      Array.iter (fun s -> touch.(s) <- ni :: touch.(s)) net.Problem.sinks)
-    problem.Problem.nets;
-  Array.map (List.sort_uniq compare) touch
+let apply_move pl b target =
+  let from = pl.Placement.loc.(b) and o = occupant pl target in
+  swap pl b target o from;
+  fun () -> swap pl b from o target
+
+(* a location's grid coordinates, defined here so the move loop inlines
+   them (calls into Placement are not inlined) *)
+let x_of = function Fpga_arch.Grid.Clb (x, _) | Fpga_arch.Grid.Pad (x, _, _) -> x
+let y_of = function Fpga_arch.Grid.Clb (_, y) | Fpga_arch.Grid.Pad (_, y, _) -> y
 
 (* ---------------------------------------------------------------- *)
 (* Annealing state.  One run = [init] + [temp_step] until finished +
    [finalize]; splitting the schedule into resumable temperature steps
    is what lets the pruned multi-start advance every seed to the same
-   milestone before comparing costs. *)
+   milestone before comparing costs.  Every state owns its per-net
+   arrays, so suspended states never alias. *)
 
 type state = {
   pl : Placement.t;
   rng : Util.Prng.t;
   problem : Problem.t;
-  options : options;
   timing : timing_options option;
   hook :
     (coords:(int -> int * int) -> changed_blocks:int list -> Td_timing.analysis)
     option;
-  touch : int list array;              (* block -> net indices *)
   cache : Placement.bbox_cache;
   tmp_boxes : Placement.box array;     (* per net, move-evaluation copies *)
   tmp_settled : bool array;            (* tmp box was rescanned this move *)
-  bb_costs : float array;
+  bb_costs : float array;              (* per net, at the current placement *)
   td_costs : float array;
-  mutable criticality : float array array;
+  bb_new : float array;                (* per net, after the evaluated move *)
+  td_new : float array;
+  touched : int array;                 (* the evaluated move's nets, ascending *)
+  mutable n_touched : int;
+  mutable occ : int;                   (* the evaluated move's swapped block, or -1 *)
+  mutable crit_pow : float array array; (* criticality^crit_exp per connection *)
   mutable bb_total : float;
   mutable td_total : float;
   mutable bb_scale : float;
@@ -161,16 +146,13 @@ type state = {
   mutable accepted : int;
   mutable changed : bool array;        (* moved since last timing refresh *)
   mutable changed_list : int list;
-  mutable last_dmax : float option;
   mutable steps : int;                 (* completed temperature steps *)
   mutable finished : bool;
   initial_cost : float;
   inner : int;
-  pad_slots : (int * int * int) array;
+  pad_locs : Fpga_arch.Grid.location array;
   trivial : bool;
 }
-
-let coords st b = Placement.coords st.pl b
 
 let sum_prefix arr n =
   let s = ref 0.0 in
@@ -181,25 +163,27 @@ let sum_prefix arr n =
 
 let n_nets st = Array.length st.problem.Problem.nets
 
-let td_cost_of_net st ni =
+(* Net [ni]'s timing cost at the current placement, written to
+   [dst.(ni)]: sum over its sinks, in array order, of criticality^crit_exp
+   x the distance-model delay. *)
+let td_cost_into st dst ni =
   match st.timing with
-  | None -> 0.0
+  | None -> dst.(ni) <- 0.0
   | Some t ->
       let net = st.problem.Problem.nets.(ni) in
-      let dx, dy = coords st net.Problem.driver in
+      let loc = st.pl.Placement.loc and crit = st.crit_pow.(ni) in
+      let dx = x_of loc.(net.Problem.driver) and dy = y_of loc.(net.Problem.driver) in
       let acc = ref 0.0 in
-      Array.iteri
-        (fun si sink ->
-          let sx, sy = coords st sink in
-          let delay =
-            t.model.Td_timing.t_fixed
-            +. (t.model.Td_timing.t_per_tile
-               *. float_of_int (abs (dx - sx) + abs (dy - sy)))
-          in
-          let crit = st.criticality.(ni).(si) ** t.crit_exp in
-          acc := !acc +. (crit *. delay))
-        net.Problem.sinks;
-      !acc
+      for si = 0 to Array.length net.Problem.sinks - 1 do
+        let s = loc.(net.Problem.sinks.(si)) in
+        let delay =
+          t.model.Td_timing.t_fixed
+          +. (t.model.Td_timing.t_per_tile
+             *. float_of_int (abs (dx - x_of s) + abs (dy - y_of s)))
+        in
+        acc := !acc +. (crit.(si) *. delay)
+      done;
+      dst.(ni) <- !acc
 
 let refresh_scales st =
   match st.timing with
@@ -213,86 +197,89 @@ let refresh_scales st =
 let propose st =
   let grid = st.problem.Problem.grid in
   let b = Util.Prng.int st.rng (Array.length st.problem.Problem.blocks) in
-  let bx, by = coords st b in
   match st.problem.Problem.blocks.(b) with
   | Problem.Cluster_block _ ->
-      let d = max 1 (int_of_float st.window) in
+      let bx = x_of st.pl.Placement.loc.(b) and by = y_of st.pl.Placement.loc.(b) in
+      let d = Int.max 1 (int_of_float st.window) in
       let x = bx + Util.Prng.int st.rng ((2 * d) + 1) - d in
       let y = by + Util.Prng.int st.rng ((2 * d) + 1) - d in
-      let x = max 1 (min grid.Fpga_arch.Grid.nx x) in
-      let y = max 1 (min grid.Fpga_arch.Grid.ny y) in
-      if Fpga_arch.Grid.Clb (x, y) = st.pl.Placement.loc.(b) then None
-      else Some (b, Fpga_arch.Grid.Clb (x, y))
+      let x = Int.max 1 (Int.min grid.Fpga_arch.Grid.nx x) in
+      let y = Int.max 1 (Int.min grid.Fpga_arch.Grid.ny y) in
+      if x = bx && y = by then None else Some (b, Fpga_arch.Grid.Clb (x, y))
   | Problem.Input_pad _ | Problem.Output_pad _ ->
-      let x, y, s = Util.Prng.pick st.rng st.pad_slots in
-      if Fpga_arch.Grid.Pad (x, y, s) = st.pl.Placement.loc.(b) then None
-      else Some (b, Fpga_arch.Grid.Pad (x, y, s))
+      let target = Util.Prng.pick st.rng st.pad_locs in
+      if target = st.pl.Placement.loc.(b) then None else Some (b, target)
 
-let affected_nets st b target =
-  let occ =
-    match target with
-    | Fpga_arch.Grid.Clb (x, y) ->
-        let o = st.pl.Placement.clb_at.(x).(y) in
-        if o >= 0 then Some o else None
-    | Fpga_arch.Grid.Pad (x, y, s) ->
-        Hashtbl.find_opt st.pl.Placement.pad_at (x, y, s)
-  in
-  ( occ,
-    match occ with
-    | Some o -> List.sort_uniq compare (st.touch.(b) @ st.touch.(o))
-    | None -> st.touch.(b) )
+(* The nets touching block [b] or, when [o >= 0], block [o]: the
+   ascending, duplicate-free merge of their [cache.touch] rows, into
+   [st.touched]. *)
+let gather_touched st b o =
+  let tb = st.cache.Placement.touch.(b) in
+  let t_o = if o >= 0 then st.cache.Placement.touch.(o) else [||] in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  while !i < Array.length tb || !j < Array.length t_o do
+    let nb = if !i < Array.length tb then fst tb.(!i) else max_int in
+    let no = if !j < Array.length t_o then fst t_o.(!j) else max_int in
+    let ni = Int.min nb no in
+    if nb = ni then incr i;
+    if no = ni then incr j;
+    st.touched.(!n) <- ni;
+    incr n
+  done;
+  st.n_touched <- !n
 
 (* Shift the move-evaluation copy of every net touching [mover] for its
    [src] -> [dst] relocation; a box whose boundary emptied is rescanned
    from the (already fully updated) placement and settles — later movers
    are already reflected in the rescan, so it takes no further shifts. *)
-let shift_mover st mover ~src ~dst =
-  Array.iter
-    (fun (ni, count) ->
-      if not st.tmp_settled.(ni) then
-        if not (Placement.shift_box st.tmp_boxes.(ni) ~count ~src ~dst) then begin
-          Placement.scan_box st.pl ni st.tmp_boxes.(ni);
-          st.tmp_settled.(ni) <- true
-        end)
-    st.cache.Placement.touch.(mover)
+let shift_mover st mover src dst =
+  let src = (x_of src, y_of src) and dst = (x_of dst, y_of dst) in
+  let touch = st.cache.Placement.touch.(mover) in
+  for k = 0 to Array.length touch - 1 do
+    let ni, count = touch.(k) in
+    if not st.tmp_settled.(ni) then
+      if not (Placement.shift_box st.tmp_boxes.(ni) ~count ~src ~dst) then begin
+        Placement.scan_box st.pl ni st.tmp_boxes.(ni);
+        st.tmp_settled.(ni) <- true
+      end
+  done
 
-let tmp_box_cost st ni =
-  let b = st.tmp_boxes.(ni) in
-  st.cache.Placement.qs.(ni)
-  *. float_of_int
-       (b.Placement.xmax - b.Placement.xmin
-       + (b.Placement.ymax - b.Placement.ymin))
-
-(* Evaluate a move: apply it, maintain temp boxes for the touched nets,
-   and return the undo closure plus the touched-net costs after.  The
-   caller either commits (copy temp boxes into the cache, update the
-   per-net arrays and totals) or undoes (the cache was never written). *)
+(* Evaluate a move: apply it, cost every touched net once at the new
+   placement into [bb_new]/[td_new], and return the scaled cost delta.
+   The caller then commits (copies those costs and the temp boxes in) or
+   swaps back; the cache is never written before a commit. *)
 let eval_move st b target =
-  let b_src = coords st b in
-  let occ, nets_touched = affected_nets st b target in
-  let bb_before, td_before =
-    List.fold_left
-      (fun (bb, td) ni -> (bb +. st.bb_costs.(ni), td +. st.td_costs.(ni)))
-      (0.0, 0.0) nets_touched
-  in
-  let occ_src = match occ with Some o -> coords st o | None -> (0, 0) in
-  let undo = apply_move st.pl b target in
-  List.iter
-    (fun ni ->
-      Placement.copy_box ~src:st.cache.Placement.boxes.(ni)
-        ~dst:st.tmp_boxes.(ni);
-      st.tmp_settled.(ni) <- false)
-    nets_touched;
-  shift_mover st b ~src:b_src ~dst:(coords st b);
-  (match occ with
-  | Some o -> shift_mover st o ~src:occ_src ~dst:(coords st o)
-  | None -> ());
-  let bb_after, td_after =
-    List.fold_left
-      (fun (bb, td) ni -> (bb +. tmp_box_cost st ni, td +. td_cost_of_net st ni))
-      (0.0, 0.0) nets_touched
-  in
-  (occ, nets_touched, undo, bb_before, td_before, bb_after, td_after)
+  let from = st.pl.Placement.loc.(b) in
+  let o = occupant st.pl target in
+  st.occ <- o;
+  gather_touched st b o;
+  let bb_before = ref 0.0 and td_before = ref 0.0 in
+  for i = 0 to st.n_touched - 1 do
+    let ni = st.touched.(i) in
+    bb_before := !bb_before +. st.bb_costs.(ni);
+    td_before := !td_before +. st.td_costs.(ni);
+    Placement.copy_box ~src:st.cache.Placement.boxes.(ni)
+      ~dst:st.tmp_boxes.(ni);
+    st.tmp_settled.(ni) <- false
+  done;
+  swap st.pl b target o from;
+  shift_mover st b from target;
+  if o >= 0 then shift_mover st o target from;
+  let bb_after = ref 0.0 and td_after = ref 0.0 in
+  for i = 0 to st.n_touched - 1 do
+    let ni = st.touched.(i) in
+    let box = st.tmp_boxes.(ni) in
+    st.bb_new.(ni) <-
+      st.cache.Placement.qs.(ni)
+      *. float_of_int
+           (box.Placement.xmax - box.Placement.xmin
+           + (box.Placement.ymax - box.Placement.ymin));
+    td_cost_into st st.td_new ni;
+    bb_after := !bb_after +. st.bb_new.(ni);
+    td_after := !td_after +. st.td_new.(ni)
+  done;
+  ((!bb_after -. !bb_before) *. st.bb_scale)
+  +. ((!td_after -. !td_before) *. st.td_scale)
 
 let mark_changed st b =
   if not st.changed.(b) then begin
@@ -300,39 +287,38 @@ let mark_changed st b =
     st.changed_list <- b :: st.changed_list
   end
 
+(* Accept the evaluated move of [b]: per touched net, ascending, the
+   totals drop the old cost and gain the new one. *)
+let commit st b =
+  let bb = ref st.bb_total and td = ref st.td_total in
+  for i = 0 to st.n_touched - 1 do
+    let ni = st.touched.(i) in
+    Placement.copy_box ~src:st.tmp_boxes.(ni) ~dst:st.cache.Placement.boxes.(ni);
+    bb := !bb -. st.bb_costs.(ni);
+    td := !td -. st.td_costs.(ni);
+    st.bb_costs.(ni) <- st.bb_new.(ni);
+    st.td_costs.(ni) <- st.td_new.(ni);
+    bb := !bb +. st.bb_costs.(ni);
+    td := !td +. st.td_costs.(ni)
+  done;
+  st.bb_total <- !bb;
+  st.td_total <- !td;
+  mark_changed st b;
+  if st.occ >= 0 then mark_changed st st.occ
+
 let try_move st temperature =
   match propose st with
   | None -> ()
   | Some (b, target) ->
       st.moves <- st.moves + 1;
-      let occ, nets_touched, undo, bb_before, td_before, bb_after, td_after =
-        eval_move st b target
-      in
-      let delta =
-        ((bb_after -. bb_before) *. st.bb_scale)
-        +. ((td_after -. td_before) *. st.td_scale)
-      in
-      let accept =
-        delta <= 0.0
-        || Util.Prng.float st.rng < exp (-.delta /. temperature)
-      in
-      if accept then begin
+      let from = st.pl.Placement.loc.(b) in
+      let delta = eval_move st b target in
+      if delta <= 0.0 || Util.Prng.float st.rng < exp (-.delta /. temperature)
+      then begin
         st.accepted <- st.accepted + 1;
-        List.iter
-          (fun ni ->
-            Placement.copy_box ~src:st.tmp_boxes.(ni)
-              ~dst:st.cache.Placement.boxes.(ni);
-            st.bb_total <- st.bb_total -. st.bb_costs.(ni);
-            st.td_total <- st.td_total -. st.td_costs.(ni);
-            st.bb_costs.(ni) <- Placement.box_cost st.cache ni;
-            st.td_costs.(ni) <- td_cost_of_net st ni;
-            st.bb_total <- st.bb_total +. st.bb_costs.(ni);
-            st.td_total <- st.td_total +. st.td_costs.(ni))
-          nets_touched;
-        mark_changed st b;
-        match occ with Some o -> mark_changed st o | None -> ()
+        commit st b
       end
-      else undo ()
+      else swap st.pl b from st.occ target
 
 let exit_scale st =
   (* the floor guards degenerate placements whose cost reaches zero
@@ -344,16 +330,20 @@ let exit_scale st =
         (* costs are normalised to ~1 in timing mode *)
         0.005 /. float_of_int (n_nets st))
 
+(* New criticalities (and their crit_exp powers) from the timing hook,
+   then every net's timing cost and the resummed total. *)
 let refresh_timing st =
   match (st.timing, st.hook) with
-  | Some _, Some hook ->
-      let a = hook ~coords:(coords st) ~changed_blocks:st.changed_list in
-      st.last_dmax <- Some a.Td_timing.dmax;
-      st.criticality <- a.Td_timing.criticality;
+  | Some t, Some hook ->
+      let a =
+        hook ~coords:(Placement.coords st.pl) ~changed_blocks:st.changed_list
+      in
+      st.crit_pow <-
+        Array.map (Array.map (fun c -> c ** t.crit_exp)) a.Td_timing.criticality;
       List.iter (fun b -> st.changed.(b) <- false) st.changed_list;
       st.changed_list <- [];
       for ni = 0 to n_nets st - 1 do
-        st.td_costs.(ni) <- td_cost_of_net st ni
+        td_cost_into st st.td_costs ni
       done;
       st.td_total <- sum_prefix st.td_costs (n_nets st)
   | _ -> ()
@@ -363,16 +353,19 @@ let trivial_state options problem pl =
     pl;
     rng = Util.Prng.create options.seed;
     problem;
-    options;
     timing = None;
     hook = None;
-    touch = [||];
     cache = { Placement.boxes = [||]; qs = [||]; touch = [||] };
     tmp_boxes = [||];
     tmp_settled = [||];
     bb_costs = [||];
     td_costs = [||];
-    criticality = [||];
+    bb_new = [||];
+    td_new = [||];
+    touched = [||];
+    n_touched = 0;
+    occ = -1;
+    crit_pow = [||];
     bb_total = 0.0;
     td_total = 0.0;
     bb_scale = 1.0;
@@ -383,16 +376,15 @@ let trivial_state options problem pl =
     accepted = 0;
     changed = [||];
     changed_list = [];
-    last_dmax = None;
     steps = 0;
     finished = true;
     initial_cost = 0.0;
     inner = 0;
-    pad_slots = [||];
+    pad_locs = [||];
     trivial = true;
   }
 
-let init ?(options = default_options) ?timing ?scratch (problem : Problem.t) =
+let init ?(options = default_options) ?timing (problem : Problem.t) =
   let rng = Util.Prng.create options.seed in
   let pl = Placement.initial ~seed:options.seed problem in
   let grid = problem.Problem.grid in
@@ -400,14 +392,9 @@ let init ?(options = default_options) ?timing ?scratch (problem : Problem.t) =
   let n_nets = Array.length problem.Problem.nets in
   if n_nets = 0 || n_blocks <= 1 then trivial_state options problem pl
   else begin
-    let touch = nets_of_block problem in
-    (* arrays possibly longer than n_nets when a shared scratch is in
-       use; only the first n_nets slots are live *)
-    let bb_costs, td_costs = scratch_arrays scratch n_nets in
     let cache = Placement.bbox_cache pl in
-    for ni = 0 to n_nets - 1 do
-      bb_costs.(ni) <- Placement.box_cost cache ni
-    done;
+    let bb_costs = Array.init n_nets (Placement.box_cost cache) in
+    let bb_total = sum_prefix bb_costs n_nets in
     let hook =
       Option.map
         (fun t ->
@@ -421,17 +408,20 @@ let init ?(options = default_options) ?timing ?scratch (problem : Problem.t) =
         pl;
         rng;
         problem;
-        options;
         timing;
         hook;
-        touch;
         cache;
         tmp_boxes = Array.init n_nets (fun _ -> Placement.empty_box ());
         tmp_settled = Array.make n_nets false;
         bb_costs;
-        td_costs;
-        criticality = [||];
-        bb_total = sum_prefix bb_costs n_nets;
+        td_costs = Array.make n_nets 0.0;
+        bb_new = Array.make n_nets 0.0;
+        td_new = Array.make n_nets 0.0;
+        touched = Array.make n_nets 0;
+        n_touched = 0;
+        occ = -1;
+        crit_pow = [||];
+        bb_total;
         td_total = 0.0;
         bb_scale = 1.0;
         td_scale = 0.0;
@@ -441,45 +431,33 @@ let init ?(options = default_options) ?timing ?scratch (problem : Problem.t) =
         accepted = 0;
         changed = Array.make n_blocks false;
         changed_list = [];
-        last_dmax = None;
         steps = 0;
         finished = false;
-        initial_cost = 0.0;
+        initial_cost = bb_total;
         inner =
           (int_of_float
              (options.inner_num *. (float_of_int n_blocks ** (4.0 /. 3.0)))
           |> max 16);
-        pad_slots = Array.of_list (Fpga_arch.Grid.pad_positions grid);
+        pad_locs =
+          Array.of_list
+            (List.map
+               (fun (x, y, s) -> Fpga_arch.Grid.Pad (x, y, s))
+               (Fpga_arch.Grid.pad_positions grid));
         trivial = false;
       }
     in
-    let st = { st with initial_cost = st.bb_total } in
-    (match st.hook with
-    | Some hook ->
-        let a = hook ~coords:(coords st) ~changed_blocks:[] in
-        st.last_dmax <- Some a.Td_timing.dmax;
-        st.criticality <- a.Td_timing.criticality
-    | None -> ());
-    for ni = 0 to n_nets - 1 do
-      td_costs.(ni) <- td_cost_of_net st ni
-    done;
-    st.td_total <- sum_prefix td_costs n_nets;
+    refresh_timing st;
     refresh_scales st;
     (* initial temperature from random-move statistics *)
     let sample_deltas = Array.make (min 200 (20 * n_blocks)) 0.0 in
-    Array.iteri
-      (fun idx _ ->
-        match propose st with
-        | None -> ()
-        | Some (b, target) ->
-            let _, _, undo, bb_before, td_before, bb_after, td_after =
-              eval_move st b target
-            in
-            sample_deltas.(idx) <-
-              ((bb_after -. bb_before) *. st.bb_scale)
-              +. ((td_after -. td_before) *. st.td_scale);
-            undo ())
-      sample_deltas;
+    for idx = 0 to Array.length sample_deltas - 1 do
+      match propose st with
+      | None -> ()
+      | Some (b, target) ->
+          let from = pl.Placement.loc.(b) in
+          sample_deltas.(idx) <- eval_move st b target;
+          swap pl b from st.occ target
+    done;
     st.temperature <- (20.0 *. Util.Stats.stddev sample_deltas) +. 1e-9;
     st
   end
@@ -500,14 +478,20 @@ let temp_step ?obs st =
     st.bb_total <- sum_prefix st.bb_costs (n_nets st);
     refresh_scales st;
     let accepted_before = st.accepted in
-    let move_loop () =
-      for _ = 1 to st.inner do
-        try_move st st.temperature
-      done
+    let move_loop temperature =
+      let loop () =
+        for _ = 1 to st.inner do
+          try_move st temperature
+        done
+      in
+      match obs with
+      | Some o ->
+          let moves_before = st.moves in
+          Obs.Registry.time o "place.move-eval" loop;
+          Obs.Registry.incr ~by:(st.moves - moves_before) o "place.moves-evaluated"
+      | None -> loop ()
     in
-    (match obs with
-    | Some o -> Obs.Registry.time o "place.move-eval" move_loop
-    | None -> move_loop ());
+    move_loop st.temperature;
     let rate =
       float_of_int (st.accepted - accepted_before) /. float_of_int st.inner
     in
@@ -533,14 +517,7 @@ let temp_step ?obs st =
     st.steps <- st.steps + 1;
     if st.temperature < exit_scale st then begin
       (* final greedy pass at T ~ 0 *)
-      let greedy () =
-        for _ = 1 to st.inner do
-          try_move st 1e-9
-        done
-      in
-      (match obs with
-      | Some o -> Obs.Registry.time o "place.move-eval" greedy
-      | None -> greedy ());
+      move_loop 1e-9;
       st.bb_total <- sum_prefix st.bb_costs (n_nets st);
       st.finished <- true
     end
@@ -552,7 +529,9 @@ let finalize st =
     else
       match st.hook with
       | Some hook ->
-          let a = hook ~coords:(coords st) ~changed_blocks:st.changed_list in
+          let a =
+            hook ~coords:(Placement.coords st.pl) ~changed_blocks:st.changed_list
+          in
           List.iter (fun b -> st.changed.(b) <- false) st.changed_list;
           st.changed_list <- [];
           Some a.Td_timing.dmax
@@ -569,8 +548,8 @@ let finalize st =
     accepted = st.accepted;
   }
 
-let run ?options ?timing ?scratch ?obs (problem : Problem.t) =
-  let st = init ?options ?timing ?scratch problem in
+let run ?options ?timing ?obs (problem : Problem.t) =
+  let st = init ?options ?timing problem in
   while not st.finished do
     temp_step ?obs st
   done;
@@ -581,15 +560,7 @@ let run ?options ?timing ?scratch ?obs (problem : Problem.t) =
    only reads the shared problem and derives all randomness from its own
    seed, so the runs parallelise shared-nothing across a Domain pool and
    the winner — ties broken toward the lowest seed offset, as a
-   sequential scan would — is identical for any [jobs].
-
-   The costing scratch is shared across the seeds a domain executes
-   (domain-local storage, so workers never alias each other's arrays):
-   sequentially that is one allocation for all starts instead of one per
-   start, and a run overwrites every live slot before reading it, so the
-   reuse is invisible in the results. *)
-let scratch_slot : scratch Util.Parallel.scratch_slot =
-  Util.Parallel.scratch_slot ()
+   sequential scan would — is identical for any [jobs]. *)
 
 (* Budget-adaptive pruning: advance every live seed [prune_interval]
    temperature steps, then compare the merged snapshot of their exact
@@ -597,9 +568,7 @@ let scratch_slot : scratch Util.Parallel.scratch_slot =
    the incumbent by more than [margin].  Every comparison happens at a
    barrier over the same deterministic snapshot and the incumbent is
    never killed, so the surviving set — and hence the winner — is
-   identical for any [jobs].  States suspend between segments, so each
-   allocates its own costing arrays (never the domain-shared scratch:
-   two suspended states on one domain must not alias). *)
+   identical for any [jobs]. *)
 let run_pruned ~options ~timing ~jobs ~starts ~margin ~interval ~obs problem =
   let states =
     Util.Parallel.map ?jobs
@@ -673,13 +642,8 @@ let run_multistart ?(options = default_options) ?timing ?jobs ?(starts = 1)
         let results =
           Util.Parallel.map ?jobs
             (fun k ->
-              let scratch =
-                Util.Parallel.scratch scratch_slot ~valid:(fun _ -> true)
-                  ~create:create_scratch
-              in
-              run
-                ~options:{ options with seed = options.seed + k }
-                ?timing ~scratch ?obs problem)
+              run ~options:{ options with seed = options.seed + k } ?timing ?obs
+                problem)
             (Array.init starts Fun.id)
         in
         (* strict < keeps the earliest seed on ties *)

@@ -7,13 +7,15 @@
     connection's timing cost is criticality^crit_exp x estimated delay;
     criticalities and normalisations refresh every temperature.
 
-    Move evaluation is incremental: per-net bounding boxes are cached
-    ({!Placement.bbox_cache}) so a move's wirelength delta costs
-    O(touched nets), and both cost totals are resummed from the exact
-    per-net arrays at every temperature boundary and at exit —
-    [final_cost] equals a from-scratch {!Placement.total_cost} of the
-    returned placement up to the summation order (same ascending net
-    order, hence bit-identical). *)
+    Move evaluation is incremental and costs O(touched nets + their
+    sinks): per-net bounding boxes are cached ({!Placement.bbox_cache}),
+    each touched net's timing cost is computed once per move and reused
+    on accept, and the move loop allocates nothing per net or sink.
+    Both cost totals are resummed from the exact per-net arrays at
+    every temperature boundary and at exit — [final_cost] equals a
+    from-scratch {!Placement.total_cost} of the returned placement up
+    to the summation order (same ascending net order, hence
+    bit-identical). *)
 
 type options = {
   seed : int;
@@ -69,29 +71,21 @@ type result = {
 
 val apply_move :
   Placement.t -> int -> Fpga_arch.Grid.location -> unit -> unit
-(** Move/swap a block to a target slot; returns the undo closure.
-    Exposed for testing. *)
-
-type scratch
-(** Reusable per-net costing buffers (bounding-box and timing cost
-    arrays).  A run overwrites every live slot before reading it, so
-    passing the same scratch to consecutive runs changes nothing but
-    the allocation count. *)
-
-val create_scratch : unit -> scratch
-(** An empty scratch; grows to fit the largest problem it serves. *)
+(** Move/swap a block to a target slot (the annealer's own slot
+    operations); returns a function that swaps it back.  Exposed for
+    testing. *)
 
 val run :
-  ?options:options -> ?timing:timing_options -> ?scratch:scratch ->
-  ?obs:Obs.Registry.t -> Problem.t -> result
+  ?options:options -> ?timing:timing_options -> ?obs:Obs.Registry.t ->
+  Problem.t -> result
 (** One annealing run.  Fully deterministic in [options.seed]: all
-    randomness derives from the explicit {!Util.Prng} stream.
-    [scratch] (optional) reuses costing buffers from a previous run on
-    the same domain instead of allocating fresh ones.  [obs] records the
-    per-temperature acceptance rate into the ["place.accept-rate"]
-    histogram and the inner move loops under the ["place.move-eval"]
-    timer; each temperature step also emits one ["place.temperature"]
-    span into the ambient {!Obs.Span} trace. *)
+    randomness derives from the explicit {!Util.Prng} stream.  [obs]
+    records the per-temperature acceptance rate into the
+    ["place.accept-rate"] histogram, the inner move loops under the
+    ["place.move-eval"] timer and their moves into the
+    ["place.moves-evaluated"] counter; each temperature step also emits
+    one ["place.temperature"] span into the ambient {!Obs.Span}
+    trace. *)
 
 val run_multistart :
   ?options:options -> ?timing:timing_options -> ?jobs:int -> ?starts:int ->
@@ -111,6 +105,6 @@ val run_multistart :
     are abandoned.  The incumbent is never pruned and every decision
     happens at a deterministic barrier, so the winner is still identical
     for any [jobs] — pruning trades exhaustiveness for wall-clock only.
-    Without [prune_margin] every start runs to completion (and each
-    domain reuses one costing scratch across its seeds; pruned states
-    suspend between segments, so there each state owns its arrays). *)
+    Without [prune_margin] every start runs to completion.
+    ["place.moves-evaluated"] sums the moves of every start, pruned
+    ones included, where [moves] is the winner's alone. *)

@@ -9,10 +9,9 @@ type t = {
 
 let location t b = t.loc.(b)
 
-let coords t b =
-  match t.loc.(b) with
-  | Fpga_arch.Grid.Clb (x, y) -> (x, y)
-  | Fpga_arch.Grid.Pad (x, y, _) -> (x, y)
+let x_of = function Fpga_arch.Grid.Clb (x, _) | Fpga_arch.Grid.Pad (x, _, _) -> x
+let y_of = function Fpga_arch.Grid.Clb (_, y) | Fpga_arch.Grid.Pad (_, y, _) -> y
+let coords t b = (x_of t.loc.(b), y_of t.loc.(b))
 
 (* Random initial placement. *)
 let initial ?(seed = 1) (problem : Problem.t) =
@@ -118,18 +117,18 @@ let scan_box t ni box =
   box.on_xmax <- 1;
   box.on_ymin <- 1;
   box.on_ymax <- 1;
-  Array.iter
-    (fun s ->
-      let x, y = coords t s in
-      if x < box.xmin then begin box.xmin <- x; box.on_xmin <- 1 end
-      else if x = box.xmin then box.on_xmin <- box.on_xmin + 1;
-      if x > box.xmax then begin box.xmax <- x; box.on_xmax <- 1 end
-      else if x = box.xmax then box.on_xmax <- box.on_xmax + 1;
-      if y < box.ymin then begin box.ymin <- y; box.on_ymin <- 1 end
-      else if y = box.ymin then box.on_ymin <- box.on_ymin + 1;
-      if y > box.ymax then begin box.ymax <- y; box.on_ymax <- 1 end
-      else if y = box.ymax then box.on_ymax <- box.on_ymax + 1)
-    net.Problem.sinks
+  for k = 0 to Array.length net.Problem.sinks - 1 do
+    let l = t.loc.(net.Problem.sinks.(k)) in
+    let x = x_of l and y = y_of l in
+    if x < box.xmin then begin box.xmin <- x; box.on_xmin <- 1 end
+    else if x = box.xmin then box.on_xmin <- box.on_xmin + 1;
+    if x > box.xmax then begin box.xmax <- x; box.on_xmax <- 1 end
+    else if x = box.xmax then box.on_xmax <- box.on_xmax + 1;
+    if y < box.ymin then begin box.ymin <- y; box.on_ymin <- 1 end
+    else if y = box.ymin then box.on_ymin <- box.on_ymin + 1;
+    if y > box.ymax then begin box.ymax <- y; box.on_ymax <- 1 end
+    else if y = box.ymax then box.on_ymax <- box.on_ymax + 1
+  done
 
 let copy_box ~src ~dst =
   dst.xmin <- src.xmin;

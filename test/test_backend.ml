@@ -82,9 +82,22 @@ let test_params_rule () =
 
 let test_params_validation () =
   let bad = { Fpga_arch.Params.amdrel with Fpga_arch.Params.k = 9 } in
-  match Fpga_arch.Params.validate bad with
+  (match Fpga_arch.Params.validate bad with
   | exception Fpga_arch.Params.Invalid_params _ -> ()
-  | _ -> Alcotest.fail "expected invalid params"
+  | _ -> Alcotest.fail "expected invalid params");
+  (* non-finite numbers fail validation rather than the compile *)
+  let a = Fpga_arch.Params.amdrel in
+  List.iter
+    (fun (name, p) ->
+      match Fpga_arch.Params.validate p with
+      | exception Fpga_arch.Params.Invalid_params _ -> ()
+      | _ -> Alcotest.failf "%s accepted" name)
+    [
+      ("fc_in nan", { a with Fpga_arch.Params.fc_in = Float.nan });
+      ("fc_out nan", { a with Fpga_arch.Params.fc_out = Float.nan });
+      ("switch_width nan", { a with Fpga_arch.Params.switch_width = Float.nan });
+      ("switch_width inf", { a with Fpga_arch.Params.switch_width = Float.infinity });
+    ]
 
 let test_archfile_roundtrip () =
   let p =

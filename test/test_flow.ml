@@ -134,6 +134,13 @@ let test_flow_jobs_deterministic () =
   Alcotest.(check string) "same bitstream"
     a.Core.Flow.bitstream.Bitstream.Dagger.bytes
     b.Core.Flow.bitstream.Bitstream.Dagger.bytes;
+  (* every start's moves, whichever domain ran them *)
+  Alcotest.(check int) "same place.moves-evaluated"
+    (R.counter a.Core.Flow.metrics "place.moves-evaluated")
+    (R.counter b.Core.Flow.metrics "place.moves-evaluated");
+  Alcotest.(check bool) "evaluated moves cover the winner's" true
+    (R.counter a.Core.Flow.metrics "place.moves-evaluated"
+    > R.counter a.Core.Flow.metrics "place.moves");
   (* the observability surface carries the pool metrics *)
   Alcotest.(check bool) "parallel.jobs recorded" true
     (R.find a.Core.Flow.metrics "parallel.jobs" <> None

@@ -374,15 +374,16 @@ let test_multistart_single_is_run () =
    whose final routing uses the criticality-blended cost.  The values
    were recorded before the heap, the PathFinder kernel and the graph
    build were rewritten for speed, which had to reproduce them. *)
+let mixed_fabric () =
+  Fpga_arch.Params.validate
+    {
+      Fpga_arch.Params.amdrel with
+      Fpga_arch.Params.segments =
+        Fpga_arch.Params.segments_of_string "2xL1+1xL2+1xL4";
+    }
+
 let test_route_identity_pin () =
-  let mixed =
-    Fpga_arch.Params.validate
-      {
-        Fpga_arch.Params.amdrel with
-        Fpga_arch.Params.segments =
-          Fpga_arch.Params.segments_of_string "2xL1+1xL2+1xL4";
-      }
-  in
+  let mixed = mixed_fabric () in
   List.iter
     (fun ( name, params, timing_driven, vhdl, wmin, probes, pops, iterations,
            rerouted, md5 ) ->
@@ -431,6 +432,90 @@ let test_route_identity_pin () =
         48149, 14, 608, "37cace08d61b229ee57b02a58b4a88d9" );
     ]
 
+(* Place identity pin.  The annealer's determinism contract
+   (docs/ARCHITECTURE.md: the PRNG draw order, the ascending touched-net
+   order, the sink order, the cost expression, the accept update sequence
+   and the pad-table operation order) fixes every placement bit for bit,
+   but the golden fixtures are single-start and pin delays only, and the
+   multi-start tests compare pool sizes, not absolute values.  So one
+   routability-driven single-start design and one timing-driven
+   four-start design (default pruning, fixed width, as in the
+   place-timing benchmark) pin, at seed 1 and one job: the winner's moves
+   and accepted moves, its exact final cost, the MD5 of the marshalled
+   placement (the route stage's key input) and the bitstream MD5.  The
+   values were recorded before the move kernel was rewritten for speed,
+   which had to reproduce them.  [place.moves-evaluated] came with that
+   rewrite: every start's moves, so the winner's alone when single-start. *)
+let test_place_identity_pin () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (name, config, vhdl, moves, evaluated, accepted, cost, pl_md5, bit_md5) ->
+      let config =
+        { config with Core.Flow.seed = 1; jobs = Some 1; cache_dir = None }
+      in
+      let r = Core.Flow.run_vhdl ~config vhdl in
+      let metrics = r.Core.Flow.metrics in
+      (* the flow records no accepted count: replay the place stage on
+         its packing, with a full analysis per refresh (the flow's
+         incremental chain matches it bit for bit) *)
+      let problem =
+        Place.Problem.build ~io_rat:config.Core.Flow.io_rat r.Core.Flow.packing
+      in
+      let timing =
+        if config.Core.Flow.timing_driven then
+          let g = Sta.Graph.build problem in
+          Some
+            (Place.Anneal.default_timing
+               ~analyze:(fun ~coords ->
+                 Sta.Analysis.to_td
+                   (Sta.Analysis.run ~jobs:1 g
+                      (Sta.Delays.of_placement
+                         ~producer:g.Sta.Graph.block_of problem ~coords)))
+               ())
+        else None
+      in
+      let a =
+        Place.Anneal.run_multistart
+          ~options:{ Place.Anneal.seed = 1; inner_num = 1.0 }
+          ?timing ~jobs:1 ~starts:config.Core.Flow.place_starts
+          ?prune_margin:config.Core.Flow.place_prune_margin
+          ~prune_interval:config.Core.Flow.place_prune_interval problem
+      in
+      Alcotest.(check int) (name ^ " place.moves") moves
+        (Obs.Registry.counter metrics "place.moves");
+      Alcotest.(check int) (name ^ " place.moves-evaluated") evaluated
+        (Obs.Registry.counter metrics "place.moves-evaluated");
+      Alcotest.(check int) (name ^ " replayed moves") moves a.Place.Anneal.moves;
+      Alcotest.(check int) (name ^ " place.accepted") accepted
+        a.Place.Anneal.accepted;
+      Alcotest.(check bool) (name ^ " place.final-cost") true
+        (Obs.Registry.find metrics "place.final-cost"
+         = Some (Obs.Registry.Gauge cost)
+        && a.Place.Anneal.final_cost = cost);
+      Alcotest.(check string) (name ^ " placement MD5") pl_md5
+        (md5 (Marshal.to_string r.Core.Flow.routed.Route.Router.placement []));
+      Alcotest.(check string) (name ^ " replayed placement MD5") pl_md5
+        (md5 (Marshal.to_string a.Place.Anneal.placement []));
+      Alcotest.(check string) (name ^ " bitstream MD5") bit_md5
+        (md5 r.Core.Flow.bitstream.Bitstream.Dagger.bytes))
+    [
+      ( "alu16 uniform", Core.Flow.default_config, Core.Bench_circuits.alu 16,
+        32280, 32280, 16350, 0x1.97a7ef9db22d1p+8,
+        "b4570ad1dac8c68633f07ffea83d0c30", "4fbd9c41f64837894d434941cc8a8c3d" );
+      ( "mult8 2xL1+1xL2+1xL4 timing-driven 4-start",
+        {
+          Core.Flow.default_config with
+          Core.Flow.params = mixed_fabric ();
+          timing_driven = true;
+          place_starts = 4;
+          search_min_width = false;
+          route_width = 12;
+        },
+        Core.Bench_circuits.multiplier 8,
+        25506, 96824, 12791, 0x1.1a3141205bc02p+9,
+        "36696255a7a52718300dee451bf19cc5", "f67c2232627cf8856a5575255828374c" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "incremental vs full rip-up" `Slow
@@ -451,6 +536,7 @@ let suite =
     Alcotest.test_case "net_terminals rejects bad driver" `Quick
       test_net_terminals_bad_driver;
     Alcotest.test_case "route identity pin" `Quick test_route_identity_pin;
+    Alcotest.test_case "place identity pin" `Quick test_place_identity_pin;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;
     QCheck_alcotest.to_alcotest prop_partition_exactly_once;
     QCheck_alcotest.to_alcotest prop_partition_batch_disjoint;

@@ -66,6 +66,8 @@ let test_validate_spec () =
   check_invalid "zero count" (with_segs [ seg 1 0 1.0 ]);
   check_invalid "fc zero" (with_segs [ seg 1 1 0.0 ]);
   check_invalid "fc above one" (with_segs [ seg 1 1 1.5 ]);
+  check_invalid "fc nan" (with_segs [ seg 1 1 Float.nan ]);
+  check_invalid "fc infinite" (with_segs [ seg 1 1 Float.infinity ]);
   (* errors carry the offending segment so they are actionable *)
   (let contains hay needle =
      let nh = String.length hay and nn = String.length needle in
@@ -81,6 +83,24 @@ let test_validate_spec () =
    | _ -> Alcotest.fail "expected Invalid_params");
   (* a healthy mixed spec passes *)
   ignore (P.validate { P.amdrel with P.segments = [ seg 1 2 0.5; seg 4 1 1.0 ] })
+
+(* Malformed arch-file text fails as a parse or validation error that
+   names the problem, never as a bare [Failure] from a number parser or
+   as an accepted non-finite value. *)
+let test_archfile_malformed () =
+  List.iter
+    (fun text ->
+      match Fpga_arch.Archfile.of_string text with
+      | exception Fpga_arch.Archfile.Parse_error _ -> ()
+      | exception P.Invalid_params _ -> ()
+      | exception e ->
+          Alcotest.failf "%S raised %s" text (Printexc.to_string e)
+      | _ -> Alcotest.failf "%S accepted" text)
+    [
+      "k four"; "fc_in 0.5x"; "segment 1 x"; "segment 1 4 nan 1.0 min_double";
+      "segment 1 4 1.0 one min_double"; "switch_width nan"; "switch_width inf";
+      "fc_in nan"; "fc_out -inf"; "io_rat 1.5";
+    ]
 
 let test_archfile_segments_roundtrip () =
   let p =
@@ -522,6 +542,8 @@ let suite =
     Alcotest.test_case "segment spec validation" `Quick test_validate_spec;
     Alcotest.test_case "arch file keeps segment lines" `Quick
       test_archfile_segments_roundtrip;
+    Alcotest.test_case "arch file rejects malformed numbers" `Quick
+      test_archfile_malformed;
     Alcotest.test_case "track plan: uniform reduction" `Quick
       test_track_plan_uniform_reduction;
     QCheck_alcotest.to_alcotest prop_track_spans;

@@ -172,25 +172,6 @@ let test_flow_counters () =
   Alcotest.(check bool) "pre-route dmax positive" true
     (r.Core.Flow.sta_pre.Sta.Analysis.dmax > 0.0)
 
-(* Scratch reuse must not perturb the annealer: same seed, same result,
-   with or without a shared scratch, including consecutive runs on one
-   scratch. *)
-let test_anneal_scratch () =
-  let net = Synth.Diviner.synthesize (Core.Bench_circuits.lfsr 12) in
-  let mapped, _ = Techmap.Mapper.map_network ~k:4 ~verify:false net in
-  let packing = Pack.Cluster.pack ~n:5 ~i:12 mapped in
-  let problem = Place.Problem.build packing in
-  let fresh = Place.Anneal.run problem in
-  let scratch = Place.Anneal.create_scratch () in
-  let a = Place.Anneal.run ~scratch problem in
-  let b = Place.Anneal.run ~scratch problem in
-  Alcotest.(check (float 0.0)) "cost, fresh vs scratch"
-    fresh.Place.Anneal.final_cost a.Place.Anneal.final_cost;
-  Alcotest.(check (float 0.0)) "cost, scratch reused"
-    fresh.Place.Anneal.final_cost b.Place.Anneal.final_cost;
-  Alcotest.(check int) "moves identical" fresh.Place.Anneal.moves
-    a.Place.Anneal.moves
-
 (* Incremental update must be bit-identical to a fresh analysis, for any
    jobs count, across a chain of placement perturbations (the annealer's
    usage: many updates between full refreshes, prev consumed each time). *)
@@ -282,5 +263,4 @@ let suite =
     "jobs-identical propagation" => test_jobs_identical;
     "top-k path report" => test_report_paths;
     "flow sta counters" => test_flow_counters;
-    "annealer scratch reuse" => test_anneal_scratch;
   ]
