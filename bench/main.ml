@@ -7,17 +7,10 @@
    Usage:
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- table1 table3 fig9 flow timing ablate stress
-     dune exec bench/main.exe -- --ledger bench/ledger --suite suite flow
 
-   With --ledger DIR the flow experiment appends one ledger line per
-   circuit to DIR/<suite>.jsonl (suite-order, post-join), which
-   amdrel_report folds into BENCH_<suite>.json and gates. *)
+   The run ledger (bench/ledger) is written by amdrel_flow --ledger. *)
 
 open Spice
-
-(* set by the driver from --ledger/--suite before experiments run *)
-let ledger_dir : string option ref = ref None
-let suite_name = ref "suite"
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -186,70 +179,30 @@ let flow_qor () =
      verified — the paper demonstrates the flow, QoR numbers are ours)\n";
   Printf.printf "domains: %d (AMDREL_JOBS overrides)\n\n"
     (Util.Parallel.default_jobs ());
-  (* independent circuits fan out across the Domain pool; failures are
-     reported after the join, in suite order.  Ledger lines are built
-     in the workers but appended post-join, so the ledger file order is
-     the suite order regardless of which domain finished first. *)
-  let suite = !suite_name in
-  let outcomes =
-    Util.Parallel.map_list
-      (fun (name, vhdl) ->
-        match Core.Flow.run_vhdl vhdl with
-        | r ->
-            let lrec =
-              Option.map
-                (fun _ ->
-                  Ledger.line ~suite ~config:Core.Flow.default_config
-                    ~source:vhdl r)
-                !ledger_dir
-            in
-            Ok
-              ( [
-                  name;
-                  string_of_int r.Core.Flow.mapped_stats.Netlist.Logic.n_gates;
-                  string_of_int
-                    r.Core.Flow.mapped_stats.Netlist.Logic.n_latches;
-                  string_of_int r.Core.Flow.n_clusters;
-                  Printf.sprintf "%dx%d" r.Core.Flow.grid.Fpga_arch.Grid.nx
-                    r.Core.Flow.grid.Fpga_arch.Grid.ny;
-                  (match
-                     r.Core.Flow.route_stats.Route.Router.minimum_width
-                   with
-                  | Some w -> string_of_int w
-                  | None -> "-");
-                  Util.Tablefmt.f2
-                    (r.Core.Flow.route_stats.Route.Router.critical_path_s
-                    *. 1e9);
-                  Util.Tablefmt.f3
-                    (r.Core.Flow.power.Power.Model.total_w *. 1e3);
-                  string_of_int r.Core.Flow.bitstream.Bitstream.Dagger.bits;
-                  (if r.Core.Flow.bitstream_verified then "yes" else "NO");
-                ],
-                lrec )
-        | exception Core.Flow.Flow_error (stage, e) ->
-            Error (name, stage, Printexc.to_string e))
-      Core.Bench_circuits.suite
-    |> List.filter_map (function
-         | Ok row -> Some row
-         | Error (name, stage, e) ->
-             Printf.printf "%s: FAILED at %s (%s)\n" name stage e;
-             None)
-  in
   Util.Tablefmt.print
     [
       "circuit"; "LUTs"; "FFs"; "CLBs"; "grid"; "Wmin"; "crit(ns)"; "P(mW)";
       "bits"; "verified";
     ]
-    (List.map fst outcomes);
-  match !ledger_dir with
-  | None -> ()
-  | Some dir ->
-      List.iter
-        (fun (_, lrec) -> Option.iter (Ledger.append ~dir ~suite) lrec)
-        outcomes;
-      Printf.printf "\nledger: appended %d record(s) to %s\n"
-        (List.length (List.filter_map snd outcomes))
-        (Ledger.path ~dir ~suite)
+    (List.map
+       (fun (r : Core.Flow.result) ->
+         [
+           r.Core.Flow.design;
+           string_of_int r.Core.Flow.mapped_stats.Netlist.Logic.n_gates;
+           string_of_int r.Core.Flow.mapped_stats.Netlist.Logic.n_latches;
+           string_of_int r.Core.Flow.n_clusters;
+           Printf.sprintf "%dx%d" r.Core.Flow.grid.Fpga_arch.Grid.nx
+             r.Core.Flow.grid.Fpga_arch.Grid.ny;
+           (match r.Core.Flow.route_stats.Route.Router.minimum_width with
+           | Some w -> string_of_int w
+           | None -> "-");
+           Util.Tablefmt.f2
+             (r.Core.Flow.route_stats.Route.Router.critical_path_s *. 1e9);
+           Util.Tablefmt.f3 (r.Core.Flow.power.Power.Model.total_w *. 1e3);
+           string_of_int r.Core.Flow.bitstream.Bitstream.Dagger.bits;
+           (if r.Core.Flow.bitstream_verified then "yes" else "NO");
+         ])
+       (Core.Explore.run_suite Core.Bench_circuits.suite))
 
 (* ---------- Ablations ---------- *)
 
@@ -330,6 +283,29 @@ let ablations () =
            Util.Tablefmt.g3 p.eda;
          ])
        (Core.Explore.switch_style_comparison ()))
+
+(* ---------- Segment mixes ---------- *)
+
+let segments () =
+  hr "Segment mixes: wire-length mix vs Wmin, delay and energy (§3.3)";
+  print_endline
+    "(the bench suite on one fabric per mix, each searching its own\n\
+     minimum channel width; Wmin and util are means, crit, P and E\n\
+     geomeans, E per data cycle at the power model's frequency)\n";
+  Util.Tablefmt.print
+    [ "mix"; "Wmin"; "crit (ns)"; "P (mW)"; "E (pJ)"; "util (%)" ]
+    (List.map
+       (fun (p : Core.Explore.arch_point) ->
+         let s = p.Core.Explore.point in
+         [
+           p.Core.Explore.mix;
+           Util.Tablefmt.f1 s.Core.Explore.avg_min_width;
+           Util.Tablefmt.f2 s.Core.Explore.avg_crit_ns;
+           Util.Tablefmt.f2 s.Core.Explore.avg_power_mw;
+           Util.Tablefmt.f2 p.Core.Explore.avg_energy_pj;
+           Util.Tablefmt.f1 (100.0 *. s.Core.Explore.avg_utilization);
+         ])
+       (Core.Explore.segment_mix_sweep ()))
 
 (* ---------- Stress: larger workloads ---------- *)
 
@@ -490,26 +466,13 @@ let all =
     ("flow", flow_qor);
     ("timing", timing);
     ("ablate", ablations);
+    ("segments", segments);
     ("stress", stress);
   ]
 
 let () =
-  (* peel --ledger DIR / --suite NAME off argv; the rest are experiments *)
-  let rec parse_opts acc = function
-    | "--ledger" :: dir :: rest ->
-        ledger_dir := Some dir;
-        parse_opts acc rest
-    | "--suite" :: name :: rest ->
-        suite_name := name;
-        parse_opts acc rest
-    | ("--ledger" | "--suite") :: [] ->
-        Printf.eprintf "missing argument for --ledger/--suite\n";
-        exit 1
-    | name :: rest -> parse_opts (name :: acc) rest
-    | [] -> List.rev acc
-  in
   let requested =
-    match parse_opts [] (List.tl (Array.to_list Sys.argv)) with
+    match List.tl (Array.to_list Sys.argv) with
     | [] -> List.map fst all
     | names -> names
   in

@@ -2,143 +2,96 @@
    intermediate product written next to the output (our substitute for the
    paper's GUI; the six GUI stages map to the six stage reports below).
 
-   Two modes:
-   - single design (default): INPUT.vhd, full stage reports on stdout;
-   - batch (--batch): INPUT is a manifest listing one VHDL path per line;
-     every design compiles over the Domain pool, one summary line each
-     on stdout.
+   Every mode is one loop over its sources, INPUT or (--batch) the
+   manifest's entries, and turns each into one [outcome]: locally, a
+   single design on this domain or a batch over the Domain pool; with
+   --remote SOCKET, one design after another on an amdreld daemon, which
+   owns the cache and the pool.  One writer ([write]) puts each design's
+   BASE.bit, BASE.result.json (QoR figures + full metric registry, or an
+   ok:false record naming the failed stage) and, with --timing-report,
+   BASE.timing.json in the output directory as soon as its outcome
+   exists; BASE is the input file's name without its extension, and a
+   remote run writes what a local one does, apart from the metrics.  A
+   local single design prints the GUI walkthrough and its intermediate
+   products (.edf, .blif, .net, .arch, .timing.txt); every other design
+   prints one Core.Flow.summary line.  Every mode ends with one tail line
+   and exits 1 when a design failed.
 
-   Every mode writes a design's products through one function
-   ([write_products]): BASE.bit, BASE.result.json (QoR figures + full
-   metric registry, or an ok:false record naming the failed stage) and,
-   with --timing-report, BASE.timing.json.  BASE is the input file's
-   name without its extension.  Single mode adds the walkthrough's
-   intermediate products (.edf, .blif, .net, .arch, .timing.txt).  A
-   design that fails to compile exits 1 in every mode.
-
-   Both modes memoise stage results in a content-addressed cache
+   Local runs memoise stage results in a content-addressed cache
    (_amdrel_cache/ by default; --cache-dir to move it, --no-cache to
-   disable): a re-run of an unchanged design skips straight to the
-   cached bitstream, an edited design re-runs only the stages whose
-   inputs changed.  See docs/ARCHITECTURE.md.
-
-   With --remote SOCKET either mode submits to a running amdreld
-   compile-service daemon instead of compiling in-process: the daemon
-   owns the cache and the domain pool, this process just ships sources
-   and writes the returned artifacts (BASE.bit, BASE.result.json,
-   BASE.timing.json) exactly where a local run would. *)
+   disable): an edited design re-runs only the stages whose inputs
+   changed.  See docs/ARCHITECTURE.md. *)
 
 open Cmdliner
+module E = Obs.Emit
+module J = Obs.Jsonin
 
-(* The output-affecting flags, as the daemon receives them; a local
-   run maps the same record onto its flow config
-   (Service.Protocol.flow_config), so the two modes cannot drift. *)
-let make_submit seed fixed_width timing_report period_ns ~progress =
-  {
-    Service.Protocol.default_submit with
-    Service.Protocol.seed;
-    route_width = fixed_width;
-    timing_report;
-    period_ns;
-    progress;
-  }
-
-(* ---------- per-design products (every mode) ---------- *)
+(* ---------- one outcome per design, one writer ---------- *)
 
 let name_of source = Filename.remove_extension (Filename.basename source)
 
-(* The one writer of a design's products: BASE.result.json always,
-   BASE.bit and BASE.timing.json when the run produced them. *)
-let write_products base ?bit ?timing record =
-  let json path v = Tool_common.write_file path (Obs.Emit.to_string v ^ "\n") in
-  Option.iter (Tool_common.write_file (base ^ ".bit")) bit;
-  Option.iter (json (base ^ ".timing.json")) timing;
-  json (base ^ ".result.json") record
-
-let failure_record ~design ~source msg =
-  Obs.Emit.Obj
-    [
-      ("design", Obs.Emit.String design);
-      ("ok", Obs.Emit.Bool false);
-      ("source", Obs.Emit.String source);
-      ("error", Obs.Emit.String msg);
-    ]
-
+(* A compiled or failed design.  [result] (for the walkthrough) and
+   [lrec] (the ledger line) exist only for a local compile. *)
 type outcome = {
-  line : string; (* printed summary line *)
-  ok : bool;
-  hits : int;
-  misses : int;
-  lrec : Obs.Emit.t option; (* ledger line, appended post-join in order *)
+  source : string;
+  record : E.t; (* BASE.result.json *)
+  bit : string option;
+  timing : E.t option; (* BASE.timing.json *)
+  result : Core.Flow.result option;
+  lrec : E.t option;
 }
 
-(* Compile one design and write its products: a batch pool task, and
-   single mode's first step (which also gets the flow result, [None] on
-   failure, for its walkthrough). *)
-let compile_one config timing_report ~suite ~want_ledger outdir source =
-  let design = name_of source in
-  let base = Filename.concat outdir design in
+let ok o = J.member "ok" o.record = Some (E.Bool true)
+
+(* The one failure record, local or remote: [error] is "STAGE: message". *)
+let failure source ~stage msg =
+  let record =
+    E.Obj
+      [
+        ("design", E.String (name_of source));
+        ("ok", E.Bool false);
+        ("source", E.String source);
+        ("error", E.String (stage ^ ": " ^ msg));
+      ]
+  in
+  { source; record; bit = None; timing = None; result = None; lrec = None }
+
+let write outdir o =
+  let base = Filename.concat outdir (name_of o.source) in
+  let json path v = Tool_common.write_file path (E.to_string v ^ "\n") in
+  Option.iter (Tool_common.write_file (base ^ ".bit")) o.bit;
+  Option.iter (json (base ^ ".timing.json")) o.timing;
+  json (base ^ ".result.json") o.record
+
+(* ---------- local compile ---------- *)
+
+(* Never raises for a design: an exception outside a stage is tagged
+   [flow], as amdreld tags it. *)
+let compile_local config timing_report ledger_suite source =
   match
     let text = Tool_common.read_file source in
     (text, Core.Flow.run_vhdl ~config text)
   with
   | text, r ->
-      write_products base ~bit:r.Core.Flow.bitstream.Bitstream.Dagger.bytes
-        ?timing:
-          (if timing_report then Some (Core.Flow.timing_report_obj ~design r)
-           else None)
-        (Core.Flow.result_obj ~source r);
-      ( {
-          line = Core.Flow.summary r;
-          ok = true;
-          hits = Obs.Registry.counter r.Core.Flow.metrics "cache.hit";
-          misses = Obs.Registry.counter r.Core.Flow.metrics "cache.miss";
-          lrec =
-            (if want_ledger then
-               Some (Ledger.line ~suite ~config ~source:text r)
-             else None);
-        },
-        Some r )
-  | exception e ->
-      let msg =
-        match e with
-        | Core.Flow.Flow_error (stage, e) ->
-            Printf.sprintf "%s: %s" stage (Printexc.to_string e)
-        | e -> Printexc.to_string e
-      in
-      write_products base (failure_record ~design ~source msg);
-      ( {
-          line = Printf.sprintf "%-12s FAILED: %s" design msg;
-          ok = false;
-          hits = 0;
-          misses = 0;
-          lrec = None;
-        },
-        None )
+      {
+        source;
+        record = Core.Flow.result_obj ~source r;
+        bit = Some r.Core.Flow.bitstream.Bitstream.Dagger.bytes;
+        timing =
+          (if timing_report then
+             Some (Core.Flow.timing_report_obj ~design:(name_of source) r)
+           else None);
+        result = Some r;
+        lrec =
+          Option.map
+            (fun suite -> Ledger.line ~suite ~config ~source:text r)
+            ledger_suite;
+      }
+  | exception Core.Flow.Flow_error (stage, e) ->
+      failure source ~stage (Printexc.to_string e)
+  | exception e -> failure source ~stage:"flow" (Printexc.to_string e)
 
-(* Ledger lines append after the compiles, in input order, so the
-   file order is deterministic at any jobs value. *)
-let append_ledger ledger suite outcomes =
-  match ledger with
-  | None -> ()
-  | Some dir ->
-      let recs = List.filter_map (fun o -> o.lrec) (Array.to_list outcomes) in
-      List.iter (Ledger.append ~dir ~suite) recs;
-      if recs <> [] then
-        Printf.printf "ledger: appended %d record(s) to %s\n"
-          (List.length recs) (Ledger.path ~dir ~suite)
-
-(* ---------- local event capture (--events without --remote) ---------- *)
-
-let write_events_file path events =
-  let oc = open_out path in
-  List.iter
-    (fun ev -> output_string oc (Obs.Emit.to_string (Obs.Events.to_json ev) ^ "\n"))
-    events;
-  close_out oc;
-  Printf.printf "events -> %s (%d records)\n" path (List.length events)
-
-(* ---------- single-design mode (the paper's GUI walkthrough) ---------- *)
+(* ---------- single-design walkthrough (the paper's GUI) ---------- *)
 
 (* The intermediate products and the six stage reports of a compiled
    design; the bitstream, record and timing JSON are already written. *)
@@ -202,238 +155,97 @@ let walkthrough input base config timing_report (r : Core.Flow.result) =
         (Obs.Registry.counter r.Core.Flow.metrics "cache.store")
   | None -> ()
 
-let run_single input outdir config timing_report trace_file events_file
-    ledger suite jobs =
-  let w0 = Unix.gettimeofday () in
-  let t0 = Sys.time () in
-  let trace = Option.map (fun _ -> Obs.Span.create ()) trace_file in
-  let sink = Option.map (fun _ -> Obs.Events.create ()) events_file in
-  let run () =
-    compile_one config timing_report ~suite ~want_ledger:(ledger <> None)
-      outdir input
-  in
-  let run () =
-    match trace with Some tr -> Obs.Span.with_trace tr run | None -> run ()
-  in
-  let outcome, r =
-    match sink with Some s -> Obs.Events.with_sink s run | None -> run ()
-  in
-  let elapsed = Sys.time () -. t0 in
-  let wall = Unix.gettimeofday () -. w0 in
-  (match r with
-  | Some r ->
-      walkthrough input (Filename.concat outdir (name_of input)) config
-        timing_report r
-  | None -> print_endline outcome.line);
-  (match (trace, trace_file) with
-  | Some tr, Some path ->
-      Tool_common.write_file path (Obs.Span.to_chrome_string tr ^ "\n");
-      Printf.printf "trace -> %s (chrome://tracing / Perfetto)\n" path
-  | _ -> ());
-  (match (sink, events_file) with
-  | Some s, Some path -> write_events_file path (Obs.Events.drain s)
-  | _ -> ());
-  append_ledger ledger suite [| outcome |];
-  Printf.printf "total: %.2f s wall, %.2f s CPU over %d domain(s)\n" wall
-    elapsed
-    (Util.Parallel.resolve_jobs ?jobs ());
-  if not outcome.ok then exit 1
-
-(* ---------- batch mode ---------- *)
-
-let run_batch manifest outdir config timing_report ledger suite jobs =
-  (* Manifest entries resolve against the manifest's own directory
-     (Service.Manifest) — never against the CWD, which used to pick up
-     same-named files from wherever the driver happened to run. *)
-  let sources = Service.Manifest.read manifest in
-  if sources = [] then failwith (manifest ^ ": no designs listed");
-  let w0 = Unix.gettimeofday () in
-  (* one design per pool task; the per-design flows' own parallel stages
-     degrade to sequential inside workers (Util.Parallel nesting rule),
-     so the pool is never oversubscribed.  Outputs land in input order. *)
-  let outcomes =
-    Util.Parallel.map ?jobs
-      (fun source ->
-        fst
-          (compile_one config timing_report ~suite
-             ~want_ledger:(ledger <> None) outdir source))
-      (Array.of_list sources)
-  in
-  let wall = Unix.gettimeofday () -. w0 in
-  Array.iter (fun o -> print_endline o.line) outcomes;
-  append_ledger ledger suite outcomes;
-  let failed =
-    Array.fold_left (fun n o -> if o.ok then n else n + 1) 0 outcomes
-  in
-  let hits = Array.fold_left (fun n o -> n + o.hits) 0 outcomes in
-  let misses = Array.fold_left (fun n o -> n + o.misses) 0 outcomes in
-  Printf.printf
-    "batch: %d design(s), %d failed, %.2f s wall over %d domain(s)%s -> %s\n"
-    (Array.length outcomes) failed wall
-    (Util.Parallel.resolve_jobs ?jobs ())
-    (match config.Core.Flow.cache_dir with
-    | Some dir ->
-        Printf.sprintf ", cache %s: %d hit / %d miss" dir hits misses
-    | None -> "")
-    outdir;
-  if failed > 0 then exit 1
-
-(* ---------- architecture sweep mode ---------- *)
-
-(* Segment-mix x channel-width sweep over the bench suite: the paper's
-   §3.3 wire-length study run through the full CAD flow, one fabric per
-   point, fanned out over the Domain pool.  Per point: minimum channel
-   width, critical path, power, and energy per data cycle. *)
-let run_arch_sweep outdir mixes widths jobs =
-  let mixes = if mixes = [] then Core.Explore.default_mixes else mixes in
-  let w0 = Unix.gettimeofday () in
-  let points = Core.Explore.segment_mix_sweep ~mixes ~widths ?jobs () in
-  Printf.printf "%-22s %6s %8s %9s %10s %6s\n" "mix" "Wmin" "crit/ns"
-    "power/mW" "energy/pJ" "util";
-  List.iter
-    (fun (p : Core.Explore.arch_point) ->
-      Printf.printf "%-22s %6.1f %8.2f %9.2f %10.2f %5.1f%%\n"
-        p.Core.Explore.arch_label p.Core.Explore.point.Core.Explore.avg_min_width
-        p.Core.Explore.point.Core.Explore.avg_crit_ns
-        p.Core.Explore.point.Core.Explore.avg_power_mw
-        p.Core.Explore.avg_energy_pj
-        (100.0 *. p.Core.Explore.point.Core.Explore.avg_utilization))
-    points;
-  let json =
-    Obs.Emit.List
-      (List.map
-         (fun (p : Core.Explore.arch_point) ->
-           Obs.Emit.Obj
-             [
-               ("mix", Obs.Emit.String p.Core.Explore.mix);
-               ( "width",
-                 match p.Core.Explore.fixed_width with
-                 | Some w -> Obs.Emit.Int w
-                 | None -> Obs.Emit.Null );
-               ( "wmin",
-                 Obs.Emit.Float p.Core.Explore.point.Core.Explore.avg_min_width
-               );
-               ( "crit_ns",
-                 Obs.Emit.Float p.Core.Explore.point.Core.Explore.avg_crit_ns );
-               ( "power_mw",
-                 Obs.Emit.Float p.Core.Explore.point.Core.Explore.avg_power_mw
-               );
-               ("energy_pj", Obs.Emit.Float p.Core.Explore.avg_energy_pj);
-               ( "utilization",
-                 Obs.Emit.Float
-                   p.Core.Explore.point.Core.Explore.avg_utilization );
-             ])
-         points)
-  in
-  let path = Filename.concat outdir "arch_sweep.json" in
-  Tool_common.write_file path (Obs.Emit.to_string json ^ "\n");
-  Printf.printf "sweep: %d point(s), %.2f s wall over %d domain(s) -> %s\n"
-    (List.length points)
-    (Unix.gettimeofday () -. w0)
-    (Util.Parallel.resolve_jobs ?jobs ())
-    path
-
-(* ---------- remote mode (submission to an amdreld daemon) ---------- *)
-
-module J = Obs.Jsonin
+(* ---------- remote compile (submission to an amdreld daemon) ---------- *)
 
 (* Live status line on stderr: each progress event overwrites the
    previous one; the final response clears it.  Deliberately terse —
    the raw stream (every record, untouched) goes to --events FILE. *)
 let render_event design ev =
-  let get name get_v = Option.bind (J.member name ev) get_v in
+  let str key = Option.bind (J.member key ev) J.get_string in
+  let num key =
+    Option.value (Option.bind (J.member key ev) J.get_float) ~default:0.0
+  in
+  let stage fmt = Option.map (Printf.sprintf fmt) (str "stage") in
   let stat =
-    match get "event" J.get_string with
-    | Some "stage-begin" ->
-        Option.map (Printf.sprintf "%s ...") (get "stage" J.get_string)
-    | Some "stage-end" ->
-        Option.map (Printf.sprintf "%s done") (get "stage" J.get_string)
-    | Some "cache" ->
-        Option.map
-          (fun s ->
-            Printf.sprintf "%s %s" s
-              (if get "hit" J.get_bool = Some true then "(cache hit)"
-               else "(cache miss)"))
-          (get "stage" J.get_string)
+    match str "event" with
+    | Some "stage-begin" -> stage "%s ..."
+    | Some "stage-end" -> stage "%s done"
+    | Some "cache" when J.member "hit" ev = Some (E.Bool true) ->
+        stage "%s (cache hit)"
+    | Some "cache" -> stage "%s (cache miss)"
     | Some "route-iteration" ->
         Some
-          (Printf.sprintf "route iter %d, %d overused"
-             (Option.value (get "iteration" J.get_int) ~default:0)
-             (Option.value (get "overused" J.get_int) ~default:0))
+          (Printf.sprintf "route iter %.0f, %.0f overused" (num "iteration")
+             (num "overused"))
     | Some "place-temperature" ->
         Some
-          (Printf.sprintf "place step %d, accept %.0f%%"
-             (Option.value (get "step" J.get_int) ~default:0)
-             (100.0
-             *. Option.value (get "accept_rate" J.get_float) ~default:0.0))
+          (Printf.sprintf "place step %.0f, accept %.0f%%" (num "step")
+             (100.0 *. num "accept_rate"))
     | Some "heartbeat" -> Some "..."
     | _ -> None
   in
-  match stat with
-  | Some s -> Printf.eprintf "\r\027[K%-12s %s%!" design s
-  | None -> ()
+  Option.iter (Printf.eprintf "\r\027[K%-12s %s%!" design) stat
 
 let clear_status () = Printf.eprintf "\r\027[K%!"
 
-(* One remote submit, retried with bounded exponential backoff on
-   transient rejections.  A progress submit renders each event and
-   appends the raw line to [events_oc]. *)
-let remote_submit client ~retries ~events_oc submit source =
+(* One design through the daemon, as the outcome a local compile of
+   [source] gives: the embedded record with [source] added after [ok]
+   and the timing report named after the input, or the failure record,
+   whose STAGE is the response's [stage], else its [code]
+   ([backpressure], [draining], ...). *)
+let compile_remote client ~retries ~on_event submit source =
   let design = name_of source in
-  let submit =
-    { submit with Service.Protocol.vhdl = Tool_common.read_file source }
-  in
-  let on_event line =
-    Option.iter
-      (fun oc -> output_string oc (Obs.Emit.to_string line ^ "\n"))
-      events_oc;
-    render_event design line
-  in
-  let progress = submit.Service.Protocol.progress in
-  let resp =
-    Service.Client.request_retry ~retries
-      ?on_event:(if progress then Some on_event else None)
-      client (Service.Protocol.Submit submit)
-  in
-  if progress then clear_status ();
-  resp
-
-(* Write the products a local run would, through the same writer:
-   BASE.bit (hex-decoded), BASE.result.json (the embedded
-   Core.Flow.result_obj, or the ok:false record on failure) and
-   BASE.timing.json when the server sent one. *)
-let write_remote_outputs outdir source resp =
-  let design = name_of source in
-  let base = Filename.concat outdir design in
-  match J.member "result" resp with
-  | Some record when Service.Client.ok resp ->
-      write_products base
-        ?bit:
-          (Option.map
-             (fun hex -> Tool_common.or_die (Service.Protocol.hex_decode hex))
-             (Option.bind (J.member "bitstream_hex" resp) J.get_string))
-        ?timing:(J.member "timing" resp) record;
-      let stat name =
-        match J.member name record with
-        | Some (Obs.Emit.Int n) -> string_of_int n
-        | _ -> "?"
+  match Tool_common.read_file source with
+  | exception e -> failure source ~stage:"flow" (Printexc.to_string e)
+  | vhdl -> (
+      let resp =
+        Service.Client.request_retry ~retries
+          ?on_event:
+            (if submit.Service.Protocol.progress then Some (on_event design)
+             else None)
+          client
+          (Service.Protocol.Submit { submit with Service.Protocol.vhdl })
       in
-      Printf.printf "%-12s ok (remote) %s LUTs %s CLBs W=%s bits=%s -> %s\n"
-        design (stat "luts") (stat "clbs") (stat "width") (stat "bits")
-        (base ^ ".bit");
-      true
-  | _ ->
-      let msg = Service.Client.error_message resp in
-      write_products base (failure_record ~design ~source msg);
-      Printf.printf "%-12s FAILED (remote): %s\n" design msg;
-      false
+      let str key = Option.bind (J.member key resp) J.get_string in
+      match J.member "result" resp with
+      (* Core.Flow.result_obj opens with design and ok *)
+      | Some (E.Obj (d :: k :: rest)) when Service.Client.ok resp ->
+          {
+            source;
+            record = E.Obj (d :: k :: ("source", E.String source) :: rest);
+            bit =
+              Option.map
+                (fun hex ->
+                  Tool_common.or_die (Service.Protocol.hex_decode hex))
+                (str "bitstream_hex");
+            timing =
+              (match J.member "timing" resp with
+              | Some (E.Obj (("design", _) :: rest)) ->
+                  Some (E.Obj (("design", E.String design) :: rest))
+              | t -> t);
+            result = None;
+            lrec = None;
+          }
+      | _ ->
+          let stage =
+            match str "stage" with
+            | Some s -> s
+            | None -> Option.value (str "code") ~default:"remote"
+          in
+          failure source ~stage
+            (Option.value (str "error") ~default:"unknown error"))
 
-let run_remote socket input outdir submit batch ~events_file ~retries =
-  let sources = if batch then Service.Manifest.read input else [ input ] in
-  if sources = [] then failwith (input ^ ": no designs listed");
-  let w0 = Unix.gettimeofday () in
+(* Run [loop] with a compile function that submits each source to the
+   daemon over one connection.  The event stream goes raw to --events
+   FILE and, on a terminal, into the status line. *)
+let with_remote socket ~retries ~events_file submit loop =
   let events_oc = Option.map open_out events_file in
-  let failed =
+  let tty = Unix.isatty Unix.stderr in
+  let on_event design ev =
+    Option.iter (fun oc -> output_string oc (E.to_string ev ^ "\n")) events_oc;
+    if tty then render_event design ev
+  in
+  let outcomes =
     Fun.protect
       ~finally:(fun () -> Option.iter close_out events_oc)
       (fun () ->
@@ -441,105 +253,197 @@ let run_remote socket input outdir submit batch ~events_file ~retries =
         Fun.protect
           ~finally:(fun () -> Service.Client.close client)
           (fun () ->
-            List.fold_left
-              (fun failed source ->
-                let resp =
-                  remote_submit client ~retries ~events_oc submit source
+            loop (fun source ->
+                let o =
+                  compile_remote client ~retries ~on_event submit source
                 in
-                if write_remote_outputs outdir source resp then failed
-                else failed + 1)
-              0 sources))
+                if tty then clear_status ();
+                o)))
   in
-  (match events_file with
-  | Some path -> Printf.printf "events -> %s\n" path
-  | None -> ());
-  Printf.printf "remote: %d design(s), %d failed, %.2f s wall via %s -> %s\n"
-    (List.length sources) failed
-    (Unix.gettimeofday () -. w0)
-    socket outdir;
-  if failed > 0 then exit 1
+  Option.iter (Printf.printf "events -> %s\n") events_file;
+  outcomes
 
-(* ---------- entry ---------- *)
+(* ---------- entry: one loop for every mode ---------- *)
 
 let run input outdir seed fixed_width jobs timing_report period_ns trace_file
-    batch no_cache cache_dir remote arch arch_sweep sweep_mixes sweep_widths
-    progress events_file retries ledger suite =
+    batch no_cache cache_dir remote arch events_file retries ledger suite =
   if remote <> None && arch <> None then
     failwith
       "--arch works only for local compiles (amdreld has no --arch option \
        and compiles for its own fabric); drop --remote or --arch";
+  (* The output-affecting flags, as the daemon receives them; a local
+     run maps the same record onto its flow config
+     (Service.Protocol.flow_config), so the two modes cannot drift.  A
+     remote run subscribes to the event stream to capture it or to draw
+     the status line. *)
+  let submit =
+    Tool_common.or_die
+      (Service.Protocol.validate
+         {
+           Service.Protocol.default_submit with
+           seed;
+           route_width = fixed_width;
+           timing_report;
+           period_ns;
+           progress = events_file <> None || Unix.isatty Unix.stderr;
+         })
+  in
+  let ignored flag mode why =
+    Printf.eprintf "amdrel_flow: %s is ignored with %s (%s)\n%!" flag mode why
+  in
+  (match remote with
+  | Some _ ->
+      if ledger <> None then
+        ignored "--ledger" "--remote"
+          "the run stamp needs the daemon's params and jobs; compile locally";
+      if trace_file <> None then
+        ignored "--trace" "--remote"
+          "the spans are recorded in the daemon's process; compile locally \
+           to trace"
+  | None when batch ->
+      (* pool workers have no ambient trace or sink, so the files would
+         depend on --jobs *)
+      if trace_file <> None then
+        ignored "--trace" "--batch"
+          "pool workers record no spans; compile one design to trace";
+      if events_file <> None then
+        ignored "--events" "--batch"
+          "pool workers emit no events; compile one design to capture its \
+           stream"
+  | None -> ());
+  if remote = None then Option.iter Util.Fs.mkdir_p ledger;
   Util.Fs.mkdir_p outdir;
-  if arch_sweep then run_arch_sweep outdir sweep_mixes sweep_widths jobs
-  else
-    let input =
-      match input with
-      | Some i -> i
-      | None -> failwith "INPUT is required (unless running --arch-sweep)"
+  let sources = if batch then Service.Manifest.read input else [ input ] in
+  if sources = [] then failwith (input ^ ": no designs listed");
+  let cache_dir = if no_cache then None else Some cache_dir in
+  let config =
+    let params =
+      match arch with
+      | Some file -> Fpga_arch.Archfile.of_file file
+      | None -> Core.Flow.default_config.Core.Flow.params
     in
-    (* --events alone also subscribes under --remote: an empty capture
-       file from a non-streaming submit helps nobody *)
-    let submit =
-      Tool_common.or_die
-        (Service.Protocol.validate
-           (make_submit seed fixed_width timing_report period_ns
-              ~progress:(progress || events_file <> None)))
+    Service.Protocol.flow_config
+      ~base:
+        {
+          Core.Flow.default_config with
+          params;
+          io_rat = params.Fpga_arch.Params.io_rat;
+          jobs;
+          cache_dir;
+        }
+      submit
+  in
+  (* a local single design compiles under the --trace and --events
+     collectors, if any *)
+  let collector create file =
+    if remote = None && not batch then
+      Option.map (fun path -> (path, create ())) file
+    else None
+  in
+  let trace = collector Obs.Span.create trace_file in
+  let sink = collector Obs.Events.create events_file in
+  let under c with_ f () =
+    match c with Some (_, x) -> with_ x f | None -> f ()
+  in
+  let ledger_suite = Option.map (fun _ -> suite) ledger in
+  let local source =
+    under sink Obs.Events.with_sink
+      (under trace Obs.Span.with_trace (fun () ->
+           compile_local config timing_report ledger_suite source))
+      ()
+  in
+  let show o =
+    match o.result with
+    | Some r ->
+        walkthrough o.source
+          (Filename.concat outdir (name_of o.source))
+          config timing_report r
+    | None -> print_endline (Core.Flow.summary o.record)
+  in
+  (* The one loop: each design's products land as soon as its outcome
+     exists, and its line prints in input order, after the pool's join
+     in a local batch.  A batch keeps no flow result: the walkthrough is
+     single-design only. *)
+  let loop compile =
+    let step source =
+      let o = compile source in
+      write outdir o;
+      o
     in
+    if remote = None && batch then begin
+      let os =
+        Util.Parallel.map_list ?jobs
+          (fun source -> { (step source) with result = None })
+          sources
+      in
+      List.iter show os;
+      os
+    end
+    else
+      List.map
+        (fun source ->
+          let o = step source in
+          show o;
+          o)
+        sources
+  in
+  let w0 = Unix.gettimeofday () in
+  let outcomes =
     match remote with
-    | Some socket ->
-        if ledger <> None then
-          prerr_endline
-            "amdrel_flow: --ledger is ignored with --remote (the record is \
-             built from the local flow result; run the ledger on the \
-             daemon side or compile locally)";
-        if trace_file <> None then
-          prerr_endline
-            "amdrel_flow: --trace is ignored with --remote (the spans are \
-             recorded in the daemon's process; compile locally to trace)";
-        run_remote socket input outdir submit batch ~events_file ~retries
+    | Some socket -> with_remote socket ~retries ~events_file submit loop
+    | None -> loop local
+  in
+  let wall = Unix.gettimeofday () -. w0 in
+  Option.iter
+    (fun (path, tr) ->
+      Tool_common.write_file path (Obs.Span.to_chrome_string tr ^ "\n");
+      Printf.printf "trace -> %s (chrome://tracing / Perfetto)\n" path)
+    trace;
+  Option.iter
+    (fun (path, s) ->
+      let events = List.map Obs.Events.to_json (Obs.Events.drain s) in
+      Tool_common.write_file path
+        (String.concat "" (List.map (fun ev -> E.to_string ev ^ "\n") events));
+      Printf.printf "events -> %s (%d records)\n" path (List.length events))
+    sink;
+  (* ledger lines append after the compiles, in input order, so the
+     file order is deterministic at any jobs value *)
+  (match (ledger, List.filter_map (fun o -> o.lrec) outcomes) with
+  | Some dir, (_ :: _ as recs) ->
+      List.iter (Ledger.append ~dir ~suite) recs;
+      Printf.printf "ledger: appended %d record(s) to %s\n" (List.length recs)
+        (Ledger.path ~dir ~suite)
+  | _ -> ());
+  let failed = List.length (List.filter (fun o -> not (ok o)) outcomes) in
+  let total name =
+    let count o = Ledger.find [ "metrics"; name; "value" ] o.record in
+    List.fold_left
+      (fun n o -> n + Option.value ~default:0 (Option.bind (count o) J.get_int))
+      0 outcomes
+  in
+  Printf.printf "%d design(s), %d failed, %.2f s wall%s\n"
+    (List.length outcomes) failed wall
+    (match remote with
+    | Some socket -> " via " ^ socket
     | None ->
-        if progress then
-          prerr_endline
-            "amdrel_flow: --progress streams from a daemon; without \
-             --remote it is ignored (use --events FILE to capture the \
-             event stream of a local run)";
-        let params =
-          match arch with
-          | Some file -> Fpga_arch.Archfile.of_file file
-          | None -> Core.Flow.default_config.Core.Flow.params
-        in
-        Option.iter Util.Fs.mkdir_p ledger;
-        let cache_dir = if no_cache then None else Some cache_dir in
-        let config =
-          Service.Protocol.flow_config
-            ~base:{ Core.Flow.default_config with params; jobs; cache_dir }
-            submit
-        in
-        if batch then begin
-          (* pool workers have no ambient trace or sink, so the files
-             would depend on --jobs *)
-          if trace_file <> None then
-            prerr_endline
-              "amdrel_flow: --trace is ignored with --batch (pool workers \
-               record no spans; compile one design to trace)";
-          if events_file <> None then
-            prerr_endline
-              "amdrel_flow: --events is ignored with --batch (pool workers \
-               emit no events; compile one design to capture its stream)";
-          run_batch input outdir config timing_report ledger suite jobs
-        end
-        else
-          run_single input outdir config timing_report trace_file events_file
-            ledger suite jobs
+        Printf.sprintf " over %d domain(s)%s"
+          (Util.Parallel.resolve_jobs ?jobs ())
+          (match cache_dir with
+          | Some dir ->
+              Printf.sprintf ", cache %s: %d hit / %d miss" dir
+                (total "cache.hit") (total "cache.miss")
+          | None -> ""));
+  if failed > 0 then exit 1
 
 let input_arg =
   Arg.(
-    value
+    required
     & pos 0 (some file) None
     & info [] ~docv:"INPUT"
         ~doc:
           "VHDL source to compile, or (with $(b,--batch)) a manifest \
            listing one VHDL path per line ($(b,#) comments and blank \
-           lines ignored).  Not used with $(b,--arch-sweep).")
+           lines ignored).")
 
 let outdir_arg =
   Arg.(
@@ -572,9 +476,8 @@ let timing_report_arg =
         ~doc:
           "Run the flow timing-driven and write a unified-STA path report \
            (pre-route and post-route critical paths, slack per endpoint) \
-           as BASE.timing.txt and BASE.timing.json next to the other \
-           products, in addition to printing it.  In batch mode, writes \
-           BASE.timing.json per design.")
+           as BASE.timing.json per design; a single local design also \
+           prints it and writes BASE.timing.txt.")
 
 let period_arg =
   Arg.(
@@ -595,24 +498,20 @@ let trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a Chrome trace-event JSON file of the run (nested spans \
-           for every flow stage, PathFinder iteration and batch, \
-           annealer temperature step and STA level sweep), loadable in \
-           chrome://tracing or Perfetto.  Stages answered from the cache \
-           run no code, so they are absent from the trace.  Local \
-           single-design runs only: ignored with $(b,--batch) or \
-           $(b,--remote).")
+           for every flow stage, PathFinder iteration and batch, annealer \
+           temperature step and STA level sweep; cached stages run no \
+           code and are absent), loadable in chrome://tracing or \
+           Perfetto.  Ignored with $(b,--batch) or $(b,--remote).")
 
 let batch_arg =
   Arg.(
     value & flag
     & info [ "batch" ]
         ~doc:
-          "Treat INPUT as a manifest of designs (one VHDL path per line) \
-           and compile them all over the Domain pool, writing BASE.bit \
-           and BASE.result.json (QoR summary + full metric registry, \
-           schema in docs/OBSERVABILITY.md) per design into the output \
-           directory, plus one summary line each on stdout.  Exits \
-           non-zero if any design fails; the rest still complete.")
+          "Treat INPUT as a manifest of designs and compile them all over \
+           the Domain pool, writing each design's products and one \
+           summary line on stdout.  Exits non-zero if any design fails; \
+           the rest still complete.")
 
 let no_cache_arg =
   Arg.(
@@ -620,10 +519,8 @@ let no_cache_arg =
     & info [ "no-cache" ]
         ~doc:
           "Disable the content-addressed stage cache: every stage \
-           recomputes and nothing is read from or written to the cache \
-           directory.  Outputs are byte-identical with or without the \
-           cache; the flag exists for benchmarking and for pinning \
-           cold-run telemetry.")
+           recomputes, with byte-identical outputs (for benchmarking and \
+           cold-run telemetry).")
 
 let cache_dir_arg =
   Arg.(
@@ -642,15 +539,13 @@ let remote_arg =
     & opt (some string) None
     & info [ "remote" ] ~docv:"SOCKET"
         ~doc:
-          "Submit to the amdreld compile-service daemon listening on the \
-           given Unix-domain socket instead of compiling in-process.  \
-           The daemon owns the stage cache and the domain pool; outputs \
-           (BASE.bit, BASE.result.json, BASE.timing.json with \
-           $(b,--timing-report)) are bit-identical to a local run and \
-           land in the same places.  Works with $(b,--batch); the local \
-           cache and jobs flags are the daemon's business and ignored, \
-           and $(b,--arch) is an error (the daemon compiles for its own \
-           fabric).")
+          "Compile on the amdreld daemon listening on this Unix-domain \
+           socket, which owns the stage cache and the domain pool.  \
+           BASE.bit, BASE.result.json and BASE.timing.json equal a local \
+           run's, apart from the record's metrics.  On a terminal, a live \
+           status line on stderr shows each design's progress.  Works \
+           with $(b,--batch); $(b,--arch) is an error (the daemon \
+           compiles for its own fabric).")
 
 let arch_arg =
   Arg.(
@@ -658,58 +553,10 @@ let arch_arg =
     & opt (some file) None
     & info [ "arch" ] ~docv:"FILE"
         ~doc:
-          "Architecture file describing the target fabric (K, N, I, \
-           channel width and the $(b,segment) mix lines — see the format \
-           header in lib/fpga_arch/archfile.ml).  Default: the built-in \
-           AMDREL platform (uniform length-1 segments).  The segment \
-           spec is part of every route-stage cache key, so switching \
-           architectures never reuses stale routings.  Local compiles \
-           only: rejected with $(b,--remote).")
-
-let arch_sweep_arg =
-  Arg.(
-    value & flag
-    & info [ "arch-sweep" ]
-        ~doc:
-          "Instead of compiling INPUT, sweep segment mixes (x channel \
-           widths with $(b,--sweep-widths)) over the built-in bench \
-           suite: each point runs the full flow on that fabric and \
-           reports minimum channel width, critical path, power and \
-           energy per cycle, as a table on stdout and \
-           $(b,arch_sweep.json) in the output directory.  Points fan \
-           out over the Domain pool; results are identical for any \
-           $(b,--jobs).")
-
-let sweep_mixes_arg =
-  Arg.(
-    value
-    & opt (list string) []
-    & info [ "sweep-mixes" ] ~docv:"MIX,..."
-        ~doc:
-          "Comma-separated segment mixes to sweep (e.g. \
-           $(b,1xL1,2xL1+1xL4)).  Default: L1, L2 and L4 uniform fabrics \
-           plus two mixed ones.")
-
-let sweep_widths_arg =
-  Arg.(
-    value
-    & opt (list int) []
-    & info [ "sweep-widths" ] ~docv:"W,..."
-        ~doc:
-          "Fixed channel widths to pair with every mix; empty (default) \
-           binary-searches the minimum width per point instead.")
-
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "With $(b,--remote): subscribe to the daemon's progress-event \
-           stream for each submitted design and render a live status \
-           line on stderr (stage begin/end, cache hits, PathFinder \
-           iterations, annealer temperatures, heartbeats).  The final \
-           outputs are byte-identical to a non-streaming run.  Schema in \
-           docs/OBSERVABILITY.md.")
+          "Architecture file describing the target fabric (K, N, I, IO \
+           pads per position, channel width and the $(b,segment) mix \
+           lines; format in lib/fpga_arch/archfile.ml).  Default: the \
+           built-in AMDREL platform.  Rejected with $(b,--remote).")
 
 let events_arg =
   Arg.(
@@ -719,9 +566,9 @@ let events_arg =
         ~doc:
           "Persist the raw progress-event stream as newline-delimited \
            JSON: with $(b,--remote) the daemon's framed records exactly \
-           as received (implies the subscription, with or without \
-           $(b,--progress)); in local single-design mode the flow's own \
-           event stream (drained at the end of the run).")
+           as received (schema in docs/OBSERVABILITY.md); in local \
+           single-design mode the flow's own event stream (drained at \
+           the end of the run).  Ignored with $(b,--batch).")
 
 let retry_arg =
   Arg.(
@@ -730,10 +577,9 @@ let retry_arg =
         ~doc:
           "With $(b,--remote): retry up to $(docv) times, with bounded \
            exponential backoff (attempt $(i,k) sleeps 200*2^$(i,k) ms, \
-           capped at 10 s), when the daemon is not accepting \
-           connections yet (connection refused) or answers a submit with \
-           a structured backpressure rejection.  Draining daemons are \
-           never retried.  Default 0 (fail fast).")
+           capped at 10 s), when the daemon refuses the connection or \
+           answers a submit with a backpressure rejection.  Draining \
+           daemons are never retried.  Default 0 (fail fast).")
 
 let ledger_arg =
   Arg.(
@@ -759,15 +605,14 @@ let cmd =
          "Run the complete VHDL-to-bitstream design flow (single design \
           or --batch manifest), memoising stage results in a \
           content-addressed cache; --remote submits to an amdreld daemon \
-          instead; --arch-sweep explores segment-mix architectures")
+          instead")
     Term.(
-      const (fun i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt ld su ->
+      const (fun i o s w j tr p tf b nc cd rm a ev rt ld su ->
           Tool_common.protect (fun () ->
-              run i o s w j tr p tf b nc cd rm a asw sm sw pg ev rt ld su))
+              run i o s w j tr p tf b nc cd rm a ev rt ld su))
       $ input_arg $ outdir_arg $ seed_arg $ width_arg $ jobs_arg
       $ timing_report_arg $ period_arg $ trace_arg $ batch_arg $ no_cache_arg
-      $ cache_dir_arg $ remote_arg $ arch_arg $ arch_sweep_arg $ sweep_mixes_arg
-      $ sweep_widths_arg $ progress_arg $ events_arg $ retry_arg $ ledger_arg
-      $ suite_arg)
+      $ cache_dir_arg $ remote_arg $ arch_arg $ events_arg $ retry_arg
+      $ ledger_arg $ suite_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -1,17 +1,17 @@
 (* amdrel_report: fold a run ledger into BENCH_<suite>.json, render the
    QoR trajectory, and gate on regressions.
 
-   The ledger (lib/ledger, written by `amdrel_flow --ledger` and
-   `bench/main.exe flow --ledger`) is the durable record; this tool is
-   the read side: it groups records per design, writes the folded
-   trajectory as one JSON file (the artifact CI uploads and the repo
-   pins), prints a table, and compares each design's latest record
-   against its previous comparable one — same run.design_hash,
-   run.params_fp and run.seed, so only records the determinism contract
-   says must agree are compared.  A tracked metric moving past the
-   tolerance in the bad direction (wmin/crit/power up, wns/tns down)
-   exits 1.  A record is a per-design result record plus its run stamp
-   (lib/ledger); every field read here is one Ledger.read checks. *)
+   The ledger (lib/ledger; `amdrel_flow --ledger` is its only writer)
+   is the durable record; this tool is the read side: it groups records
+   per design, writes the folded trajectory as one JSON file (the
+   artifact CI uploads and the repo pins), prints a table, and compares
+   each design's latest record against its previous comparable one —
+   same run.design_hash, run.params_fp and run.seed, so only records
+   the determinism contract says must agree are compared.  A tracked
+   metric moving past the tolerance in the bad direction (wmin/crit/
+   power up, wns/tns down) exits 1.  A record is a per-design result
+   record plus its run stamp (lib/ledger); every field read here is one
+   Ledger.read checks. *)
 
 open Cmdliner
 module E = Obs.Emit

@@ -36,7 +36,7 @@ let () =
   print_endline "== AMDREL framework quickstart ==";
   (* Step 1: the complete flow in one call. *)
   let r = Core.Flow.run_vhdl vhdl in
-  print_endline (Core.Flow.summary r);
+  print_endline (Core.Flow.summary (Core.Flow.result_obj r));
   (* Step 2: the intermediate products are all available. *)
   Printf.printf "\nEDIF netlist: %d bytes\n" (String.length r.Core.Flow.edif);
   Printf.printf "mapped BLIF:\n%s\n" r.Core.Flow.blif_mapped;

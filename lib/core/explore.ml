@@ -107,37 +107,25 @@ let input_rule_sweep ?(circuits = Bench_circuits.suite) ?jobs () =
       })
     [ 6; 8; 10; rule; 14; 16; 20 ]
 
-(* Segment-mix x channel-width architecture sweep (§3.3): each point is
-   one (mix, width) fabric run over the circuit suite, reporting the
-   usual quality metrics plus energy per data cycle.  Widths = [] means
-   every point binary-searches its own minimum channel width, which is
-   how the paper compares wire-length mixes fairly. *)
+(* Segment-mix architecture sweep (§3.3): each point is one mix's fabric
+   run over the circuit suite, reporting the usual quality metrics plus
+   energy per data cycle.  Every point binary-searches its own minimum
+   channel width, which is how the paper compares wire-length mixes
+   fairly. *)
 type arch_point = {
-  arch_label : string;
   mix : string;              (* e.g. "2xL1+1xL2+1xL4" *)
-  fixed_width : int option;  (* None = min-width search *)
   point : sweep_point;
   avg_energy_pj : float;     (* geomean energy per data cycle, pJ *)
 }
 
-let default_mixes =
-  [ "1xL1"; "1xL2"; "1xL4"; "2xL1+1xL2+1xL4"; "1xL1+1xL4" ]
-
-let segment_mix_sweep ?(mixes = default_mixes) ?(widths = [])
+let segment_mix_sweep
+    ?(mixes = [ "1xL1"; "1xL2"; "1xL4"; "2xL1+1xL2+1xL4"; "1xL1+1xL4" ])
     ?(circuits = Bench_circuits.suite) ?jobs () =
-  let points =
-    List.concat_map
-      (fun mix ->
-        match widths with
-        | [] -> [ (mix, None) ]
-        | ws -> List.map (fun w -> (mix, Some w)) ws)
-      mixes
-  in
-  (* points fan out across the pool; the nested [run_suite] pool calls
+  (* mixes fan out across the pool; the nested [run_suite] pool calls
      degrade to sequential inside workers, so there is no
      over-subscription and the per-point results stay jobs-invariant *)
   Util.Parallel.map_list ?jobs
-    (fun (mix, fixed_width) ->
+    (fun mix ->
       let params =
         Fpga_arch.Params.validate
           {
@@ -145,22 +133,7 @@ let segment_mix_sweep ?(mixes = default_mixes) ?(widths = [])
             Fpga_arch.Params.segments = Fpga_arch.Params.segments_of_string mix;
           }
       in
-      let config =
-        {
-          Flow.default_config with
-          Flow.params;
-          Flow.search_min_width = fixed_width = None;
-          Flow.route_width =
-            Option.value fixed_width
-              ~default:Flow.default_config.Flow.route_width;
-        }
-      in
-      let label =
-        Printf.sprintf "%s W=%s" mix
-          (match fixed_width with
-          | None -> "auto"
-          | Some w -> string_of_int w)
-      in
+      let config = { Flow.default_config with Flow.params } in
       let results = run_suite ~config ?jobs circuits in
       let f = Power.Model.default_options.Power.Model.frequency in
       let energies =
@@ -170,13 +143,11 @@ let segment_mix_sweep ?(mixes = default_mixes) ?(widths = [])
              results)
       in
       {
-        arch_label = label;
         mix;
-        fixed_width;
-        point = summarize label results;
+        point = summarize mix results;
         avg_energy_pj = Util.Stats.geomean energies;
       })
-    points
+    mixes
 
 (* Timing-driven vs routability-driven place & route (VPR's two modes). *)
 type td_point = {

@@ -44,26 +44,22 @@ val input_rule_sweep :
 (** BLE utilisation versus I; saturates at I = (K/2)(N+1). *)
 
 type arch_point = {
-  arch_label : string;
   mix : string;             (** e.g. "2xL1+1xL2+1xL4" *)
-  fixed_width : int option; (** [None] = per-point min-width search *)
-  point : sweep_point;
+  point : sweep_point;      (** [label] is the mix *)
   avg_energy_pj : float;    (** geomean energy per data cycle, pJ *)
 }
 
-val default_mixes : string list
-
 val segment_mix_sweep :
-  ?mixes:string list -> ?widths:int list ->
-  ?circuits:(string * string) list -> ?jobs:int -> unit ->
-  arch_point list
-(** Segment-mix x channel-width architecture sweep: each (mix, width)
-    point runs the circuit suite on a fabric whose channels carry that
-    wire-length mix ({!Fpga_arch.Params.segments_of_string}), reporting
-    Wmin / critical path / power / energy per point.  [widths] = []
-    (default) lets every point binary-search its own minimum width.
-    Points fan out over a [jobs]-domain pool; nested pools degrade to
-    sequential, so results are identical for any [jobs]. *)
+  ?mixes:string list -> ?circuits:(string * string) list -> ?jobs:int ->
+  unit -> arch_point list
+(** Segment-mix architecture sweep: each mix runs the circuit suite on
+    a fabric whose channels carry that wire-length mix
+    ({!Fpga_arch.Params.segments_of_string}), each point searching its
+    own minimum channel width, and reports Wmin / critical path / power
+    / energy per point, in [mixes] order.  Default mixes: uniform L1,
+    L2 and L4, [2xL1+1xL2+1xL4] and [1xL1+1xL4].  Points fan out over a
+    [jobs]-domain pool; nested pools degrade to sequential, so results
+    are identical for any [jobs]. *)
 
 type td_point = {
   circuit : string;

@@ -545,19 +545,25 @@ let result_obj ?source (r : result) =
 
 let result_json ?source r = Obs.Emit.to_string (result_obj ?source r) ^ "\n"
 
-(* One-line summary used by reports and the CLI. *)
-let summary r =
-  Printf.sprintf
-    "%-12s %4d LUTs %3d FFs %3d CLBs %dx%d W=%s crit=%.2fns P=%.2fmW bits=%d %s"
-    r.design r.mapped_stats.Logic.n_gates r.mapped_stats.Logic.n_latches
-    r.n_clusters r.grid.Fpga_arch.Grid.nx r.grid.Fpga_arch.Grid.ny
-    (match r.route_stats.Route.Router.minimum_width with
-    | Some w -> string_of_int w
-    | None -> string_of_int r.route_stats.Route.Router.channel_width)
-    (r.route_stats.Route.Router.critical_path_s *. 1e9)
-    (r.power.Power.Model.total_w *. 1e3)
-    r.bitstream.Bitstream.Dagger.bits
-    (match (r.bitstream_verified, r.fabric_verified) with
-    | true, true -> "[verified+emulated]"
-    | true, false -> "[FABRIC MISMATCH]"
-    | false, _ -> "[BITSTREAM MISMATCH]")
+(* One line per design, from its record ([result_obj] or an ok:false
+   record): what every amdrel_flow mode prints. *)
+let summary record =
+  let module J = Obs.Jsonin in
+  let get kind key = Option.bind (J.member key record) kind in
+  let int key = Option.value (get J.get_int key) ~default:0 in
+  let num key = Option.value (get J.get_float key) ~default:nan in
+  let str key = Option.value (get J.get_string key) ~default:"?" in
+  if get J.get_bool "ok" <> Some true then
+    Printf.sprintf "%-12s FAILED: %s" (str "design") (str "error")
+  else
+    Printf.sprintf
+      "%-12s %4d LUTs %3d FFs %3d CLBs %dx%d W=%d crit=%.2fns P=%.2fmW \
+       bits=%d %s"
+      (str "design") (int "luts") (int "ffs") (int "clbs") (int "nx")
+      (int "ny")
+      (Option.value (get J.get_int "min_width") ~default:(int "width"))
+      (num "critical_path_s" *. 1e9)
+      (num "power_w" *. 1e3)
+      (int "bits")
+      (if get J.get_bool "verified" = Some true then "[verified+emulated]"
+       else "[MISMATCH]")

@@ -164,5 +164,9 @@ val result_obj : ?source:string -> result -> Obs.Emit.t
 val result_json : ?source:string -> result -> string
 (** [result_obj] rendered compactly, newline-terminated. *)
 
-val summary : result -> string
-(** One line: LUTs/FFs/CLBs/grid/width/critical path/power/bits/verdicts. *)
+val summary : Obs.Emit.t -> string
+(** One line from a per-design record ({!result_obj}, or an [ok: false]
+    record carrying [design] and [error]):
+    LUTs/FFs/CLBs/grid/Wmin (the routed width when no search ran)/
+    critical path/power/bits and the [verified] verdict, or
+    [NAME FAILED: error]. *)

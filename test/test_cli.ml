@@ -2,8 +2,9 @@
    for every design, a design that fails to compile exits 1 with an
    ok:false record naming the failed stage, a local-only option under
    --remote or an out-of-domain --period fails before any product is
-   written, -d and --ledger create missing parents, and local --batch
-   warns about the single-design flags it ignores. *)
+   written, -d and --ledger create missing parents, local --batch
+   warns about the single-design flags it ignores, --arch honours the
+   file's io_rat, and a --remote run writes a local run's files. *)
 
 module J = Obs.Jsonin
 
@@ -190,6 +191,94 @@ let test_batch_ignores_trace_events () =
   Alcotest.(check bool) "no events file" false
     (Sys.file_exists (path "e.jsonl"))
 
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run amdrel_flow with [args], stdout and stderr discarded. *)
+let flow args =
+  Sys.command
+    (String.concat " " (List.map Filename.quote (flow_exe :: args))
+    ^ " >/dev/null 2>&1")
+
+(* The flow places on the arch file's IO pads per position: the .bit is
+   the library flow's at io_rat 4, and not the default fabric's. *)
+let test_arch_io_rat () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  let vhdl = Core.Bench_circuits.counter 8 in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc vhdl);
+  let params = { Fpga_arch.Params.amdrel with Fpga_arch.Params.io_rat = 4 } in
+  Fpga_arch.Archfile.to_file (path "io4.arch") params;
+  Alcotest.(check int) "exit code" 0
+    (flow
+       [
+         path "counter8.vhd"; "-d"; dir; "--arch"; path "io4.arch";
+         "--no-cache"; "-j"; "1";
+       ]);
+  let bit params io_rat =
+    (Core.Flow.run_vhdl
+       ~config:
+         { Core.Flow.default_config with params; io_rat; jobs = Some 1 }
+       vhdl)
+      .Core.Flow.bitstream.Bitstream.Dagger.bytes
+  in
+  let cli = read (path "counter8.bit") in
+  Alcotest.(check bool) "bit = the flow's at io_rat 4" true
+    (cli = bit params 4);
+  Alcotest.(check bool) "bit differs from the default fabric's" true
+    (cli <> bit Fpga_arch.Params.amdrel 2)
+
+(* A --remote batch against an in-process amdreld writes what a local
+   --no-cache batch writes: the same .bit and .timing.json bytes, and
+   the same records apart from their metrics, a failure included. *)
+let test_remote_equals_local () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "renamed.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  Out_channel.with_open_bin (path "broken.vhd") (fun oc ->
+      output_string oc "entity broken is\n");
+  Out_channel.with_open_bin (path "designs.txt") (fun oc ->
+      output_string oc "renamed.vhd\nbroken.vhd\n");
+  let sock = Test_service.short_sock () in
+  let server =
+    Service.Server.create
+      (Test_service.quiet_server_config ~sock
+         ~cache:(Test_service.fresh_dir ()) ~workers:1 ~queue_depth:4 ~jobs:1)
+  in
+  let server_domain = Domain.spawn (fun () -> Service.Server.run server) in
+  let batch outdir extra =
+    flow
+      ([ path "designs.txt"; "--batch"; "--timing-report"; "-d"; path outdir ]
+      @ extra)
+  in
+  let remote_code = batch "remote" [ "--remote"; sock ] in
+  Service.Client.with_connection sock (fun c ->
+      ignore (Service.Client.request c Service.Protocol.Shutdown));
+  Domain.join server_domain;
+  Alcotest.(check int) "local exit code" 1
+    (batch "local" [ "--no-cache"; "-j"; "1" ]);
+  let file sub name = read (Filename.concat (path sub) name) in
+  check_failure ~stage:"synth"
+    (remote_code, J.parse (file "remote" "broken.result.json"));
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " byte-identical") true
+        (file "remote" name = file "local" name))
+    [ "renamed.bit"; "renamed.timing.json" ];
+  let record sub name =
+    match J.parse (file sub (name ^ ".result.json")) with
+    | Obs.Emit.Obj fields ->
+        Obs.Emit.to_string
+          (Obs.Emit.Obj (List.filter (fun (k, _) -> k <> "metrics") fields))
+    | _ -> Alcotest.fail "record is not an object"
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check string) (name ^ " record, less metrics")
+        (record "local" name) (record "remote" name))
+    [ "renamed"; "broken" ]
+
 let suite =
   [
     Alcotest.test_case "parse error: exit 1 + ok:false record" `Quick
@@ -206,4 +295,8 @@ let suite =
       (with_exe test_missing_parents);
     Alcotest.test_case "--period 0 exits 1 before compiling" `Quick
       (with_exe test_bad_period);
+    Alcotest.test_case "--arch honours the file's io_rat" `Quick
+      (with_exe test_arch_io_rat);
+    Alcotest.test_case "--remote batch writes the local run's files" `Quick
+      (with_exe test_remote_equals_local);
   ]

@@ -535,6 +535,30 @@ let test_cache_segment_mix_granularity () =
   Alcotest.(check int) "mix change: route and below miss" 3
     (R.counter (R.snapshot obs_m) "cache.miss")
 
+(* ---------- the segment-mix architecture sweep ---------- *)
+
+(* One point per mix, in mix order, equal at any pool size. *)
+let test_segment_mix_sweep () =
+  let mixes = [ "1xL1"; "1xL4" ] in
+  let circuits =
+    [
+      ("counter8", Core.Bench_circuits.counter 8);
+      ("parity16", Core.Bench_circuits.parity 16);
+    ]
+  in
+  let sweep jobs = Core.Explore.segment_mix_sweep ~mixes ~circuits ~jobs () in
+  let one = sweep 1 and two = sweep 2 in
+  Alcotest.(check (list string)) "one point per mix, in order" mixes
+    (List.map (fun p -> p.Core.Explore.mix) one);
+  Alcotest.(check bool) "points equal across jobs" true (one = two);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (p.Core.Explore.mix ^ " Wmin >= 1")
+        true
+        (p.Core.Explore.point.Core.Explore.avg_min_width >= 1.0))
+    one
+
 let suite =
   [
     Alcotest.test_case "segment spec parsing" `Quick test_mix_parsing;
@@ -557,4 +581,6 @@ let suite =
       test_e2e_jobs_deterministic;
     Alcotest.test_case "cache granularity on segment-mix changes" `Quick
       test_cache_segment_mix_granularity;
+    Alcotest.test_case "segment-mix sweep: one point per mix, jobs-equal"
+      `Quick test_segment_mix_sweep;
   ]
