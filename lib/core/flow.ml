@@ -120,7 +120,7 @@ let synth = { name = "synth"; version = 1 }
 and techmap = { name = "techmap"; version = 1 }
 and pack = { name = "pack"; version = 1 }
 and place = { name = "place"; version = 1 }
-and route = { name = "route"; version = 2 } (* mixed-length RR graph *)
+and route = { name = "route"; version = 3 } (* PathFinder failure predictor *)
 and sta = { name = "sta"; version = 1 }
 and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
 

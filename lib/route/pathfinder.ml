@@ -9,6 +9,18 @@
    routing and their occupancy.  Convergence = no node used beyond its
    capacity.
 
+   Three stopping rules give up early on a routing that will not
+   converge, so a failing width probe does not burn the whole budget.
+   On an incremental routing whose total overuse is above 12, the
+   failure predictor ([predicts_failure]) gives up from iteration 6 when
+   a log-linear fit of the overuse history reaches overuse 1 only past
+   the budget, or never, and the trend cutoff gives up from iteration 16
+   when overuse fell less than 25 % over the last 8 iterations.  The
+   stagnation rule gives up after 16 iterations without a new best
+   overuse (8 with full rip-up).  Each reads only the routing's own
+   overuse history, so a routing stops at the same iteration for any
+   [jobs].
+
    The inner loop is net-parallel: each iteration's reroute list is
    partitioned into batches of pairwise-disjoint bounding boxes
    ([partition_batches]); a batch rips up all its nets, routes them
@@ -186,18 +198,14 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     end
   in
   let set_lookahead v =
-    la.(v) <-
-      (if astar_fac = 0.0 then 0.0
-       else begin
-         let x0 = xlo.(v) and x1 = xhi.(v) in
-         let y0 = ylo.(v) and y1 = yhi.(v) in
-         let m = ref max_int in
-         for k = 0 to !n_targets - 1 do
-           let d = gap x0 x1 tx0.(k) tx1.(k) + gap y0 y1 ty0.(k) ty1.(k) in
-           if d < !m then m := d
-         done;
-         astar_fac *. float_of_int !m
-       end)
+    let x0 = xlo.(v) and x1 = xhi.(v) in
+    let y0 = ylo.(v) and y1 = yhi.(v) in
+    let m = ref max_int in
+    for k = 0 to !n_targets - 1 do
+      let d = gap x0 x1 tx0.(k) tx1.(k) + gap y0 y1 ty0.(k) ty1.(k) in
+      if d < !m then m := d
+    done;
+    la.(v) <- astar_fac *. float_of_int !m
   in
   (try
      while !remaining <> [] do
@@ -324,8 +332,43 @@ let partition_batches items =
       List.sort (fun (i, _) (j, _) -> compare i j) !members)
     !batches
 
-let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
-    ?(acc_fac = 0.4) ?(astar_fac = 1.0) ?(incremental = true) ?jobs ?obs
+(* Negotiation schedule: the present-overuse factor starts at
+   [pres_fac0] and grows by [pres_mult] per iteration; each overused
+   node's history cost grows by [acc_fac] per unit of overuse. *)
+let pres_fac0 = 0.5
+let pres_mult = 1.6
+let acc_fac = 0.4
+
+(* The failure predictor: least-squares fit of ln(overuse) against the
+   iteration number over the whole history.  It waits for 6 points (the
+   first iterations can rise while nets spread out of their first-pass
+   corridors) and leaves overuse of 12 or less to the endgame, the same
+   guard as the trend cutoff.  A zero in the history (never seen there:
+   overuse 0 ends the routing) makes the fit NaN, which never predicts. *)
+let predicts_failure ~max_iterations over_hist =
+  let n = List.length over_hist in
+  match over_hist with
+  | latest :: _ when n >= 6 && latest > 12 ->
+      let sx = ref 0.0 and sy = ref 0.0 in
+      let sxx = ref 0.0 and sxy = ref 0.0 in
+      List.iteri
+        (fun k over ->
+          let x = float_of_int (n - k) and y = log (float_of_int over) in
+          sx := !sx +. x;
+          sy := !sy +. y;
+          sxx := !sxx +. (x *. x);
+          sxy := !sxy +. (x *. y))
+        over_hist;
+      let nf = float_of_int n in
+      let slope =
+        ((nf *. !sxy) -. (!sx *. !sy)) /. ((nf *. !sxx) -. (!sx *. !sx))
+      in
+      let intercept = (!sy -. (slope *. !sx)) /. nf in
+      (* ln(overuse) = intercept + slope * i reaches 0 at -intercept/slope *)
+      slope >= 0.0 || -.intercept /. slope > float_of_int max_iterations
+  | _ -> false
+
+let route ?(max_iterations = 30) ?(incremental = true) ?jobs ?obs
     ?node_delay (g : Rrgraph.t) (nets : net_spec array) =
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
   (* telemetry: histogram samples go to the caller's registry (if any);
@@ -429,7 +472,7 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
        <= 1 keep the lookahead admissible) *)
     let astar_fac =
       let phi = Float.rem (float_of_int idx *. 0.6180339887) 1.0 in
-      astar_fac *. (0.7 +. (0.3 *. phi))
+      0.7 +. (0.3 *. phi)
     in
     let pops0 = sc.pops in
     let nodes, parents =
@@ -539,11 +582,17 @@ let route ?(max_iterations = 30) ?(pres_fac0 = 0.5) ?(pres_mult = 1.6)
     over_hist := over :: !over_hist;
     if over = 0 then done_ := true
     else begin
-      (* trend cutoff: a wide infeasible width decays overuse slowly but
-         monotonically enough to dodge the no-improvement counter for the
-         whole iteration budget.  Demand real progress — 25% down vs 8
-         iterations ago — once warmed up, unless overuse is already tiny
-         (the endgame clears a handful of nodes in lumpy steps). *)
+      (* The three stopping rules.  The failure predictor ends a width
+         far below the minimum, whose overuse sits on a plateau or decays
+         too slowly to reach zero within the budget, from iteration 6.
+         The trend cutoff catches a width whose overuse decays slowly but
+         monotonically enough to dodge the stagnation counter and the
+         fit's projection: it demands real progress — 25% down vs 8
+         iterations ago — from iteration 16.  Both leave overuse of 12 or
+         less alone (the endgame clears a handful of nodes in lumpy
+         steps); the stagnation rule below covers it. *)
+      if incremental && predicts_failure ~max_iterations !over_hist then
+        hopeless := true;
       (if incremental && !iteration >= 16 && over > 12 then
          match List.nth_opt !over_hist 8 with
          | Some prev when float_of_int over > 0.75 *. float_of_int prev ->

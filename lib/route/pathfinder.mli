@@ -10,7 +10,15 @@
     ripped up and rerouted, legal trees keep their routing and occupancy.
     Convergence = no node used beyond its capacity.  With [node_delay],
     nets blend in a criticality-weighted delay term (the timing-driven
-    router). *)
+    router).
+
+    A routing that will not converge stops early, by the first of three
+    rules: the failure predictor ({!predicts_failure}), the trend cutoff
+    (an incremental routing from iteration 16 whose overuse, while above
+    12, fell less than 25 % over the last 8 iterations) and the
+    stagnation rule (no new best overuse for 16 iterations, or 8 with
+    full rip-up).  All three read only the routing's own overuse
+    history, so the stopping iteration is the same for any [jobs]. *)
 
 type net_spec = {
   index : int;     (** position in the problem's net array *)
@@ -44,12 +52,11 @@ type result = {
 }
 
 val route :
-  ?max_iterations:int -> ?pres_fac0:float -> ?pres_mult:float ->
-  ?acc_fac:float -> ?astar_fac:float -> ?incremental:bool ->
+  ?max_iterations:int -> ?incremental:bool ->
   ?jobs:int -> ?obs:Obs.Registry.t ->
   ?node_delay:float array -> Rrgraph.t -> net_spec array -> result
-(** [astar_fac] scales the directed lookahead (0 = plain Dijkstra,
-    1 = admissible A*, the default; larger trades optimality for speed).
+(** [max_iterations] (default 30) is the iteration budget; the stopping
+    rules may end a failing routing well before it.
     [incremental] (default true) enables congested-only rip-up after the
     first iteration; [false] restores full rip-up every iteration.
     [jobs] bounds the Domain pool used to route a batch's nets
@@ -61,6 +68,16 @@ val route :
     ["route.iteration"] span (with a ["route.batch"] child per batch) is
     emitted into the ambient {!Obs.Span} trace per iteration.
     @raise Not_found if some sink is unreachable in the graph. *)
+
+val predicts_failure : max_iterations:int -> int list -> bool
+(** The failure predictor, over a routing's total-overuse history
+    (latest first, one value per iteration; the length is the current
+    iteration).  From iteration 6, and while the latest overuse is above
+    12, it fits ln(overuse) against the iteration number by least
+    squares over the whole history, and is true when the fit's slope is
+    >= 0 or the fit reaches an overuse of 1 only after [max_iterations]:
+    the routing cannot converge within its budget.  {!route} gives up on
+    an incremental routing as soon as this holds. *)
 
 val bbox_disjoint : int * int * int * int -> int * int * int * int -> bool
 (** [(xlo, xhi, ylo, yhi)] boxes, bounds inclusive: true when the two

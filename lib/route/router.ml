@@ -82,8 +82,12 @@ let net_criticalities ?(model = Place.Td_timing.default_model)
   let a = Sta.Analysis.run graph provider in
   Array.map (Float.min 0.95) a.Sta.Analysis.net_criticality
 
-let try_width ?(max_iterations = 60) ?crit ?jobs ?obs
-    (params : Fpga_arch.Params.t) (placement : Place.Placement.t) width =
+(* One routing at [width], routed or not: the graph and PathFinder's
+   result (None when some sink is unreachable).  The width search reads
+   a failed attempt's iterations and heap pops, which [try_width]
+   drops. *)
+let attempt ~max_iterations ?crit ?jobs ?obs (params : Fpga_arch.Params.t)
+    (placement : Place.Placement.t) width =
   let problem = placement.Place.Placement.problem in
   let g = Rrgraph.build params problem.Place.Problem.grid placement ~width in
   let criticalities, node_delay =
@@ -94,9 +98,13 @@ let try_width ?(max_iterations = 60) ?crit ?jobs ?obs
   in
   let nets = net_terminals ?criticalities g problem in
   match Pathfinder.route ~max_iterations ?jobs ?obs ?node_delay g nets with
-  | r when r.Pathfinder.success -> Some (g, r)
-  | _ -> None
+  | r -> Some (g, r)
   | exception Not_found -> None
+
+let try_width ?(max_iterations = 60) ?crit ?jobs ?obs params placement width =
+  match attempt ~max_iterations ?crit ?jobs ?obs params placement width with
+  | Some (_, r) as routed when r.Pathfinder.success -> routed
+  | _ -> None
 
 (* Route at a fixed width (raises if infeasible). *)
 let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
@@ -127,8 +135,8 @@ let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
    the shrink phase — memoise the outcomes, and then advance exactly the
    sequential decision path over the cache.  The returned minimum width
    (and hence the final routing) is bit-identical for any [jobs]. *)
-let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
-    ?obs (params : Fpga_arch.Params.t) (placement : Place.Placement.t) =
+let route_min_width ?(max_iterations = 60) ?timing ?table ?jobs ?obs
+    (params : Fpga_arch.Params.t) (placement : Place.Placement.t) =
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
   (* width -> routable?; probes are deterministic, so caching loses
      nothing and speculation never repeats work.  [table], when given,
@@ -141,7 +149,7 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
   let cache : (int, bool) Hashtbl.t =
     match table with Some t -> t | None -> Hashtbl.create 16
   in
-  let probes = ref 0 in
+  let probes = ref 0 and probe_iterations = ref 0 and probe_pops = ref 0 in
   let probe_batch widths =
     match List.filter (fun w -> not (Hashtbl.mem cache w)) widths with
     | [] -> ()
@@ -151,15 +159,30 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
         (* probe routings are speculative and their set depends on the
            pool size; suppress their progress events so the stream only
            carries the final routing's iterations, identically at any
-           jobs value *)
+           jobs value.  Each worker keeps only the outcome and the work
+           counts, not the graph. *)
         let res =
           Obs.Events.without (fun () ->
               Util.Parallel.map ~jobs
                 (fun w ->
-                  Option.is_some (try_width ~max_iterations params placement w))
+                  match attempt ~max_iterations params placement w with
+                  | Some (_, r) ->
+                      ( r.Pathfinder.success,
+                        r.Pathfinder.iterations,
+                        List.fold_left
+                          (fun a (s : Pathfinder.iter_stat) ->
+                            a + s.Pathfinder.heap_pops)
+                          0 r.Pathfinder.iter_stats )
+                  | None -> (false, 0, 0))
                 arr)
         in
-        Array.iteri (fun i w -> Hashtbl.replace cache w res.(i)) arr
+        Array.iteri
+          (fun i w ->
+            let routable, iterations, pops = res.(i) in
+            probe_iterations := !probe_iterations + iterations;
+            probe_pops := !probe_pops + pops;
+            Hashtbl.replace cache w routable)
+          arr
   in
   let probe w =
     match Hashtbl.find_opt cache w with
@@ -168,7 +191,7 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
         probe_batch [ w ];
         Hashtbl.find cache w
   in
-  (* grow phase: the doubling sequence start, 2*start, ... <= 128 — the
+  (* grow phase: the doubling sequence 6, 12, 24, ... <= 128 — the
      sequential probe order; with a pool, the next [jobs] widths of the
      sequence are probed concurrently before scanning in order *)
   let rec doubling w = if w > 128 then [] else w :: doubling (2 * w) in
@@ -181,9 +204,9 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
         | Some w -> w
         | None -> grow (List.filteri (fun i _ -> i >= jobs) ws))
   in
-  let hi = grow (doubling start) in
+  let hi = grow (doubling 6) in
   (* shrink phase: binary search down over (lo, hi]; lo = 0 is by
-     definition unroutable, so the whole untested range below [start] is
+     definition unroutable, so the whole untested range below 6 is
      covered.  [frontier] walks the decision tree from (lo, hi) through
      the cache and collects, breadth-first, up to [budget] midpoints the
      sequential search might still need — the immediate midpoint first,
@@ -224,15 +247,22 @@ let route_min_width ?(max_iterations = 60) ?(start = 6) ?timing ?table ?jobs
     end
   in
   let min_w = shrink 0 hi in
-  (* how many probe routings this search actually ran: with a warm
-     seeded [table] it is strictly below the cold count (0 when the
-     table already covers the whole decision path).  Volatile because
-     the probe set also depends on the pool size (speculation), so the
-     deterministic metrics view must exclude it. *)
+  (* how many probe routings this search actually ran, and their
+     PathFinder iterations and heap pops: with a warm seeded [table]
+     the probe count is strictly below the cold count (0 when the table
+     already covers the whole decision path).  Volatile because the
+     probe set also depends on the pool size (speculation), so the
+     deterministic metrics view must exclude them. *)
   (match obs with
   | Some o ->
-      Obs.Registry.set ~volatile:true o "route.width-probes"
-        (float_of_int !probes)
+      List.iter
+        (fun (key, v) ->
+          Obs.Registry.set ~volatile:true o key (float_of_int v))
+        [
+          ("route.width-probes", !probes);
+          ("route.probe-iterations", !probe_iterations);
+          ("route.probe-heap-pops", !probe_pops);
+        ]
   | None -> ());
   (* low-stress final routing, timing-driven if requested; width probes
      above stay congestion-only AND un-instrumented (the probe set

@@ -45,12 +45,15 @@ val route_fixed :
 (** @raise Failure when unroutable at that width. *)
 
 val route_min_width :
-  ?max_iterations:int -> ?start:int -> ?timing:Place.Td_timing.delay_model ->
+  ?max_iterations:int -> ?timing:Place.Td_timing.delay_model ->
   ?table:(int, bool) Hashtbl.t ->
   ?jobs:int -> ?obs:Obs.Registry.t ->
   Fpga_arch.Params.t -> Place.Placement.t -> routed
-(** Binary-search the minimum channel width (VPR's headline metric), then
-    return a low-stress (1.2x) routing — timing-driven if requested.
+(** Find the minimum channel width (VPR's headline metric) by doubling
+    from 6 tracks and then binary-searching down, then return a
+    low-stress (1.2x) routing — timing-driven if requested.
+    [max_iterations] (default 60) is each probe's PathFinder budget; the
+    final routing gets twice that.
 
     With [jobs] > 1 (default {!Util.Parallel.default_jobs}) the search
     probes candidate widths speculatively on a Domain pool: each probe
@@ -69,11 +72,12 @@ val route_min_width :
     outcomes — callers must only seed entries obtained from an identical
     (params, placement) search.  The number of probe routings actually
     run is recorded into [obs] as the {e volatile} gauge
-    [route.width-probes] (volatile: the probe set depends on the pool
-    size as well as on what [table] already holds, so it is excluded
-    from the deterministic metrics view); a warm table yields strictly
-    fewer probes than a cold search, down to 0 when it covers the whole
-    decision path.
+    [route.width-probes], and their summed PathFinder iterations and
+    heap pops as [route.probe-iterations] and [route.probe-heap-pops]
+    (volatile: the probe set depends on the pool size as well as on what
+    [table] already holds, so they are excluded from the deterministic
+    metrics view); a warm table yields strictly fewer probes than a cold
+    search, down to 0 when it covers the whole decision path.
     @raise Failure when unroutable even at width 128. *)
 
 val sta :

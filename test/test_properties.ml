@@ -169,6 +169,45 @@ let prop_archfile_roundtrip =
           Fpga_arch.Archfile.of_string (Fpga_arch.Archfile.to_string p) = p
       | exception Fpga_arch.Params.Invalid_params _ -> true)
 
+(* Mutants of a valid mixed-segment arch file, as a hostile client could
+   send one: a truncation, or three bytes each XOR-ed with a non-zero
+   mask.  The parser must answer with parameters or a typed error. *)
+let archfile_mutant_arb =
+  let text =
+    Fpga_arch.Archfile.to_string
+      (Fpga_arch.Params.validate
+         {
+           Fpga_arch.Params.amdrel with
+           Fpga_arch.Params.segments =
+             Fpga_arch.Params.segments_of_string "2xL1+1xL2+1xL4";
+         })
+  in
+  let n = String.length text in
+  let open QCheck.Gen in
+  let truncation = int_bound (n - 1) >|= fun len -> String.sub text 0 len in
+  let flips =
+    list_repeat 3 (pair (int_bound (n - 1)) (int_range 1 255)) >|= fun fs ->
+    let b = Bytes.of_string text in
+    List.iter
+      (fun (i, mask) ->
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+      fs;
+    Bytes.to_string b
+  in
+  QCheck.make ~print:String.escaped (oneof [ truncation; flips ])
+
+let prop_archfile_mutants_typed_errors =
+  QCheck.Test.make ~count:2000
+    ~name:"architecture file mutants: params or a typed error"
+    archfile_mutant_arb
+    (fun text ->
+      match Fpga_arch.Archfile.of_string text with
+      | _ -> true
+      | exception
+          (Fpga_arch.Archfile.Parse_error _ | Fpga_arch.Params.Invalid_params _)
+        ->
+          true)
+
 let prop_edif_sanitize_idempotent =
   QCheck.Test.make ~count:200 ~name:"EDIF identifier sanitisation idempotent"
     QCheck.(string_of_size (QCheck.Gen.int_range 1 20))
@@ -192,6 +231,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fabric_equivalent_random;
     QCheck_alcotest.to_alcotest prop_anneal_cost_consistent;
     QCheck_alcotest.to_alcotest prop_archfile_roundtrip;
+    QCheck_alcotest.to_alcotest prop_archfile_mutants_typed_errors;
     QCheck_alcotest.to_alcotest prop_edif_sanitize_idempotent;
     QCheck_alcotest.to_alcotest prop_qm_matches_greedy_function;
   ]

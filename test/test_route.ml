@@ -156,6 +156,85 @@ let test_net_terminals_bad_driver () =
       nets.(idx) <- saved;
       Alcotest.(check bool) "bad driver signal raises Failure" true raised
 
+(* ---------- the failure predictor ---------- *)
+
+(* Total-overuse histories (chronological) recorded before the predictor
+   existed, at the flow's placements and the probes' budget of 60:
+   three routings that converged, at widths where overuse lingers above
+   12 for a while, and one that failed at half its design's minimum
+   width.  Returns the first iteration at which the predictor fires on a
+   prefix of the history. *)
+let first_trigger history =
+  let rec go prefix = function
+    | [] -> None
+    | over :: rest ->
+        let prefix = over :: prefix in
+        if Route.Pathfinder.predicts_failure ~max_iterations:60 prefix then
+          Some (List.length prefix)
+        else go prefix rest
+  in
+  go [] history
+
+let test_failure_predictor_histories () =
+  let check name expected history =
+    Alcotest.(check (option int)) name expected (first_trigger history)
+  in
+  check "alu16 seed 1 W=6 (converges at 52)" None
+    [ 50; 42; 37; 25; 22; 16; 12; 16; 15; 16; 15; 15; 11; 10; 10; 9; 8; 8;
+      11; 10; 9; 9; 8; 7; 6; 5; 6; 6; 4; 4; 4; 5; 3; 4; 6; 4; 3; 3; 2; 2;
+      2; 2; 2; 2; 1; 1; 1; 2; 1; 1; 1; 0 ];
+  check "mult16 seed 2 W=24 (converges at 8)" None
+    [ 45; 63; 44; 46; 17; 8; 3; 0 ];
+  check "alu32 seed 6 W=10 (converges at 25)" None
+    [ 99; 113; 86; 83; 62; 38; 23; 19; 13; 10; 10; 9; 6; 6; 6; 5; 4; 4; 3;
+      3; 1; 1; 2; 1; 0 ];
+  check "mult12 seed 1 W=6 (plateau)" (Some 6)
+    [ 615; 603; 603; 609; 611; 611 ];
+  (* overuse of 12 or less is the endgame: never predicted, whatever the
+     trend before it *)
+  List.iter
+    (fun (name, history) ->
+      Alcotest.(check bool) name false
+        (Route.Pathfinder.predicts_failure ~max_iterations:60
+           (List.rev history)))
+    [
+      ("rising to 12", List.init 12 (fun i -> i + 1));
+      ("flat at 12", List.init 40 (fun _ -> 12));
+      ("plateau, then 12", [ 615; 603; 603; 609; 611; 611; 12 ]);
+    ]
+
+(* Widths far below the minimum stop early.  alu16 at the route identity
+   pin's placement has Wmin 6; the trend cutoff and the stagnation rule
+   alone would run each of these failing routings for 16 iterations of
+   the 60-iteration budget. *)
+let test_failing_widths_stop_early () =
+  let config =
+    {
+      Core.Flow.default_config with
+      Core.Flow.seed = 1;
+      jobs = Some 1;
+      cache_dir = None;
+    }
+  in
+  let r = Core.Flow.run_vhdl ~config (Core.Bench_circuits.alu 16) in
+  let placement = r.Core.Flow.routed.Route.Router.placement in
+  let problem = placement.Place.Placement.problem in
+  List.iter
+    (fun (width, iterations) ->
+      let g =
+        Route.Rrgraph.build Fpga_arch.Params.amdrel problem.Place.Problem.grid
+          placement ~width
+      in
+      let res =
+        Route.Pathfinder.route ~max_iterations:60 g
+          (Route.Router.net_terminals g problem)
+      in
+      Alcotest.(check bool) (Printf.sprintf "W=%d fails" width) false
+        res.Route.Pathfinder.success;
+      Alcotest.(check int) (Printf.sprintf "W=%d iterations" width) iterations
+        res.Route.Pathfinder.iterations)
+    [ (3, 6); (4, 6); (5, 10) ]
+
 (* ---------- bbox partitioner properties ---------- *)
 
 (* An ascending-id reroute list with random (possibly degenerate or
@@ -537,6 +616,10 @@ let suite =
       test_net_terminals_bad_driver;
     Alcotest.test_case "route identity pin" `Quick test_route_identity_pin;
     Alcotest.test_case "place identity pin" `Quick test_place_identity_pin;
+    Alcotest.test_case "failure predictor on recorded histories" `Quick
+      test_failure_predictor_histories;
+    Alcotest.test_case "failing widths stop early" `Quick
+      test_failing_widths_stop_early;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;
     QCheck_alcotest.to_alcotest prop_partition_exactly_once;
     QCheck_alcotest.to_alcotest prop_partition_batch_disjoint;
