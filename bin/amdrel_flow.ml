@@ -456,7 +456,8 @@ let width_arg =
   Arg.(
     value
     & opt (some int) None
-    & info [ "route-width" ] ~doc:"fixed channel width (skip the search)")
+    & info [ "route-width" ]
+        ~doc:"fixed channel width, 1 to 128 (skip the search)")
 
 let jobs_arg =
   Arg.(

@@ -109,9 +109,8 @@ let input_rule_sweep ?(circuits = Bench_circuits.suite) ?jobs () =
 
 (* Segment-mix architecture sweep (§3.3): each point is one mix's fabric
    run over the circuit suite, reporting the usual quality metrics plus
-   energy per data cycle.  Every point binary-searches its own minimum
-   channel width, which is how the paper compares wire-length mixes
-   fairly. *)
+   energy per data cycle.  Every point searches its own minimum channel
+   width, which is how the paper compares wire-length mixes fairly. *)
 type arch_point = {
   mix : string;              (* e.g. "2xL1+1xL2+1xL4" *)
   point : sweep_point;

@@ -32,7 +32,7 @@ type config = {
   params : Fpga_arch.Params.t;
   seed : int;
   io_rat : int;
-  search_min_width : bool; (* binary-search the minimum channel width *)
+  search_min_width : bool; (* search the minimum channel width *)
   route_width : int;       (* channel width when [search_min_width] is off *)
   timing_driven : bool;    (* VPR's path-timing-driven place & route *)
   clock_period : float option; (* target clock period (seconds) the STA
@@ -120,7 +120,7 @@ let synth = { name = "synth"; version = 1 }
 and techmap = { name = "techmap"; version = 1 }
 and pack = { name = "pack"; version = 1 }
 and place = { name = "place"; version = 1 }
-and route = { name = "route"; version = 3 } (* PathFinder failure predictor *)
+and route = { name = "route"; version = 4 } (* estimated opening width *)
 and sta = { name = "sta"; version = 1 }
 and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
 

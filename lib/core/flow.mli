@@ -39,7 +39,7 @@ type config = {
   params : Fpga_arch.Params.t;
   seed : int;
   io_rat : int;
-  search_min_width : bool; (** binary-search the minimum channel width *)
+  search_min_width : bool; (** search the minimum channel width *)
   route_width : int;       (** channel width when [search_min_width] is off *)
   timing_driven : bool;    (** VPR's path-timing-driven place & route,
                                driven by the unified STA engine

@@ -1,5 +1,10 @@
 (* Routing driver: pin assignment, channel-width search and the routed
-   design record the rest of the flow consumes. *)
+   design record the rest of the flow consumes.
+
+   The width search opens at an estimate E of the minimum width, from
+   the placement's peak bounding-box channel demand, and walks outward:
+   down E-1, E-2, E-4, ... while the widths route, or up E+1, E+2,
+   E+4, ... to 128 while they fail, then bisects the last bracket. *)
 
 type routed = {
   problem : Place.Problem.t;
@@ -123,18 +128,104 @@ let route_fixed ?(max_iterations = 60) ?timing ?jobs ?obs
       }
   | None -> failwith (Printf.sprintf "unroutable at channel width %d" width)
 
+(* The widest channel the width search probes, and the widest fixed
+   width a compile request may ask for. *)
+let max_width = 128
+
+(* The width search opens at [demand_scale] times the placement's peak
+   channel demand, rounded.  Fitted over c in [0.60, 0.99] on the
+   routability-driven runs of the suite plus alu16, mult8, counter32 and
+   accum24 at seeds 1-3 (57 runs): 0.71 runs the fewest probes beyond
+   the Wmin/Wmin-1 pair (EXPERIMENTS.md, "Width-search opening
+   estimate"). *)
+let demand_scale = 0.71
+
+(* Peak bounding-box channel demand: each net spreads the annealer's
+   bounding-box cost evenly over the tiles of its box — q(x1-x0)/(wh)
+   horizontal and q(y1-y0)/(wh) vertical tracks per tile — and the peak
+   is the largest per-tile sum over both directions.  O(sum of box
+   areas). *)
+let peak_demand (placement : Place.Placement.t) =
+  let problem = placement.Place.Placement.problem in
+  let grid = problem.Place.Problem.grid in
+  let rows = grid.Fpga_arch.Grid.ny + 2 in
+  let tiles = (grid.Fpga_arch.Grid.nx + 2) * rows in
+  let horiz = Array.make tiles 0.0 and vert = Array.make tiles 0.0 in
+  Array.iter
+    (fun (net : Place.Problem.net) ->
+      let x0, x1, y0, y1 = Place.Placement.net_bbox placement net in
+      let area = float_of_int ((x1 - x0 + 1) * (y1 - y0 + 1)) in
+      let q =
+        Place.Placement.q_factor (1 + Array.length net.Place.Problem.sinks)
+      in
+      let dx = q *. float_of_int (x1 - x0) /. area
+      and dy = q *. float_of_int (y1 - y0) /. area in
+      for x = x0 to x1 do
+        for y = y0 to y1 do
+          let i = (x * rows) + y in
+          horiz.(i) <- horiz.(i) +. dx;
+          vert.(i) <- vert.(i) +. dy
+        done
+      done)
+    problem.Place.Problem.nets;
+  Array.fold_left Float.max (Array.fold_left Float.max 0.0 horiz) vert
+
+let width_estimate placement =
+  let e = Float.round (demand_scale *. peak_demand placement) in
+  max 1 (min max_width (int_of_float e))
+
+(* What the sequential width search does next from the estimate [e],
+   given the probe memo [known] (width -> routable, if probed), in the
+   order the header gives.  [bisect] keeps lo unroutable (or 0: width 0
+   is unroutable by definition) and hi routable. *)
+type step = Probe of int | Found of int | Unroutable
+
+let next_step e known =
+  let rec bisect lo hi =
+    if hi - lo <= 1 then Found hi
+    else
+      let mid = (lo + hi) / 2 in
+      match known mid with
+      | None -> Probe mid
+      | Some true -> bisect lo mid
+      | Some false -> bisect mid hi
+  in
+  let rec down hi k =
+    let w = e - k in
+    if w < 1 then bisect 0 hi
+    else
+      match known w with
+      | None -> Probe w
+      | Some true -> down w (2 * k)
+      | Some false -> bisect w hi
+  in
+  let rec up lo k =
+    if lo >= max_width then Unroutable
+    else
+      let w = min max_width (e + k) in
+      match known w with
+      | None -> Probe w
+      | Some true -> bisect lo w
+      | Some false -> up w (2 * k)
+  in
+  match known e with
+  | None -> Probe e
+  | Some true -> down e 1
+  | Some false -> up e 1
+
 (* Find the minimum routable channel width (VPR's headline metric), then
    return the routing at low stress (1.2x the minimum, the usual practice).
 
    A probe (is width w routable?) is a pure function of (params,
    placement, w): the RR graph is rebuilt per probe and PathFinder is
-   deterministic.  That makes the search speculatively parallel: with a
-   [jobs]-domain pool we probe, each round, every width the sequential
-   search could possibly need next — the doubling sequence during the
-   grow phase, the frontier of the binary-search decision tree during
-   the shrink phase — memoise the outcomes, and then advance exactly the
-   sequential decision path over the cache.  The returned minimum width
-   (and hence the final routing) is bit-identical for any [jobs]. *)
+   deterministic.  The search order is {!next_step} from
+   {!width_estimate}, so it too depends on (params, placement) alone.
+   That makes the search speculatively parallel: with a [jobs]-domain
+   pool we probe, each round, the first [jobs] widths of a breadth-first
+   walk of {!next_step}'s decision tree, memoise the outcomes, and then
+   advance the sequential decision path over the memo.  The returned
+   minimum width (and hence the final routing) is bit-identical for any
+   [jobs]. *)
 let route_min_width ?(max_iterations = 60) ?timing ?table ?jobs ?obs
     (params : Fpga_arch.Params.t) (placement : Place.Placement.t) =
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
@@ -184,69 +275,48 @@ let route_min_width ?(max_iterations = 60) ?timing ?table ?jobs ?obs
             Hashtbl.replace cache w routable)
           arr
   in
-  let probe w =
-    match Hashtbl.find_opt cache w with
-    | Some b -> b
-    | None ->
-        probe_batch [ w ];
-        Hashtbl.find cache w
-  in
-  (* grow phase: the doubling sequence 6, 12, 24, ... <= 128 — the
-     sequential probe order; with a pool, the next [jobs] widths of the
-     sequence are probed concurrently before scanning in order *)
-  let rec doubling w = if w > 128 then [] else w :: doubling (2 * w) in
-  let rec grow = function
-    | [] -> failwith "unroutable even at channel width 128"
-    | ws ->
-        let batch = List.filteri (fun i _ -> i < jobs) ws in
-        probe_batch batch;
-        (match List.find_opt probe batch with
-        | Some w -> w
-        | None -> grow (List.filteri (fun i _ -> i >= jobs) ws))
-  in
-  let hi = grow (doubling 6) in
-  (* shrink phase: binary search down over (lo, hi]; lo = 0 is by
-     definition unroutable, so the whole untested range below 6 is
-     covered.  [frontier] walks the decision tree from (lo, hi) through
-     the cache and collects, breadth-first, up to [budget] midpoints the
-     sequential search might still need — the immediate midpoint first,
-     then both speculative children of each unknown outcome. *)
-  let frontier lo hi budget =
+  let e = width_estimate placement in
+  (* up to [budget] widths the sequential search might probe next,
+     breadth-first over its decision tree: the width it needs now, then
+     the next width under each outcome of that probe, and so on.  The
+     failing outcome goes first: the estimate errs low more often than
+     high (EXPERIMENTS.md, "Width-search opening estimate"). *)
+  let frontier budget =
     let acc = ref [] and count = ref 0 in
     let q = Queue.create () in
-    Queue.push (lo, hi) q;
+    Queue.push [] q;
     while !count < budget && not (Queue.is_empty q) do
-      let l, h = Queue.pop q in
-      if h - l > 1 then begin
-        let mid = (l + h) / 2 in
-        match Hashtbl.find_opt cache mid with
-        | Some true -> Queue.push (l, mid) q
-        | Some false -> Queue.push (mid, h) q
-        | None ->
-            acc := mid :: !acc;
-            incr count;
-            Queue.push (l, mid) q;
-            Queue.push (mid, h) q
-      end
+      let assumed = Queue.pop q in
+      let known w =
+        match Hashtbl.find_opt cache w with
+        | Some _ as b -> b
+        | None -> List.assoc_opt w assumed
+      in
+      match next_step e known with
+      | Probe w ->
+          if not (List.mem w !acc) then begin
+            acc := w :: !acc;
+            incr count
+          end;
+          Queue.push ((w, false) :: assumed) q;
+          Queue.push ((w, true) :: assumed) q
+      | Found _ | Unroutable -> ()
     done;
     !acc
   in
-  let rec shrink lo hi =
-    (* invariant: hi routable, lo not (or lo = 0) *)
-    if hi - lo <= 1 then hi
-    else begin
-      let mid = (lo + hi) / 2 in
-      match Hashtbl.find_opt cache mid with
-      | Some true -> shrink lo mid
-      | Some false -> shrink mid hi
-      | None ->
-          (* each round resolves at least [mid], so this terminates *)
-          if jobs > 1 then probe_batch (frontier lo hi jobs)
-          else ignore (probe mid);
-          shrink lo hi
-    end
+  (* each round resolves at least the width the sequential search needs
+     next (the frontier's first), so this terminates *)
+  let rec search () =
+    match next_step e (Hashtbl.find_opt cache) with
+    | Found w -> w
+    | Unroutable ->
+        failwith
+          (Printf.sprintf "unroutable even at channel width %d" max_width)
+    | Probe _ ->
+        probe_batch (frontier jobs);
+        search ()
   in
-  let min_w = shrink 0 hi in
+  let min_w = search () in
   (* how many probe routings this search actually ran, and their
      PathFinder iterations and heap pops: with a warm seeded [table]
      the probe count is strictly below the cold count (0 when the table
@@ -259,6 +329,7 @@ let route_min_width ?(max_iterations = 60) ?timing ?table ?jobs ?obs
         (fun (key, v) ->
           Obs.Registry.set ~volatile:true o key (float_of_int v))
         [
+          ("route.width-estimate", e);
           ("route.width-probes", !probes);
           ("route.probe-iterations", !probe_iterations);
           ("route.probe-heap-pops", !probe_pops);

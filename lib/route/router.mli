@@ -44,24 +44,49 @@ val route_fixed :
   Fpga_arch.Params.t -> Place.Placement.t -> width:int -> routed
 (** @raise Failure when unroutable at that width. *)
 
+val max_width : int
+(** 128: the widest channel the width search probes, and the widest
+    fixed width a compile request may ask for
+    ([Service.Protocol.validate] reads it). *)
+
+val width_estimate : Place.Placement.t -> int
+(** The width search's opening width E = round(0.71 x D), clamped to
+    [1, {!max_width}], where D is the placement's peak bounding-box
+    channel demand in tracks.  Each net, with box (x0, x1, y0, y1) =
+    {!Place.Placement.net_bbox}, w = x1 - x0 + 1, h = y1 - y0 + 1 and
+    q = {!Place.Placement.q_factor} (1 + sinks), adds q(x1 - x0)/(wh)
+    to the horizontal and q(y1 - y0)/(wh) to the vertical demand of
+    every tile in its box: the annealer's bounding-box cost spread
+    evenly over the box.  D is the largest value over all tiles and
+    both directions; computing it costs O(sum of box areas).  The
+    constant 0.71 was fitted on the routability-driven suite runs
+    (EXPERIMENTS.md, "Width-search opening estimate"). *)
+
 val route_min_width :
   ?max_iterations:int -> ?timing:Place.Td_timing.delay_model ->
   ?table:(int, bool) Hashtbl.t ->
   ?jobs:int -> ?obs:Obs.Registry.t ->
   Fpga_arch.Params.t -> Place.Placement.t -> routed
-(** Find the minimum channel width (VPR's headline metric) by doubling
-    from 6 tracks and then binary-searching down, then return a
-    low-stress (1.2x) routing — timing-driven if requested.
+(** Find the minimum channel width (VPR's headline metric), then return
+    a low-stress (1.2x) routing — timing-driven if requested.
     [max_iterations] (default 60) is each probe's PathFinder budget; the
     final routing gets twice that.
 
+    The search opens at E = {!width_estimate} and walks outward: if E
+    routes it probes E-1, E-2, E-4, ... until one fails (width 0 is
+    unroutable by definition); if E fails it probes E+1, E+2, E+4, ...
+    up to {!max_width}.  Then it bisects the last bracket.  The probe
+    order is a function of (params, placement) through E alone.
+
     With [jobs] > 1 (default {!Util.Parallel.default_jobs}) the search
-    probes candidate widths speculatively on a Domain pool: each probe
-    is a pure function of the width, so the memoised outcomes replay the
-    sequential decision path exactly and the result is bit-identical to
-    [jobs = 1].  Width probes are congestion-only; the final low-stress
-    routing is timing-driven when [timing] is given (criticalities from
-    one unified-STA pass at the final placement).  Only the final routing
+    probes candidate widths speculatively on a Domain pool: each round
+    probes the first [jobs] widths of a breadth-first walk of the
+    sequential search's decision tree.  Each probe is a pure function of
+    the width, so the memoised outcomes replay the sequential decision
+    path exactly and the result is bit-identical to [jobs = 1].  Width
+    probes are congestion-only; the final low-stress routing is
+    timing-driven when [timing] is given (criticalities from one
+    unified-STA pass at the final placement).  Only the final routing
     records into [obs]: the speculative probe set depends on the pool
     size, so instrumenting it would make metrics jobs-dependent.
 
@@ -70,15 +95,16 @@ val route_min_width :
     re-probed, and the table is updated in place with every outcome
     this search learns.  Seeding affects which probes run, never their
     outcomes — callers must only seed entries obtained from an identical
-    (params, placement) search.  The number of probe routings actually
-    run is recorded into [obs] as the {e volatile} gauge
-    [route.width-probes], and their summed PathFinder iterations and
-    heap pops as [route.probe-iterations] and [route.probe-heap-pops]
-    (volatile: the probe set depends on the pool size as well as on what
-    [table] already holds, so they are excluded from the deterministic
-    metrics view); a warm table yields strictly fewer probes than a cold
+    (params, placement) search.  The opening width is recorded into
+    [obs] as the volatile gauge [route.width-estimate], the number of
+    probe routings actually run as [route.width-probes], and their
+    summed PathFinder iterations and heap pops as
+    [route.probe-iterations] and [route.probe-heap-pops] (volatile: the
+    probe set depends on the pool size as well as on what [table]
+    already holds, so they are excluded from the deterministic metrics
+    view); a warm table yields strictly fewer probes than a cold
     search, down to 0 when it covers the whole decision path.
-    @raise Failure when unroutable even at width 128. *)
+    @raise Failure when unroutable even at width {!max_width}. *)
 
 val sta :
   ?constraints:Sta.Analysis.constraints -> ?graph:Sta.Graph.t ->

@@ -46,7 +46,8 @@ let validate s =
   let bad field rule = Error (Printf.sprintf "field %S must be %s" field rule) in
   match s with
   | { place_starts; _ } when place_starts < 1 -> bad "place_starts" ">= 1"
-  | { route_width = Some w; _ } when w < 1 -> bad "route_width" ">= 1"
+  | { route_width = Some w; _ } when w < 1 || w > Route.Router.max_width ->
+      bad "route_width" (Printf.sprintf "in [1, %d]" Route.Router.max_width)
   | { period_ns = Some p; _ } when not (Float.is_finite p && p > 0.0) ->
       bad "period_ns" "finite and > 0"
   | _ -> Ok s

@@ -65,8 +65,10 @@ val flow_config : base:Core.Flow.config -> submit -> Core.Flow.config
 
 val validate : submit -> (submit, string) result
 (** The submit unchanged, or an error naming the first field outside its
-    domain: [place_starts >= 1], [route_width >= 1], [period_ns] finite
-    and [> 0].  {!request_of_json} applies it, and so does a local
+    domain: [place_starts >= 1], [route_width] in [1, 128]
+    ({!Route.Router.max_width}, the width search's own ceiling: a wider
+    RR graph could exhaust the daemon's memory), [period_ns] finite and
+    [> 0].  {!request_of_json} applies it, and so does a local
     [amdrel_flow] run before it compiles. *)
 
 type request = Submit of submit | Status | Metrics | Shutdown | Watch of int

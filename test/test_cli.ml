@@ -1,10 +1,11 @@
 (* The amdrel_flow CLI end to end: single mode writes BASE.result.json
    for every design, a design that fails to compile exits 1 with an
    ok:false record naming the failed stage, a local-only option under
-   --remote or an out-of-domain --period fails before any product is
-   written, -d and --ledger create missing parents, local --batch
-   warns about the single-design flags it ignores, --arch honours the
-   file's io_rat, and a --remote run writes a local run's files. *)
+   --remote or an out-of-domain --period or --route-width fails before
+   any product is written, -d and --ledger create missing parents,
+   local --batch warns about the single-design flags it ignores, --arch
+   honours the file's io_rat, and a --remote run writes a local run's
+   files. *)
 
 module J = Obs.Jsonin
 
@@ -99,26 +100,25 @@ let test_missing_parents () =
        (In_channel.with_open_bin (Filename.concat ledger "suite.jsonl")
           In_channel.input_lines))
 
-(* A period outside its domain is refused before anything compiles, by
-   the same check the daemon applies to a submit. *)
-let test_bad_period () =
+(* A period or fixed width outside its domain is refused before anything
+   compiles, by the same check the daemon applies to a submit; the error
+   names the field. *)
+let out_of_domain ~field args () =
   let dir = Filename.temp_dir "amdrel-cli-test" "" in
   let path name = Filename.concat dir name in
   Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
       output_string oc (Core.Bench_circuits.counter 8));
-  let argv =
-    [ flow_exe; path "counter8.vhd"; "-d"; dir; "--no-cache"; "--period"; "0" ]
-  in
+  let argv = [ flow_exe; path "counter8.vhd"; "-d"; dir; "--no-cache" ] @ args in
   let code =
     Sys.command
       (String.concat " " (List.map Filename.quote argv)
       ^ " >/dev/null 2>" ^ Filename.quote (path "stderr.txt"))
   in
   Alcotest.(check int) "exit code" 1 code;
-  Alcotest.(check bool) "stderr names period_ns" true
+  Alcotest.(check bool) ("stderr names " ^ field) true
     (Str_helpers.contains
        (In_channel.with_open_bin (path "stderr.txt") In_channel.input_all)
-       "period_ns");
+       field);
   Alcotest.(check bool) "no record written" false
     (Sys.file_exists (path "counter8.result.json"))
 
@@ -294,7 +294,9 @@ let suite =
     Alcotest.test_case "-d and --ledger create missing parents" `Quick
       (with_exe test_missing_parents);
     Alcotest.test_case "--period 0 exits 1 before compiling" `Quick
-      (with_exe test_bad_period);
+      (with_exe (out_of_domain ~field:"period_ns" [ "--period"; "0" ]));
+    Alcotest.test_case "--route-width 129 exits 1 before compiling" `Quick
+      (with_exe (out_of_domain ~field:"route_width" [ "--route-width"; "129" ]));
     Alcotest.test_case "--arch honours the file's io_rat" `Quick
       (with_exe test_arch_io_rat);
     Alcotest.test_case "--remote batch writes the local run's files" `Quick

@@ -44,6 +44,26 @@ let prop_routed_trees_valid =
                   ~sinks:spec.Route.Pathfinder.sinks tr)
            nets)
 
+(* The width search stops on a routability edge: the width it returns
+   routes, and the one below it does not (or it is 1).  The opening
+   estimate lies in the search's range. *)
+let prop_width_search_edge =
+  QCheck.Test.make ~count:10 ~name:"width search ends on a routability edge"
+    seed_arb (fun seed ->
+      let _, placement = place_random seed in
+      let params = Fpga_arch.Params.amdrel in
+      let e = Route.Router.width_estimate placement in
+      match
+        (Route.Router.route_min_width ~jobs:1 params placement)
+          .Route.Router.min_width
+      with
+      | None -> false
+      | Some w ->
+          1 <= e && e <= Route.Router.max_width
+          && Route.Router.try_width ~jobs:1 params placement w <> None
+          && (w = 1
+             || Route.Router.try_width ~jobs:1 params placement (w - 1) = None))
+
 (* Incremental rip-up (the default) and classic full rip-up must both
    route the bench circuits at the same channel width. *)
 let test_incremental_matches_full () =
@@ -336,14 +356,26 @@ let test_intra_route_jobs_deterministic () =
   | [] -> Alcotest.fail "no iteration stats"
 
 (* The speculative parallel width search must replay the sequential
-   decision path exactly: same minimum width, same final width, and the
-   same routing tree for every net. *)
+   decision path exactly: same minimum width, same final width, the
+   same routing tree for every net, and the same outcome for every
+   width both probe tables hold. *)
 let test_width_search_jobs_deterministic () =
   let _, placement = place_random 1234 in
   let route jobs =
-    Route.Router.route_min_width ~jobs Fpga_arch.Params.amdrel placement
+    let table = Hashtbl.create 16 in
+    ( Route.Router.route_min_width ~jobs ~table Fpga_arch.Params.amdrel
+        placement,
+      table )
   in
-  let seq = route 1 and par = route 4 in
+  let (seq, seq_table), (par, par_table) = (route 1, route 4) in
+  Hashtbl.iter
+    (fun w routable ->
+      match Hashtbl.find_opt par_table w with
+      | Some b ->
+          Alcotest.(check bool) (Printf.sprintf "width %d outcome" w)
+            routable b
+      | None -> ())
+    seq_table;
   Alcotest.(check (option int)) "min width" seq.Route.Router.min_width
     par.Route.Router.min_width;
   Alcotest.(check int) "final width" seq.Route.Router.width
@@ -500,14 +532,14 @@ let test_route_identity_pin () =
     [
       ( "alu16 uniform", Fpga_arch.Params.amdrel, false,
         Core.Bench_circuits.alu 16,
-        6, [ (3, false); (4, false); (5, false); (6, true) ],
+        6, [ (5, false); (6, true) ],
         41307, 8, 234, "4fbd9c41f64837894d434941cc8a8c3d" );
       ( "mult8 2xL1+1xL2+1xL4", mixed, false, Core.Bench_circuits.multiplier 8,
-        10, [ (6, false); (9, false); (10, true); (12, true) ],
+        10, [ (8, false); (9, false); (10, true) ],
         44676, 6, 255, "4cffe70810e5fa1cb78dc16fbab561af" );
       ( "mult8 2xL1+1xL2+1xL4 timing-driven", mixed, true,
         Core.Bench_circuits.multiplier 8,
-        9, [ (6, false); (7, false); (8, false); (9, true); (12, true) ],
+        9, [ (7, false); (8, false); (9, true) ],
         48149, 14, 608, "37cace08d61b229ee57b02a58b4a88d9" );
     ]
 
@@ -621,6 +653,7 @@ let suite =
     Alcotest.test_case "failing widths stop early" `Quick
       test_failing_widths_stop_early;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;
+    QCheck_alcotest.to_alcotest prop_width_search_edge;
     QCheck_alcotest.to_alcotest prop_partition_exactly_once;
     QCheck_alcotest.to_alcotest prop_partition_batch_disjoint;
     QCheck_alcotest.to_alcotest prop_partition_order_preserved;

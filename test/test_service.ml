@@ -188,8 +188,17 @@ let test_protocol_errors () =
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [
       ("place_starts", "0"); ("place_starts", "-2"); ("route_width", "0");
-      ("route_width", "-1"); ("period_ns", "0"); ("period_ns", "-1");
+      ("route_width", "-1"); ("route_width", "129"); ("period_ns", "0");
+      ("period_ns", "-1");
     ];
+  (* the width search's own ceiling is the widest fixed width *)
+  (match
+     P.request_of_json (J.parse {|{"verb":"submit","vhdl":"x","route_width":128}|})
+   with
+  | Ok (P.Submit s) ->
+      Alcotest.(check (option int)) "route_width 128 accepted" (Some 128)
+        s.P.route_width
+  | _ -> Alcotest.fail "route_width 128 rejected");
   (* null optional fields read as absent, not as type errors *)
   match P.request_of_json (J.parse {|{"verb":"submit","vhdl":"x","route_width":null}|}) with
   | Ok (P.Submit s) ->
