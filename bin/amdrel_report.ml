@@ -6,12 +6,13 @@
    per design, writes the folded trajectory as one JSON file (the
    artifact CI uploads and the repo pins), prints a table, and compares
    each design's latest record against its previous comparable one —
-   same run.design_hash, run.params_fp and run.seed, so only records
-   the determinism contract says must agree are compared.  A tracked
-   metric moving past the tolerance in the bad direction (wmin/crit/
-   power up, wns/tns down) exits 1.  A record is a per-design result
-   record plus its run stamp (lib/ledger); every field read here is one
-   Ledger.read checks. *)
+   same run.design_hash, run.params_fp, run.seed and run.mode, so only
+   records the determinism contract says must agree are compared.  A
+   tracked metric moving past the tolerance in the bad direction
+   (wmin/crit/power up, wns/tns down) exits 1.  A record is a
+   per-design result record plus its run stamp (lib/ledger); every
+   field read here is one Ledger.read checks, but run.mode, which older
+   lines lack (Ledger.line_mode). *)
 
 open Cmdliner
 module E = Obs.Emit
@@ -46,9 +47,10 @@ let tracked =
   ]
 
 let comparable a b =
-  List.for_all
-    (fun key -> L.find [ "run"; key ] a = L.find [ "run"; key ] b)
-    [ "design_hash"; "params_fp"; "seed" ]
+  L.line_mode a = L.line_mode b
+  && List.for_all
+       (fun key -> L.find [ "run"; key ] a = L.find [ "run"; key ] b)
+       [ "design_hash"; "params_fp"; "seed" ]
 
 let judge ~tolerance prev latest =
   let margin old = tolerance *. Float.max (Float.abs old) 1e-12 in

@@ -25,6 +25,21 @@ let git_describe () =
   | Some d -> d
   | None -> "-"
 
+let mode (c : F.config) =
+  String.concat "+"
+    ((if c.F.search_min_width then "search"
+      else Printf.sprintf "width=%d" c.F.route_width)
+    :: (if c.F.timing_driven then [ "timing" ] else [])
+    @
+    match c.F.clock_period with
+    | Some p -> [ Printf.sprintf "period=%.12gns" (p *. 1e9) ]
+    | None -> [])
+
+let line_mode line =
+  match Option.bind (J.member "run" line) (J.member "mode") with
+  | Some (E.String m) -> m
+  | _ -> mode F.default_config
+
 let line ~suite ~config ~source r =
   let hex s = E.String (Digest.to_hex (Digest.string s)) in
   let run =
@@ -35,6 +50,7 @@ let line ~suite ~config ~source r =
         ("params_fp", hex (Marshal.to_string config.F.params []));
         ("mix", E.String (Fpga_arch.Params.mix_name config.F.params));
         ("seed", E.Int config.F.seed);
+        ("mode", E.String (mode config));
         ("jobs", E.Int (Util.Parallel.resolve_jobs ?jobs:config.F.jobs ()));
         ("git", E.String (git_describe ()));
         ("at", E.String (utc_now ()));

@@ -1,217 +1,116 @@
 (* FlowMap: depth-optimal K-LUT technology mapping (Cong & Ding, 1994) —
    the role SIS plays in the paper's flow.
 
-   Phase 1 computes, for every gate of a two-bounded network, its label
-   (optimal mapped depth) and a K-feasible cut realising it, using the
-   classic collapse-and-max-flow argument.  Phase 2 walks from the outputs
-   generating one LUT per needed cut, composing the covered cone into a
-   truth table over the cut signals. *)
+   Phase 1 labels every gate of a two-bounded network with its optimal
+   mapped depth and a K-feasible cut realising it, in one topological
+   sweep that keeps every signal's K-feasible cuts as sorted signal-id
+   lists.  A source's only cut is itself; a gate's cuts are the gate
+   itself plus every union of one cut per fanin with at most K signals.
+   With p the worst fanin label, a cut is low when every member is a
+   source or a gate labelled below p.  A gate with a low cut gets label
+   max(p, 1) and keeps its smallest low cut; a gate with none gets p + 1
+   and its sorted fanins.  Among equally small low cuts it keeps the one
+   with the fewest cone signals that a source reaches without crossing
+   the cut.
+
+   This is the textbook max-flow FlowMap, cut for cut.  That method
+   collapses the gate and every cone gate labelled p into the sink of a
+   node-split flow network, so the network's node cuts are the low cuts
+   and a min cut of at most K nodes is a smallest low cut.  Every cut of
+   at most K signals with no smaller cut inside it is a union of fanin
+   cuts, so the sweep sees every min cut.  Edmonds–Karp returns the min
+   cut its residual graph reaches from the source, the one nearest the
+   sources.  The min cuts' source sides all contain that one's, so it
+   has the fewest reached signals, and it is the only tie whose members
+   all lie on every other tie's source side.  The sweep finds it that
+   way: a short walk back from each member, not a count over the cone.
+
+   Phase 2 walks from the outputs generating one LUT per needed cut,
+   composing the covered cone into a truth table over the cut signals. *)
 
 open Netlist
 
 exception Not_two_bounded of string
 
-type cut_info = {
-  label : int;
-  cut : int list; (* signal ids forming the LUT inputs *)
-}
+(* Sorted union of two sorted signal lists. *)
+let rec union a b =
+  match (a, b) with
+  | [], c | c, [] -> c
+  | x :: a', y :: b' ->
+      if x < y then x :: union a' b
+      else if x > y then y :: union a b'
+      else x :: union a' b'
 
-(* ---------- small max-flow on node-split graphs ---------- *)
-
-(* The flow network per FlowMap query is tiny; adjacency lists with
-   Edmonds-Karp and early exit once flow exceeds k is plenty. *)
-module Flow = struct
-  type edge = { dst : int; mutable cap : int; mutable flow : int; inv : int }
-
-  type t = { mutable adj : edge array array; n : int; store : edge list array }
-
-  let create n = { adj = [||]; n; store = Array.make n [] }
-
-  (* add edge u->v with capacity c (and residual v->u with 0) *)
-  let add_edge g u v c =
-    let e1 = { dst = v; cap = c; flow = 0; inv = List.length g.store.(v) } in
-    let e2 = { dst = u; cap = 0; flow = 0; inv = List.length g.store.(u) } in
-    g.store.(u) <- g.store.(u) @ [ e1 ];
-    g.store.(v) <- g.store.(v) @ [ e2 ]
-
-  let freeze g = g.adj <- Array.map Array.of_list g.store
-
-  (* BFS one augmenting path of capacity >= 1 from s to t; returns true if
-     found (and applies it). *)
-  let augment g s t =
-    let prev = Array.make g.n (-1, -1) in
-    let visited = Array.make g.n false in
-    visited.(s) <- true;
-    let q = Queue.create () in
-    Queue.push s q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Array.iteri
-        (fun ei e ->
-          if (not visited.(e.dst)) && e.cap - e.flow > 0 then begin
-            visited.(e.dst) <- true;
-            prev.(e.dst) <- (u, ei);
-            if e.dst = t then found := true else Queue.push e.dst q
-          end)
-        g.adj.(u)
-    done;
-    if !found then begin
-      (* unit capacities: push 1 *)
-      let rec walk v =
-        if v <> s then begin
-          let u, ei = prev.(v) in
-          let e = g.adj.(u).(ei) in
-          e.flow <- e.flow + 1;
-          let back = g.adj.(v).(e.inv) in
-          back.flow <- back.flow - 1;
-          walk u
-        end
-      in
-      walk t;
-      true
-    end
-    else false
-
-  (* nodes reachable from s in the residual graph *)
-  let residual_reachable g s =
-    let visited = Array.make g.n false in
-    visited.(s) <- true;
-    let q = Queue.create () in
-    Queue.push s q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Array.iter
-        (fun e ->
-          if (not visited.(e.dst)) && e.cap - e.flow > 0 then begin
-            visited.(e.dst) <- true;
-            Queue.push e.dst q
-          end)
-        g.adj.(u)
-    done;
-    visited
-end
-
-(* ---------- cone extraction ---------- *)
-
-(* Transitive fanin cone of [v]: gate ids in the cone (including v) and the
-   source signals (inputs/latches/consts) feeding it. *)
-let cone (net : Logic.t) v =
+(* Whether a source reaches [id] without crossing [cut] before it.  A
+   signal seen twice already failed: the first success ends the walk. *)
+let reached (net : Logic.t) cut id =
   let seen = Hashtbl.create 16 in
-  let gates = ref [] and sources = ref [] in
-  let rec visit id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
-      match Logic.driver net id with
-      | Logic.Gate { fanins; _ } ->
-          gates := id :: !gates;
-          Array.iter visit fanins
-      | Logic.Input | Logic.Const _ | Logic.Latch _ -> sources := id :: !sources
-    end
+  let rec reach id =
+    (not (Hashtbl.mem seen id))
+    && begin
+         Hashtbl.replace seen id ();
+         match Logic.driver net id with
+         | Logic.Gate { fanins; _ } ->
+             Array.exists (fun f -> (not (List.mem f cut)) && reach f) fanins
+         | Logic.Input | Logic.Const _ | Logic.Latch _ -> true
+       end
   in
-  visit v;
-  (!gates, !sources)
+  reach id
 
 (* ---------- labelling ---------- *)
 
-let compute_labels (net : Logic.t) ~k =
+(* Every signal's label (sources 0) and chosen cut (sources none). *)
+let labels (net : Logic.t) ~k =
   let n = Logic.signal_count net in
-  let info = Array.make n { label = 0; cut = [] } in
-  let order = Logic.topo_order net in
+  let label = Array.make n 0 and cut = Array.make n [] in
+  let cuts = Array.make n [] in
   List.iter
     (fun v ->
       match Logic.driver net v with
-      | Logic.Input | Logic.Const _ | Logic.Latch _ ->
-          info.(v) <- { label = 0; cut = [] }
-      | Logic.Gate { fanins; _ } ->
+      | Logic.Input | Logic.Const _ | Logic.Latch _ -> cuts.(v) <- [ [ v ] ]
+      | Logic.Gate { fanins; _ } -> (
           if Array.length fanins > 2 then
             raise (Not_two_bounded (Logic.name net v));
-          let gates, sources = cone net v in
-          let p =
-            Array.fold_left (fun m f -> max m info.(f).label) 0 fanins
+          let unions =
+            Array.fold_left
+              (fun acc f ->
+                List.concat_map
+                  (fun c ->
+                    List.filter_map
+                      (fun d ->
+                        let u = union c d in
+                        if List.length u <= k then Some u else None)
+                      cuts.(f))
+                  acc)
+              [ [] ] fanins
+            |> List.sort_uniq compare
           in
-          (* Collapse v and every cone gate with label = p into the sink.
-             Source signals and remaining gates are split with capacity 1. *)
-          let collapsed id =
-            id = v
-            || (match Logic.driver net id with
-               | Logic.Gate _ -> info.(id).label = p
-               | _ -> false)
+          cuts.(v) <- [ v ] :: unions;
+          let p = Array.fold_left (fun m f -> max m label.(f)) 0 fanins in
+          let low m =
+            match Logic.driver net m with
+            | Logic.Gate _ -> label.(m) < p
+            | Logic.Input | Logic.Const _ | Logic.Latch _ -> true
           in
-          let cone_gates = gates in
-          let members = cone_gates @ sources in
-          (* node numbering: S = 0, T = 1; each non-collapsed member m gets
-             in = 2 + 2*idx, out = 3 + 2*idx *)
-          let index = Hashtbl.create 16 in
-          let next = ref 0 in
-          List.iter
-            (fun id ->
-              if not (collapsed id) then begin
-                Hashtbl.replace index id !next;
-                incr next
-              end)
-            members;
-          let size = 2 + (2 * !next) in
-          let g = Flow.create size in
-          let node_in id = 2 + (2 * Hashtbl.find index id) in
-          let node_out id = node_in id + 1 in
-          let big = 1000000 in
-          (* split edges *)
-          Hashtbl.iter (fun id _ -> Flow.add_edge g (node_in id) (node_out id) 1)
-            index;
-          (* source feeds all source-signals *)
-          List.iter
-            (fun id ->
-              if collapsed id then Flow.add_edge g 0 1 big
-              else Flow.add_edge g 0 (node_in id) big)
-            sources;
-          (* internal edges: for each cone gate, edges from its fanins *)
-          List.iter
-            (fun gid ->
-              match Logic.driver net gid with
-              | Logic.Gate { fanins; _ } ->
-                  let dst = if collapsed gid then 1 else node_in gid in
-                  Array.iter
-                    (fun f ->
-                      (* fanin must be in the cone (gate or source) *)
-                      let src = if collapsed f then 1 else node_out f in
-                      if src = 1 && dst = 1 then ()
-                      else if src = 1 then
-                        (* edge out of the sink is irrelevant for s-t flow *)
-                        ()
-                      else Flow.add_edge g src dst big)
-                    fanins
-              | _ -> ())
-            cone_gates;
-          Flow.freeze g;
-          (* max-flow with early exit at k+1 *)
-          let flow = ref 0 in
-          while !flow <= k && Flow.augment g 0 1 do
-            incr flow
-          done;
-          if !flow <= k then begin
-            (* min cut: members whose in-side is residual-reachable but
-               out-side is not *)
-            let reach = Flow.residual_reachable g 0 in
-            let cut =
-              Hashtbl.fold
-                (fun id _ acc ->
-                  if reach.(node_in id) && not (reach.(node_out id)) then
-                    id :: acc
-                  else acc)
-                index []
-            in
-            (* a source directly collapsed never appears; the standard
-               theory guarantees |cut| = flow <= k *)
-            info.(v) <- { label = max p 1; cut = List.sort compare cut }
-          end
-          else
-            (* no K-feasible cut at height p: the node starts a new LUT *)
-            info.(v) <-
-              { label = p + 1; cut = List.sort compare (Array.to_list fanins) }
-    )
-    order;
-  info
+          match List.filter (List.for_all low) unions with
+          | [] ->
+              label.(v) <- p + 1;
+              cut.(v) <- List.sort compare (Array.to_list fanins)
+          | lows ->
+              let size =
+                List.fold_left (fun m c -> min m (List.length c)) k lows
+              in
+              let ties = List.filter (fun c -> List.length c = size) lows in
+              label.(v) <- max p 1;
+              (* keep the tie whose members lie on every other tie's
+                 source side: the min cut nearest the sources *)
+              cut.(v) <-
+                List.fold_left
+                  (fun best c ->
+                    if List.for_all (reached net c) best then best else c)
+                  (List.hd ties) (List.tl ties)))
+    (Logic.topo_order net);
+  (label, cut)
 
 (* ---------- covering phase ---------- *)
 
@@ -256,7 +155,7 @@ let cone_function (net : Logic.t) v cut =
    names are preserved.  The depth is the labels' bound: the worst label
    over every combinational endpoint (primary outputs and latch data). *)
 let map ?(k = 4) (net : Logic.t) =
-  let info = compute_labels net ~k in
+  let label, cut = labels net ~k in
   let mapped = Logic.create ~model:net.Logic.model () in
   mapped.Logic.clock <- net.Logic.clock;
   let translated = Array.make (Logic.signal_count net) (-1) in
@@ -276,9 +175,8 @@ let map ?(k = 4) (net : Logic.t) =
     else
       match Logic.driver net v with
       | Logic.Gate _ ->
-          let cut = info.(v).cut in
-          let lut_inputs = List.map realize cut in
-          let tt = cone_function net v cut in
+          let lut_inputs = List.map realize cut.(v) in
+          let tt = cone_function net v cut.(v) in
           (* drop non-support inputs to keep LUTs tight *)
           let tt, sup = Tt.compact tt in
           let lut_inputs =
@@ -313,11 +211,6 @@ let map ?(k = 4) (net : Logic.t) =
       | _ -> ())
     (Logic.latches net);
   List.iter (fun o -> Logic.set_output mapped translated.(o)) (Logic.outputs net);
-  let label_of id =
-    match Logic.driver net id with
-    | Logic.Gate _ -> info.(id).label
-    | Logic.Latch _ | Logic.Input | Logic.Const _ -> 0
-  in
   let endpoints =
     Logic.outputs net
     @ List.filter_map
@@ -328,4 +221,4 @@ let map ?(k = 4) (net : Logic.t) =
         (Logic.latches net)
   in
   ( Synth.Opt.garbage_collect mapped,
-    List.fold_left (fun m e -> max m (label_of e)) 0 endpoints )
+    List.fold_left (fun m e -> max m label.(e)) 0 endpoints )

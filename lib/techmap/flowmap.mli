@@ -1,24 +1,21 @@
 (** FlowMap: depth-optimal K-LUT technology mapping (Cong & Ding, 1994) —
     the role SIS plays in the paper's flow.
 
-    Phase 1 computes, per gate of a two-bounded network, its label
-    (optimal mapped depth) and a K-feasible cut realising it via the
-    classic collapse-and-max-flow argument; phase 2 covers the network
-    from the outputs, one LUT per needed cut. *)
+    Phase 1 labels every gate of a two-bounded network with its optimal
+    mapped depth, in one topological sweep over each signal's K-feasible
+    cuts (sorted signal-id lists: a source's only cut is itself, a gate's
+    are itself plus every union of one cut per fanin with at most K
+    signals).  With p the worst fanin label, a gate with a cut of sources
+    and gates labelled below p gets label max(p, 1) and the smallest such
+    cut; otherwise it gets p + 1 and its fanins.  Among equally small
+    cuts it keeps the one with the fewest cone signals that a source
+    reaches without crossing it: the min cut nearest the sources, which
+    is the cut the textbook max-flow formulation's residual graph
+    returns, so the mapping equals that formulation's.  Phase 2 covers
+    the network from the outputs, one LUT per needed cut. *)
 
 exception Not_two_bounded of string
 (** Raised (with a signal name) when a gate has more than two fanins. *)
-
-type cut_info = {
-  label : int;
-  cut : int list; (** signal ids forming the LUT inputs *)
-}
-
-val compute_labels : Netlist.Logic.t -> k:int -> cut_info array
-(** Labels and cuts for every signal (sources get label 0). *)
-
-val cone_function : Netlist.Logic.t -> int -> int list -> Netlist.Tt.t
-(** Truth table of the cone rooted at a signal over the ordered cut. *)
 
 val map : ?k:int -> Netlist.Logic.t -> Netlist.Logic.t * int
 (** Map into K-LUTs (default K = 4), with the label bound on the mapped

@@ -291,6 +291,55 @@ let test_gate_pass_and_fail () =
       ]
   end
 
+(* A flow mode names the output-affecting settings outside params and
+   seed, and the gate compares only records of one mode: a timing-driven
+   run's critical path is not a regression of a routability-driven
+   run's.  A line without run.mode reads as the default mode. *)
+let with_mode m =
+  edit [ "run" ] (function
+    | E.Obj kvs -> Some (E.Obj (kvs @ [ ("mode", E.String m) ]))
+    | v -> Some v)
+
+let test_gate_compares_one_mode () =
+  let module F = Core.Flow in
+  let d = F.default_config in
+  List.iter
+    (fun (label, config, mode) ->
+      Alcotest.(check string) label mode (L.mode config))
+    [
+      ("default", d, "search");
+      ("timing-driven", { d with F.timing_driven = true }, "search+timing");
+      ( "fixed width, timing-driven, 5 ns",
+        {
+          d with
+          F.search_min_width = false;
+          route_width = 14;
+          timing_driven = true;
+          clock_period = Some 5e-9;
+        },
+        "width=14+timing+period=5ns" );
+    ];
+  Alcotest.(check string) "a line without mode is default-mode" "search"
+    (L.line_mode (mk ()));
+  if not (Sys.file_exists report_exe) then Alcotest.skip ()
+  else begin
+    let dir = temp_dir "modes" in
+    let out = Filename.concat dir "BENCH_t.json" in
+    let compared () =
+      Option.bind (L.find [ "gate"; "compared" ] (read_bench out))
+        Obs.Jsonin.get_int
+    in
+    (* routability-driven, then timing-driven with a longer path *)
+    L.append ~dir ~suite:"t" (mk ());
+    L.append ~dir ~suite:"t" (with_mode "search+timing" (mk ~crit_s:5.0e-9 ()));
+    Alcotest.(check int) "another mode never gates" 0 (run_report ~dir ~out);
+    Alcotest.(check (option int)) "nothing compared" (Some 0) (compared ());
+    (* a second timing-driven record is compared with the first *)
+    L.append ~dir ~suite:"t" (with_mode "search+timing" (mk ~crit_s:6.0e-9 ()));
+    Alcotest.(check int) "one mode gates" 1 (run_report ~dir ~out);
+    Alcotest.(check (option int)) "one comparison" (Some 1) (compared ())
+  end
+
 let suite =
   [
     Alcotest.test_case "record JSON roundtrip" `Quick test_roundtrip;
@@ -301,4 +350,6 @@ let suite =
     Alcotest.test_case "line = result record + run stamp" `Slow test_line;
     Alcotest.test_case "report gate passes then fails on regression" `Quick
       test_gate_pass_and_fail;
+    Alcotest.test_case "report gate compares one mode" `Quick
+      test_gate_compares_one_mode;
   ]

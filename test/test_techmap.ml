@@ -140,6 +140,66 @@ let test_mapper_reduces_suite () =
       ignore mapped)
     Core.Bench_circuits.quick_suite
 
+(* FlowMap's min-cut tie-break.  v = NOT z, z = y AND q, y = NOT x,
+   x = x1 AND c, x1 = a AND b, q = d AND e.  z gets label 2, so v's low
+   cuts (labels below 2) of size two are {y, q} and {x, q}.  Max-flow
+   FlowMap returns the min cut nearest the sources, {x, q}: fewer cone
+   signals lie on its source side (y does not).  y is created before x,
+   as a placeholder input rewired later, so {y, q} comes first in sorted
+   order and a first-smallest-cut rule would pick it. *)
+let test_flowmap_min_cut_tie_break () =
+  let net = Logic.create () in
+  let input name = Logic.add_input net name in
+  let a = input "a" and b = input "b" and c = input "c" in
+  let d = input "d" and e = input "e" in
+  let and2 name x y = Logic.add_gate net name (Tt.and_n 2) [| x; y |] in
+  let x1 = and2 "x1" a b in
+  let y = input "y" in
+  let x = and2 "x" x1 c in
+  Logic.set_driver net y (Logic.Gate { tt = Tt.inv; fanins = [| x |] });
+  let q = and2 "q" d e in
+  let z = and2 "z" y q in
+  let v = Logic.add_gate net "v" Tt.inv [| z |] in
+  Logic.set_output net v;
+  let reference = Logic.copy net in
+  let mapped, depth = Techmap.Flowmap.map ~k:4 net in
+  Alcotest.(check int) "three LUTs" 3 (List.length (Logic.gates mapped));
+  Alcotest.(check int) "depth" 2 depth;
+  Alcotest.(check (list string)) "LUT v reads x and q" [ "x"; "q" ]
+    (List.map (Logic.name mapped)
+       (Logic.fanins mapped (Logic.find_exn mapped "v")));
+  Alcotest.(check bool) "equivalent" true
+    (Techmap.Simcheck.is_equivalent reference mapped)
+
+(* Techmap identity pin.  FlowMap's labelling was rewritten from a
+   per-gate max-flow network to a sweep over enumerated cuts, which had
+   to reproduce the old mapping bit for bit.  The values were recorded
+   with the max-flow labelling: the MD5 of the mapped BLIF, the LUT count
+   and the depth of the standalone DIVINER -> SIS chain. *)
+let test_techmap_identity_pin () =
+  List.iter
+    (fun (name, vhdl, md5, luts, depth) ->
+      let mapped, report =
+        Techmap.Mapper.map_network ~k:4 (Synth.Diviner.synthesize vhdl)
+      in
+      Alcotest.(check string) (name ^ " BLIF MD5") md5
+        (Digest.to_hex (Digest.string (Blif.to_string mapped)));
+      Alcotest.(check int) (name ^ " LUTs") luts
+        (List.length (Logic.gates mapped));
+      Alcotest.(check int) (name ^ " depth") depth
+        report.Techmap.Mapper.predicted_depth;
+      Alcotest.(check int) (name ^ " mapped depth") depth (Logic.depth mapped))
+    [
+      ( "alu16", Core.Bench_circuits.alu 16,
+        "8b2376269b753fbfd9ae1fd581fe3589", 144, 12 );
+      ( "decoder4", Core.Bench_circuits.decoder 4,
+        "d9196ccb1a123dc7459c7a6be00d6b7b", 16, 1 );
+      ( "mult12", Core.Bench_circuits.multiplier 12,
+        "723c4c9eb562005a31e33cea37bc55bb", 477, 28 );
+      ( "alu32", Core.Bench_circuits.alu 32,
+        "8c345e158201df89d31d2ca9c8e57e9f", 294, 23 );
+    ]
+
 (* ---------- Quine-McCluskey ---------- *)
 
 let tt_arb =
@@ -200,6 +260,8 @@ let suite =
     ("simcheck detects difference", `Quick, test_simcheck_detects_difference);
     ("simcheck sequential", `Quick, test_simcheck_sequential);
     ("mapper on suite", `Quick, test_mapper_reduces_suite);
+    ("flowmap min-cut tie-break", `Quick, test_flowmap_min_cut_tie_break);
+    ("techmap identity pin", `Quick, test_techmap_identity_pin);
     QCheck_alcotest.to_alcotest prop_decompose_preserves;
     QCheck_alcotest.to_alcotest prop_flowmap_preserves;
     QCheck_alcotest.to_alcotest prop_flowmap_k_bound;
