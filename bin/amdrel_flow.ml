@@ -96,15 +96,18 @@ let compile_local config timing_report ledger_suite source =
 (* The intermediate products and the six stage reports of a compiled
    design; the bitstream, record and timing JSON are already written. *)
 let walkthrough input base config timing_report (r : Core.Flow.result) =
-  Tool_common.write_file (base ^ ".edf") r.Core.Flow.edif;
-  Tool_common.write_file (base ^ ".blif") r.Core.Flow.blif_mapped;
+  Tool_common.write_file (base ^ ".edf")
+    (Netlist.Edif.to_string (Netlist.Edif.of_logic r.Core.Flow.synthesized));
+  Tool_common.write_file (base ^ ".blif")
+    (Netlist.Blif.to_string r.Core.Flow.mapped);
   Pack.Netfile.to_file (base ^ ".net") r.Core.Flow.packing;
   Fpga_arch.Archfile.to_file (base ^ ".arch") config.Core.Flow.params;
   (* stage reports, in the GUI's six-stage order *)
   Printf.printf "=== 1. File upload ===\n  %s (%d bytes)\n" input
     (Unix.stat input).Unix.st_size;
   Format.printf "=== 2. Synthesis (DIVINER + DRUID) ===@.  %a -> %s@."
-    Netlist.Logic.pp_stats r.Core.Flow.source_stats (base ^ ".edf");
+    Netlist.Logic.pp_stats (Netlist.Logic.stats r.Core.Flow.synthesized)
+    (base ^ ".edf");
   Format.printf "=== 3. Format translation (E2FMT + SIS) ===@.  %a -> %s@."
     Netlist.Logic.pp_stats r.Core.Flow.mapped_stats (base ^ ".blif");
   Printf.printf

@@ -37,11 +37,13 @@ let () =
   (* Step 1: the complete flow in one call. *)
   let r = Core.Flow.run_vhdl vhdl in
   print_endline (Core.Flow.summary (Core.Flow.result_obj r));
-  (* Step 2: the intermediate products are all available. *)
-  Printf.printf "\nEDIF netlist: %d bytes\n" (String.length r.Core.Flow.edif);
-  Printf.printf "mapped BLIF:\n%s\n" r.Core.Flow.blif_mapped;
-  (* Step 3: simulate the mapped netlist to watch it count. *)
+  (* Step 2: the intermediate products render from the two networks. *)
   let net = r.Core.Flow.mapped in
+  let edif = Netlist.Edif.of_logic r.Core.Flow.synthesized in
+  Printf.printf "\nEDIF netlist: %d bytes\n"
+    (String.length (Netlist.Edif.to_string edif));
+  Printf.printf "mapped BLIF:\n%s\n" (Netlist.Blif.to_string net);
+  (* Step 3: simulate the mapped netlist to watch it count. *)
   let st = Netlist.Logic.sim_init net in
   let inputs = Hashtbl.create 4 in
   let input_of nm =

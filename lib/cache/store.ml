@@ -46,9 +46,8 @@ let find t k =
           touch p;
           Some v
       | _ | (exception _) ->
-          (* truncated, garbled, written by a different binary (closure
-             code pointers fail to resolve), or a foreign file: all read
-             as a miss and the caller recomputes *)
+          (* truncated, garbled or a foreign file: all read as a miss
+             and the caller recomputes *)
           R.incr t.obs "cache.corrupt";
           R.incr t.obs "cache.miss";
           None)
@@ -68,7 +67,7 @@ let temp_path t =
 
 let store t k v =
   match
-    let data = Marshal.to_string (k, v) [ Marshal.Closures ] in
+    let data = Marshal.to_string (k, v) [] in
     let tmp = temp_path t in
     let oc =
       open_out_gen [ Open_wronly; Open_creat; Open_excl; Open_binary ] 0o644 tmp
@@ -113,8 +112,8 @@ let is_temp_name n =
 (* Cheap corruption probe, without unmarshalling the payload: the Marshal
    header declares the stream's total size, which must match the file
    exactly.  Catches truncation, appended garbage and non-Marshal files;
-   entries that pass but still fail a real [find] (e.g. foreign-binary
-   closures) read as misses there. *)
+   entries that pass but still fail a real [find] (garbled bytes inside
+   the stream) read as misses there. *)
 let entry_intact p size =
   match
     let ic = open_in_bin p in

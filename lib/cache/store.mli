@@ -18,8 +18,8 @@
       CLI invocations sharing one cache) can never expose a
       half-written entry; the last writer wins with a complete file.
     - {b Reads are corrupt-tolerant.}  A missing, truncated, garbled or
-      wrong-binary entry is indistinguishable from a miss: [find]
-      returns [None] and the caller recomputes (and re-stores).  A
+      foreign entry is indistinguishable from a miss: [find] returns
+      [None] and the caller recomputes (and re-stores).  A
       cache can therefore be deleted, truncated or copied between
       machines at any time without breaking a flow — the worst case is
       recomputation.
@@ -28,16 +28,14 @@
       docs/OBSERVABILITY.md: [cache.hit], [cache.miss], [cache.store],
       [cache.corrupt] and [cache.bytes] (payload bytes read on hits
       plus written on stores).
-    - {b Entries are marshaled OCaml values} (with
-      [Marshal.Closures], so stage results that embed functions — the
-      STA analyses carry their delay provider — round-trip within the
-      binary that wrote them).  An entry written by a different binary
-      fails the unmarshal and reads as a miss, which is exactly the
-      recompute-on-code-change behaviour the per-stage code-version
-      tags promise.  The payload type is pinned by the key (stage name
-      and version tag are always part of it); reading a key written at
-      a different type is undefined behaviour, as with [Marshal] —
-      never reuse a key across types without bumping the version tag. *)
+    - {b Entries are plain marshaled data}, with no closures ([store]
+      passes no [Marshal] flags), so any binary can read them: the flow
+      CLI and the compile service share one directory, and a rebuilt
+      binary keeps hitting.  The payload type is pinned by the key
+      (stage name and version tag are always part of it); reading a key
+      written at a different type is undefined behaviour, as with
+      [Marshal] — never reuse a key across types without bumping the
+      version tag. *)
 
 type t
 (** An open store rooted at one directory. *)
@@ -65,8 +63,8 @@ val path : t -> string -> string
 
 val find : t -> string -> 'a option
 (** [find t k] is the stored value for [k], or [None] when absent or
-    unreadable (any corruption — truncation, garbage, a different
-    writing binary — counts [cache.corrupt] and reads as a miss).
+    unreadable (any corruption — truncation, garbage, a foreign file —
+    counts [cache.corrupt] and reads as a miss).
     Counts [cache.hit] or [cache.miss].
 
     The result type is pinned by the key, not checked at runtime: only
@@ -80,9 +78,10 @@ val store : t -> string -> 'a -> unit
     sequence number), so concurrent writers — several domains of one
     process or several processes sharing a directory — never collide
     mid-write; racing stores of the same key both succeed and the last
-    rename wins with a complete entry.  I/O failures (full disk,
-    read-only directory) are swallowed: caching is an optimisation,
-    never a correctness dependency — the next [find] simply misses. *)
+    rename wins with a complete entry.  Failures (full disk, read-only
+    directory, a value holding a closure) are swallowed: caching is an
+    optimisation, never a correctness dependency — the next [find]
+    simply misses. *)
 
 (** {1 Lifecycle at service scale}
 

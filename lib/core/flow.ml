@@ -39,8 +39,6 @@ type config = {
                                   checks slack against; None = unconstrained
                                   (slacks measured against achieved Dmax) *)
   verify_mapping : bool;   (* random-simulation equivalence after SIS *)
-  verify_bitstream : bool; (* DAGGER round-trip check *)
-  verify_fabric : bool;    (* emulate the bitstream on the fabric model *)
   power_options : Power.Model.options;
   jobs : int option;       (* Domain pool size; None = AMDREL_JOBS or the
                               recommended domain count *)
@@ -69,8 +67,6 @@ let default_config =
     timing_driven = false;
     clock_period = None;
     verify_mapping = true;
-    verify_bitstream = true;
-    verify_fabric = true;
     power_options = Power.Model.default_options;
     jobs = None;
     place_starts = 1;
@@ -83,7 +79,7 @@ let default_config =
 
 type result = {
   design : string;
-  source_stats : Logic.stats;       (* after synthesis, library gates *)
+  synthesized : Logic.t;            (* DIVINER's library-gate network *)
   mapped : Logic.t;
   mapped_stats : Logic.stats;
   packing : Pack.Cluster.packing;
@@ -99,8 +95,6 @@ type result = {
   fabric_verified : bool;   (* bitstream emulated on the fabric model *)
   sta_pre : Sta.Analysis.t;         (* unified STA at the final placement *)
   sta_post : Sta.Analysis.t;        (* unified STA over the routed design *)
-  edif : string;                    (* intermediate products, for the tools *)
-  blif_mapped : string;
   metrics : R.snapshot;
 }
 
@@ -117,11 +111,11 @@ exception Flow_error of string * exn
 type stage = { name : string; version : int }
 
 let synth = { name = "synth"; version = 1 }
-and techmap = { name = "techmap"; version = 1 }
+and techmap = { name = "techmap"; version = 2 } (* mapped network alone *)
 and pack = { name = "pack"; version = 1 }
 and place = { name = "place"; version = 1 }
 and route = { name = "route"; version = 4 } (* estimated opening width *)
-and sta = { name = "sta"; version = 1 }
+and sta = { name = "sta"; version = 2 } (* closure-free providers *)
 and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
 
 let stages =
@@ -209,11 +203,10 @@ let run_stages ctx text =
             Synth.Diviner.synthesize_ast ~library:file top))
   in
   Obs.Span.annotate [ ("design", Obs.Emit.String net.Logic.model) ];
-  let source_stats = Logic.stats net in
   (* DIVINER end: EDIF out; DRUID: normalise; E2FMT: back to BLIF/logic;
-     SIS: LUT mapping.  One stage: the intermediate EDIF forms are
-     worthless without the mapping that follows them. *)
-  let edif_text, mapped =
+     SIS: LUT mapping.  One stage, storing the mapped network alone: the
+     intermediate EDIF forms are worthless without the mapping. *)
+  let mapped =
     run_stage ctx techmap
       (fun () ->
         [
@@ -225,21 +218,17 @@ let run_stages ctx text =
         let edif =
           tool ctx techmap "diviner-edif" (fun () -> Netlist.Edif.of_logic net)
         in
-        let edif_text = Netlist.Edif.to_string edif in
         let normalized =
           tool ctx techmap "druid" (fun () -> Synth.Druid.normalize edif)
         in
         let net2 =
           tool ctx techmap "e2fmt" (fun () -> Netlist.Edif.to_logic normalized)
         in
-        let mapped, _map_report =
-          tool ctx techmap "sis-flowmap" (fun () ->
-              Techmap.Mapper.map_network ~k:p.Fpga_arch.Params.k
-                ~verify:config.verify_mapping net2)
-        in
-        (edif_text, mapped))
+        fst
+          (tool ctx techmap "sis-flowmap" (fun () ->
+               Techmap.Mapper.map_network ~k:p.Fpga_arch.Params.k
+                 ~verify:config.verify_mapping net2)))
   in
-  let blif_mapped = Netlist.Blif.to_string mapped in
   (* T-VPack *)
   let packing =
     run_stage ctx pack
@@ -419,16 +408,10 @@ let run_stages ctx text =
   R.incr ~by:route_stats.Route.Router.par_batch_max obs "route.par.batch-max";
   R.set obs "route.par.serial-frac" route_stats.Route.Router.par_serial_frac;
   (* PowerModel + DAGGER + the two bitstream verifications, one stage:
-     all pure functions of the routed design and the options. *)
+     all pure functions of the routed design and the power options. *)
   let power, bitstream, bitstream_verified, fabric_verified =
     run_stage ctx bitstream
-      (fun () ->
-        [
-          Lazy.force routed_hash;
-          artifact_hash config.power_options;
-          fp_bool config.verify_bitstream;
-          fp_bool config.verify_fabric;
-        ])
+      (fun () -> [ Lazy.force routed_hash; artifact_hash config.power_options ])
       (fun () ->
         let power =
           tool ctx bitstream "powermodel" (fun () ->
@@ -440,13 +423,11 @@ let run_stages ctx text =
         in
         let bytes = generated.Bitstream.Dagger.bytes in
         let bitstream_verified =
-          (not config.verify_bitstream)
-          || Bitstream.Dagger.verify routed bytes = Bitstream.Dagger.Verified
+          Bitstream.Dagger.verify routed bytes = Bitstream.Dagger.Verified
         in
         let fabric_verified =
-          (not config.verify_fabric)
-          || tool ctx bitstream "fabric-emulation" (fun () ->
-                 Bitstream.Dagger.verify_functional routed bytes)
+          tool ctx bitstream "fabric-emulation" (fun () ->
+              Bitstream.Dagger.verify_functional routed bytes)
         in
         (power, generated, bitstream_verified, fabric_verified))
   in
@@ -471,7 +452,7 @@ let run_stages ctx text =
     (if wall_sum > 0.0 then cpu_sum /. wall_sum else 1.0);
   {
     design = net.Logic.model;
-    source_stats;
+    synthesized = net;
     mapped;
     mapped_stats = Logic.stats mapped;
     packing;
@@ -487,8 +468,6 @@ let run_stages ctx text =
     fabric_verified;
     sta_pre;
     sta_post;
-    edif = edif_text;
-    blif_mapped;
     metrics = R.snapshot obs;
   }
 

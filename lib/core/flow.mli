@@ -52,8 +52,6 @@ type config = {
           The fabric's flip-flops are double-edge-triggered, so a
           period [p] leaves [p/2] for combinational logic. *)
   verify_mapping : bool;   (** random-simulation equivalence after SIS *)
-  verify_bitstream : bool; (** DAGGER structural round-trip *)
-  verify_fabric : bool;    (** emulate the bitstream on the fabric model *)
   power_options : Power.Model.options;
   jobs : int option;       (** Domain pool size for the parallel stages;
                                [None] = [AMDREL_JOBS] or the machine's
@@ -93,13 +91,13 @@ type config = {
 }
 
 val default_config : config
-(** The paper's platform, all verifications on, width search on,
+(** The paper's platform, mapping verification on, width search on,
     routability-driven, single placement start, automatic job count,
     caching off. *)
 
 type result = {
   design : string;
-  source_stats : Netlist.Logic.stats; (** after synthesis, library gates *)
+  synthesized : Netlist.Logic.t; (** DIVINER's library-gate network *)
   mapped : Netlist.Logic.t;
   mapped_stats : Netlist.Logic.stats;
   packing : Pack.Cluster.packing;
@@ -111,15 +109,13 @@ type result = {
   route_stats : Route.Router.stats;
   power : Power.Model.report;
   bitstream : Bitstream.Dagger.generated;
-  bitstream_verified : bool;
-  fabric_verified : bool;
+  bitstream_verified : bool;  (** DAGGER structural round-trip *)
+  fabric_verified : bool;     (** bitstream emulated on the fabric model *)
   sta_pre : Sta.Analysis.t;
       (** unified STA at the final placement (placement-distance delays) *)
   sta_post : Sta.Analysis.t;
       (** unified STA over the routed design (routed-Elmore delays);
           feed either to {!Sta.Report.paths} for critical-path reports *)
-  edif : string;        (** intermediate products, for the tools *)
-  blif_mapped : string;
   metrics : Obs.Registry.snapshot;
       (** the full typed telemetry of the run: every stage timer
           (wall + CPU), counter, gauge and histogram, merged across

@@ -634,19 +634,7 @@ let run_multistart ?(options = default_options) ?timing ?jobs ?(starts = 1)
        jobs=1 but on pool domains otherwise — suppress progress events
        so the emitted sequence stays jobs-independent *)
     Obs.Events.without @@ fun () ->
-    match prune_margin with
-    | Some margin ->
-        run_pruned ~options ~timing ~jobs ~starts ~margin
-          ~interval:(max 1 prune_interval) ~obs problem
-    | None ->
-        let results =
-          Util.Parallel.map ?jobs
-            (fun k ->
-              run ~options:{ options with seed = options.seed + k } ?timing ?obs
-                problem)
-            (Array.init starts Fun.id)
-        in
-        (* strict < keeps the earliest seed on ties *)
-        Array.fold_left
-          (fun best r -> if r.final_cost < best.final_cost then r else best)
-          results.(0) results
+    (* an infinite margin never prunes: every start runs to completion *)
+    run_pruned ~options ~timing ~jobs ~starts
+      ~margin:(Option.value prune_margin ~default:infinity)
+      ~interval:(max 1 prune_interval) ~obs problem

@@ -370,12 +370,42 @@ let route_min_width ?(max_iterations = 60) ?timing ?table ?jobs ?obs
    Elmore delays feed the same propagation engine the placer uses, so
    pre- and post-route figures are directly comparable.  [graph] reuses
    a previously built timing graph (it depends only on the problem, not
-   the routing). *)
+   the routing).  Elmore delays are measured from each tree's OPIN. *)
 let sta ?constraints ?graph ?obs (r : routed) =
   let g =
     match graph with Some g -> g | None -> Sta.Graph.build r.problem
   in
-  let provider = Sta_provider.routed r.problem r.graph r.constants r.result in
+  let is_opin nd =
+    match r.graph.Rrgraph.nodes.(nd).Rrgraph.kind with
+    | Rrgraph.Opin _ -> true
+    | _ -> false
+  in
+  let routed_tbl = Hashtbl.create 64 in
+  Array.iter
+    (fun (tr : Pathfinder.route_tree) ->
+      let net = r.problem.Place.Problem.nets.(tr.Pathfinder.net_index) in
+      let source =
+        Option.value
+          (List.find_opt is_opin tr.Pathfinder.nodes)
+          ~default:(List.hd tr.Pathfinder.nodes)
+      in
+      Hashtbl.iter
+        (fun sink_block d ->
+          Hashtbl.replace routed_tbl (net.Place.Problem.signal, sink_block) d)
+        (Timing.net_delays r.graph r.constants ~source tr))
+    r.result.Pathfinder.trees;
+  let c = r.constants in
+  let provider =
+    {
+      Sta.Delays.name = "routed-elmore";
+      producer = g.Sta.Graph.block_of;
+      t_local = c.Timing.t_ble_local;
+      t_logic = c.Timing.t_lut;
+      t_clk_q = c.Timing.t_clk_q;
+      t_setup = c.Timing.t_setup;
+      wires = Sta.Delays.Routed routed_tbl;
+    }
+  in
   Sta.Analysis.run ?constraints ?obs g provider
 
 (* ---------- statistics ---------- *)

@@ -110,8 +110,10 @@ val sta :
   ?constraints:Sta.Analysis.constraints -> ?graph:Sta.Graph.t ->
   ?obs:Obs.Registry.t -> routed ->
   Sta.Analysis.t
-(** Post-route unified STA: routed-Elmore delays ({!Sta_provider.routed})
-    through {!Sta.Analysis.run}, directly comparable with the pre-route
+(** Post-route unified STA: a ["routed-elmore"] {!Sta.Delays.provider}
+    whose table holds the Elmore delay ({!Timing.net_delays}) of every
+    routed (signal, sink block) connection, through
+    {!Sta.Analysis.run}, directly comparable with the pre-route
     (placement-distance) analysis.  [graph] reuses an already-built
     timing graph — it depends only on the problem, not the routing. *)
 

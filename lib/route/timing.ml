@@ -1,6 +1,6 @@
 (* Delay estimation over routed nets: Elmore delay on the routing trees.
-   [Sta_provider.routed] feeds these per-sink delays into the unified
-   STA engine, which owns the post-route critical-path computation.
+   [Router.sta] feeds these per-sink delays into the unified STA engine,
+   which owns the post-route critical-path computation.
 
    Electrical constants derive from the platform's circuit design (§3):
    pass-transistor switches at [switch_width] x minimum, length-1 metal-3

@@ -1,6 +1,6 @@
 (** Delay estimation over routed nets: Elmore delay on the routing trees.
-    {!Sta_provider.routed} feeds the per-sink delays into the unified
-    STA engine, which owns the post-route critical-path computation.
+    {!Router.sta} feeds the per-sink delays into the unified STA engine,
+    which owns the post-route critical-path computation.
 
     Electrical constants derive from the platform's circuit design (§3):
     pass-transistor switches at [switch_width] x minimum; per-tile wire
@@ -54,5 +54,5 @@ type net_delays = (int, float) Hashtbl.t
 val net_delays :
   Rrgraph.t -> constants -> source:int -> Pathfinder.route_tree -> net_delays
 (** Post-route critical-path figures come from {!Sta.Analysis} with the
-    {!Sta_provider.routed} delay provider, which consumes these Elmore
+    routed-Elmore delay provider {!Router.sta} builds from these Elmore
     delays; the old standalone [critical_path] estimator is gone. *)

@@ -83,14 +83,14 @@ let arrive (g : Graph.t) (p : Delays.provider) (arrival : float array) id =
   | Logic.Gate { fanins; _ } ->
       p.Delays.t_logic
       +. Array.fold_left
-           (fun acc f -> Float.max acc (arrival.(f) +. p.Delays.conn f id))
+           (fun acc f -> Float.max acc (arrival.(f) +. Delays.conn p f id))
            0.0 fanins
 
 let endpoint_arrive (p : Delays.provider) (arrival : float array) = function
   | Graph.Reg_data { latch; data } ->
-      arrival.(data) +. p.Delays.conn data latch +. p.Delays.t_setup
+      arrival.(data) +. Delays.conn p data latch +. p.Delays.t_setup
   | Graph.Pad_out { block; signal } ->
-      arrival.(signal) +. p.Delays.pad signal block
+      arrival.(signal) +. Delays.pad p signal block
 
 (* Per-node worst endpoint arc: the delay an endpoint adds past the
    node's own arrival.  [neg_infinity] for non-endpoint signals. *)
@@ -101,10 +101,10 @@ let ep_arc_array (g : Graph.t) (p : Delays.provider) =
       | Graph.Reg_data { latch; data } ->
           arc.(data) <-
             Float.max arc.(data)
-              (p.Delays.conn data latch +. p.Delays.t_setup)
+              (Delays.conn p data latch +. p.Delays.t_setup)
       | Graph.Pad_out { block; signal } ->
           arc.(signal) <-
-            Float.max arc.(signal) (p.Delays.pad signal block))
+            Float.max arc.(signal) (Delays.pad p signal block))
     g.Graph.endpoints;
   arc
 
@@ -112,7 +112,7 @@ let downstream_of (g : Graph.t) (p : Delays.provider) (ep_arc : float array)
     (downstream : float array) id =
   List.fold_left
     (fun acc u ->
-      Float.max acc (downstream.(u) +. p.Delays.t_logic +. p.Delays.conn id u))
+      Float.max acc (downstream.(u) +. p.Delays.t_logic +. Delays.conn p id u))
     ep_arc.(id) g.Graph.consumers.(id)
 
 (* Worst path length through each connection of a net: for a pad sink
@@ -136,7 +136,7 @@ let path_len_row (g : Graph.t) (p : Delays.provider) (arrival : float array)
           List.fold_left
             (fun acc u ->
               Float.max acc
-                (arrival.(s) +. p.Delays.conn s u +. p.Delays.t_logic
+                (arrival.(s) +. Delays.conn p s u +. p.Delays.t_logic
                 +. downstream.(u)))
             neg_infinity users)
     net.Place.Problem.sinks

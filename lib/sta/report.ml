@@ -35,7 +35,7 @@ let trace (a : Analysis.t) last =
           let best = ref fanins.(0) and best_t = ref neg_infinity in
           Array.iter
             (fun f ->
-              let t = a.Analysis.arrival.(f) +. p.Delays.conn f id in
+              let t = a.Analysis.arrival.(f) +. Delays.conn p f id in
               if t > !best_t then begin
                 best := f;
                 best_t := t

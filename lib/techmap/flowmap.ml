@@ -5,7 +5,12 @@
    mapped depth and a K-feasible cut realising it, in one topological
    sweep that keeps every signal's K-feasible cuts as sorted signal-id
    lists.  A source's only cut is itself; a gate's cuts are the gate
-   itself plus every union of one cut per fanin with at most K signals.
+   itself plus every union of one cut per fanin with at most K signals
+   that strictly contains no other such union.  Dropping dominated
+   unions keeps dense networks from blowing up and changes no label or
+   chosen cut: a smallest low cut is never dominated (the union inside
+   it would be low and smaller), and a union built from a dominated
+   fanin cut contains the one built from the cut inside it.
    With p the worst fanin label, a cut is low when every member is a
    source or a gate labelled below p.  A gate with a low cut gets label
    max(p, 1) and keeps its smallest low cut; a gate with none gets p + 1
@@ -40,6 +45,23 @@ let rec union a b =
       if x < y then x :: union a' b
       else if x > y then y :: union a b'
       else x :: union a' b'
+
+(* Whether sorted list [a] is a subset of sorted list [b]. *)
+let rec subset a b =
+  match (a, b) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: a', y :: b' -> if x = y then subset a' b' else x > y && subset a b'
+
+(* The cuts of [cuts] (sorted, distinct) that strictly contain no other:
+   lengths first, so the subset walk only runs against smaller cuts. *)
+let undominated cuts =
+  let sized = List.map (fun c -> (List.length c, c)) cuts in
+  List.filter_map
+    (fun (n, c) ->
+      if List.exists (fun (m, d) -> m < n && subset d c) sized then None
+      else Some c)
+    sized
 
 (* Whether a source reaches [id] without crossing [cut] before it.  A
    signal seen twice already failed: the first success ends the walk. *)
@@ -83,7 +105,7 @@ let labels (net : Logic.t) ~k =
                       cuts.(f))
                   acc)
               [ [] ] fanins
-            |> List.sort_uniq compare
+            |> List.sort_uniq compare |> undominated
           in
           cuts.(v) <- [ v ] :: unions;
           let p = Array.fold_left (fun m f -> max m label.(f)) 0 fanins in

@@ -5,14 +5,15 @@
     mapped depth, in one topological sweep over each signal's K-feasible
     cuts (sorted signal-id lists: a source's only cut is itself, a gate's
     are itself plus every union of one cut per fanin with at most K
-    signals).  With p the worst fanin label, a gate with a cut of sources
-    and gates labelled below p gets label max(p, 1) and the smallest such
-    cut; otherwise it gets p + 1 and its fanins.  Among equally small
-    cuts it keeps the one with the fewest cone signals that a source
-    reaches without crossing it: the min cut nearest the sources, which
-    is the cut the textbook max-flow formulation's residual graph
-    returns, so the mapping equals that formulation's.  Phase 2 covers
-    the network from the outputs, one LUT per needed cut. *)
+    signals that strictly contains no other such union).  With p the
+    worst fanin label, a gate with a cut of sources and gates labelled
+    below p gets label max(p, 1) and the smallest such cut; otherwise it
+    gets p + 1 and its fanins.  Among equally small cuts it keeps the
+    one with the fewest cone signals that a source reaches without
+    crossing it: the min cut nearest the sources, which is the cut the
+    textbook max-flow formulation's residual graph returns, so the
+    mapping equals that formulation's.  Phase 2 covers the network from
+    the outputs, one LUT per needed cut. *)
 
 exception Not_two_bounded of string
 (** Raised (with a signal name) when a gate has more than two fanins. *)

@@ -4,8 +4,8 @@
    --remote or an out-of-domain --period or --route-width fails before
    any product is written, -d and --ledger create missing parents,
    local --batch warns about the single-design flags it ignores, --arch
-   honours the file's io_rat, and a --remote run writes a local run's
-   files. *)
+   honours the file's io_rat, a --remote run writes a local run's
+   files, and the CLI reads a cache the library flow filled. *)
 
 module J = Obs.Jsonin
 
@@ -228,6 +228,38 @@ let test_arch_io_rat () =
   Alcotest.(check bool) "bit differs from the default fabric's" true
     (cli <> bit Fpga_arch.Params.amdrel 2)
 
+(* Stage artifacts are plain data, so a cache one binary fills answers
+   every stage for another: amdrel_flow reads what this test binary's
+   library flow stored as seven hits, none corrupt, and writes the
+   library's bitstream. *)
+let test_cache_shared () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  let vhdl = Core.Bench_circuits.counter 8 in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc vhdl);
+  let library =
+    Core.Flow.run_vhdl
+      ~config:{ Core.Flow.default_config with cache_dir = Some (path "cache") }
+      vhdl
+  in
+  Alcotest.(check int) "exit code" 0
+    (flow
+       [
+         path "counter8.vhd"; "-d"; dir; "--cache-dir"; path "cache"; "-j"; "1";
+       ]);
+  let record = J.parse (read (path "counter8.result.json")) in
+  let count key =
+    Option.bind (J.member "metrics" record) (fun m ->
+        Option.bind (J.member key m) (field J.get_int "value"))
+  in
+  Alcotest.(check (option int)) "cache.hit" (Some 7) (count "cache.hit");
+  Alcotest.(check (option int)) "no cache.miss" None (count "cache.miss");
+  Alcotest.(check (option int)) "no cache.corrupt" None (count "cache.corrupt");
+  Alcotest.(check bool) "bit = the library's" true
+    (read (path "counter8.bit")
+    = library.Core.Flow.bitstream.Bitstream.Dagger.bytes)
+
 (* A --remote batch against an in-process amdreld writes what a local
    --no-cache batch writes: the same .bit and .timing.json bytes, and
    the same records apart from their metrics, a failure included. *)
@@ -301,4 +333,6 @@ let suite =
       (with_exe test_arch_io_rat);
     Alcotest.test_case "--remote batch writes the local run's files" `Quick
       (with_exe test_remote_equals_local);
+    Alcotest.test_case "cache shared across binaries" `Quick
+      (with_exe test_cache_shared);
   ]

@@ -152,12 +152,16 @@ let test_report_paths () =
       Alcotest.(check bool) (needle ^ " present") true found)
     [ "\"provider\""; "\"dmax_s\""; "\"paths\""; "\"hops\""; "\"slack_s\"" ]
 
+(* A timing-driven counter8 flow, shared by the flow-level tests. *)
+let td_counter8 =
+  lazy
+    (Core.Flow.run_vhdl
+       ~config:{ Core.Flow.default_config with Core.Flow.timing_driven = true }
+       (Core.Bench_circuits.counter 8))
+
 (* The flow surfaces the unified figures as sta.* counters. *)
 let test_flow_counters () =
-  let config =
-    { Core.Flow.default_config with Core.Flow.timing_driven = true }
-  in
-  let r = Core.Flow.run_vhdl ~config (Core.Bench_circuits.counter 8) in
+  let r = Lazy.force td_counter8 in
   let counter name =
     match Obs.Registry.find r.Core.Flow.metrics name with
     | Some (Obs.Registry.Gauge v) -> v
@@ -171,6 +175,20 @@ let test_flow_counters () =
   (* pre-route estimate uses the same engine over the same graph *)
   Alcotest.(check bool) "pre-route dmax positive" true
     (r.Core.Flow.sta_pre.Sta.Analysis.dmax > 0.0)
+
+(* The sta stage's artifact is plain data: the stage cache marshals it
+   with no flags, which raises on a closure, and an analysis read back
+   reports exactly what the original does. *)
+let test_sta_plain_data () =
+  let r = Lazy.force td_counter8 in
+  let pre, post = (r.Core.Flow.sta_pre, r.Core.Flow.sta_post) in
+  let pre', post' =
+    (Marshal.from_string (Marshal.to_string (pre, post) []) 0
+      : Sta.Analysis.t * Sta.Analysis.t)
+  in
+  let report a = Obs.Emit.to_string (Sta.Report.json a (Sta.Report.paths a)) in
+  Alcotest.(check string) "pre-route report" (report pre) (report pre');
+  Alcotest.(check string) "post-route report" (report post) (report post')
 
 (* Incremental update must be bit-identical to a fresh analysis, for any
    jobs count, across a chain of placement perturbations (the annealer's
@@ -263,4 +281,5 @@ let suite =
     "jobs-identical propagation" => test_jobs_identical;
     "top-k path report" => test_report_paths;
     "flow sta counters" => test_flow_counters;
+    "sta artifact is plain data" => test_sta_plain_data;
   ]
