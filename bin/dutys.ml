@@ -2,16 +2,11 @@
 
 open Cmdliner
 
-let run output k n i_opt seg segments width =
+let run output k n i_opt segments width =
   let i =
     match i_opt with
     | Some i -> i
     | None -> Fpga_arch.Params.recommended_inputs ~k ~n
-  in
-  let segs =
-    match segments with
-    | Some spec -> Fpga_arch.Params.segments_of_string spec
-    | None -> []
   in
   let params =
     Fpga_arch.Params.validate
@@ -20,8 +15,7 @@ let run output k n i_opt seg segments width =
         Fpga_arch.Params.k;
         n;
         i;
-        segment_length = seg;
-        segments = segs;
+        segments = Fpga_arch.Params.segments_of_string segments;
         switch_width = width;
       }
   in
@@ -47,19 +41,13 @@ let i_arg =
     & opt (some int) None
     & info [ "i" ] ~doc:"CLB inputs (default: the (K/2)(N+1) rule)")
 
-let seg_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "segment" ]
-        ~doc:"uniform wire segment length (ignored with $(b,--segments))")
-
 let segments_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt string "1xL1"
     & info [ "segments" ] ~docv:"MIX"
         ~doc:
-          "mixed-length segment spec, e.g. $(b,4xL1+4xL2+2xL4): each \
+          "the channel's segment mix, e.g. $(b,4xL1+4xL2+2xL4): each \
            term contributes COUNT tracks of length L to the repeating \
            per-channel pattern (Fc 1.0, min-width/double-spacing metal; \
            edit the generated file's $(b,segment) lines for per-type Fc \
@@ -74,9 +62,8 @@ let cmd =
   Cmd.v
     (Cmd.info "dutys" ~doc:"Generate the FPGA architecture description file")
     Term.(
-      const (fun o k n i s sm w ->
-          Tool_common.protect (fun () -> run o k n i s sm w))
-      $ output_arg $ k_arg $ n_arg $ i_arg $ seg_arg $ segments_arg
-      $ width_arg)
+      const (fun o k n i sm w ->
+          Tool_common.protect (fun () -> run o k n i sm w))
+      $ output_arg $ k_arg $ n_arg $ i_arg $ segments_arg $ width_arg)
 
 let () = exit (Cmd.eval cmd)

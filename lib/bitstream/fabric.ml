@@ -86,7 +86,7 @@ let validate_geometry (params : Fpga_arch.Params.t) (cfg : Layout.config) =
      the same covering-start formula the RR builder uses, including its
      clamp to the channel (edge pads sit off-channel, so their boxes tap
      the nearest wire — tile 0 taps the wire starting at 1) *)
-  let segs = Array.of_list (Fpga_arch.Params.effective_segments params) in
+  let segs = Array.of_list params.Fpga_arch.Params.segments in
   let plan = Fpga_arch.Params.track_plan params ~width in
   let covering_start t v =
     let len = segs.(fst plan.(t)).Fpga_arch.Params.s_length in

@@ -57,11 +57,10 @@ type config = {
 }
 
 (* Per-track declared segment length, normalised from the segment spec:
-   two specs that lay out the same tracks (e.g. the legacy uniform
-   [segment_length] and an explicit single-entry mix) yield the same
-   table, which keeps their bitstreams byte-identical. *)
+   two mixes that lay out the same tracks (e.g. [2xL1] and [1xL1+1xL1])
+   yield the same table, which keeps their bitstreams byte-identical. *)
 let track_lengths (params : Fpga_arch.Params.t) ~width =
-  let segs = Array.of_list (Fpga_arch.Params.effective_segments params) in
+  let segs = Array.of_list params.Fpga_arch.Params.segments in
   Array.map
     (fun (si, _) -> segs.(si).Fpga_arch.Params.s_length)
     (Fpga_arch.Params.track_plan params ~width)

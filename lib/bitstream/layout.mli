@@ -54,9 +54,8 @@ type config = {
 
 val track_lengths : Fpga_arch.Params.t -> width:int -> int array
 (** Per-track declared segment length, normalised from the segment spec:
-    specs that lay out the same tracks (the legacy uniform
-    [segment_length] and the equivalent explicit mix) give the same
-    table, keeping their bitstreams byte-identical. *)
+    mixes that lay out the same tracks (e.g. [2xL1] and [1xL1+1xL1])
+    give the same table, keeping their bitstreams byte-identical. *)
 
 val node_desc : Route.Rrgraph.t -> int -> node_desc
 

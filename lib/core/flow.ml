@@ -114,7 +114,7 @@ let synth = { name = "synth"; version = 1 }
 and techmap = { name = "techmap"; version = 2 } (* mapped network alone *)
 and pack = { name = "pack"; version = 1 }
 and place = { name = "place"; version = 1 }
-and route = { name = "route"; version = 4 } (* estimated opening width *)
+and route = { name = "route"; version = 5 } (* one channel spec *)
 and sta = { name = "sta"; version = 2 } (* closure-free providers *)
 and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
 

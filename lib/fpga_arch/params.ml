@@ -1,9 +1,10 @@
 (* FPGA architecture parameters (what DUTYS captures in the architecture
    file).  Defaults are the platform the paper selected in §3:
    K = 4, N = 5, I = 12, pass-transistor switches at 10x minimum width,
-   length-1 segments, disjoint switch boxes (Fs = 3), Fc = 1. *)
-
-type switch_kind = Pass_transistor | Tristate_buffer
+   length-1 segments, disjoint switch boxes (Fs = 3), Fc = 1.  The §3
+   interconnect circuit (pass-transistor switches, Fs = 3, registrable
+   CLB outputs) is the only one the flow models, so it is fixed rather
+   than described; the channel itself is the segment mix. *)
 
 (* Metal configurations of the routing wires (the three layouts explored
    in Figs. 8-10).  Mirrored by [Spice.Tech.wire_config]; this library
@@ -41,59 +42,16 @@ type t = {
   k : int;                 (* LUT inputs *)
   n : int;                 (* BLEs per CLB *)
   i : int;                 (* CLB inputs *)
-  fc_in : float;           (* fraction of tracks an input pin connects to *)
-  fc_out : float;          (* fraction of tracks an output pin connects to *)
-  fs : int;                (* switch-box fanout per incoming wire *)
-  segment_length : int;    (* logic blocks spanned by one wire segment *)
-  segments : segment list; (* mixed-length channel spec; [] = uniform
-                              [segment_length] wires at the global Fc *)
-  switch : switch_kind;
+  segments : segment list; (* the channel: the mixed-length segment spec *)
   switch_width : float;    (* multiples of the minimum transistor width *)
   io_rat : int;            (* IO pads per perimeter grid position *)
-  registered_outputs : bool;  (* all CLB outputs can be registered *)
-  gated_clock : bool;         (* BLE + CLB gated clocks (paper Tables 2-3) *)
+  gated_clock : bool;      (* BLE + CLB gated clocks (paper Tables 2-3) *)
 }
 
 (* The paper's empirical rule: I = (K/2)(N+1) gives ~98% BLE utilisation. *)
 let recommended_inputs ~k ~n = k * (n + 1) / 2
 
-let amdrel =
-  {
-    name = "amdrel_018";
-    k = 4;
-    n = 5;
-    i = recommended_inputs ~k:4 ~n:5;
-    fc_in = 1.0;
-    fc_out = 1.0;
-    fs = 3;
-    segment_length = 1;
-    segments = [];
-    switch = Pass_transistor;
-    switch_width = 10.0;
-    io_rat = 2;
-    registered_outputs = true;
-    gated_clock = true;
-  }
-
 exception Invalid_params of string
-
-(* The spec the RR-graph builder actually consumes: the declared mix, or
-   the legacy uniform channel (one type of [segment_length] wires at the
-   global Fc, in the §3.3 min-width/double-spacing metal) when no mix is
-   declared.  Never empty. *)
-let effective_segments p =
-  match p.segments with
-  | [] ->
-      [
-        {
-          s_length = p.segment_length;
-          s_count = 1;
-          s_fc_in = p.fc_in;
-          s_fc_out = p.fc_out;
-          s_metal = Metal_min_double;
-        };
-      ]
-  | segs -> segs
 
 let validate_segment idx (s : segment) =
   let fail fmt =
@@ -122,10 +80,8 @@ let validate p =
   if p.n < 1 then fail "N must be positive";
   if p.i < p.k then fail "I must be at least K";
   if p.i > p.k * p.n then fail "I must not exceed K*N (a full crossbar)";
-  if not (p.fc_in > 0.0 && p.fc_in <= 1.0) then fail "Fc_in must be in (0, 1]";
-  if not (p.fc_out > 0.0 && p.fc_out <= 1.0) then fail "Fc_out must be in (0, 1]";
-  if p.fs <> 3 then fail "only the disjoint switch box (Fs = 3) is supported";
-  if p.segment_length < 1 then fail "segment length must be positive";
+  if p.segments = [] then
+    fail "the segment mix must declare at least one segment type";
   List.iteri validate_segment p.segments;
   if not (p.switch_width >= 1.0 && Float.is_finite p.switch_width) then
     fail "switch width must be finite and at least the minimum (1)";
@@ -172,8 +128,22 @@ let segments_of_string ?(fc_in = 1.0) ?(fc_out = 1.0)
            s_metal = metal;
          })
 
+let amdrel =
+  {
+    name = "amdrel_018";
+    k = 4;
+    n = 5;
+    i = recommended_inputs ~k:4 ~n:5;
+    (* one type of length-1 wires at Fc = 1 in the §3.3
+       min-width/double-spacing metal *)
+    segments = segments_of_string "1xL1";
+    switch_width = 10.0;
+    io_rat = 2;
+    gated_clock = true;
+  }
+
 let mix_name p =
-  effective_segments p
+  p.segments
   |> List.map (fun s -> Printf.sprintf "%dxL%d" s.s_count s.s_length)
   |> String.concat "+"
 
@@ -181,10 +151,10 @@ let mix_name p =
    carries segment type [fst plan.(t)] with stagger offset
    [snd plan.(t)] (the wire covering tile 1 on that track starts
    [offset] tiles before the channel, so consecutive tracks of one type
-   break at evenly distributed positions).  For the uniform single-type
-   channel this reduces to offset = t mod length — the legacy stagger. *)
+   break at evenly distributed positions).  For a single-type channel
+   this reduces to offset = t mod length. *)
 let track_plan p ~width =
-  let segs = Array.of_list (effective_segments p) in
+  let segs = Array.of_list p.segments in
   let pattern =
     Array.concat
       (List.mapi

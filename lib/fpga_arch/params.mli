@@ -1,7 +1,9 @@
 (** FPGA architecture parameters (what DUTYS captures in the architecture
-    file).  Defaults are the platform the paper selected in §3. *)
-
-type switch_kind = Pass_transistor | Tristate_buffer
+    file).  Defaults are the platform the paper selected in §3.  The §3
+    interconnect circuit — pass-transistor switches, disjoint switch
+    boxes (Fs = 3), registrable CLB outputs — is the only one the flow
+    models, so it is fixed, not a field; the channel is described by the
+    segment mix alone. *)
 
 type metal = Metal_min_min | Metal_min_double | Metal_double_double
 (** Routing-wire metal layout (the three configurations of Figs. 8-10):
@@ -32,17 +34,11 @@ type t = {
   k : int;                 (** LUT inputs *)
   n : int;                 (** BLEs per CLB *)
   i : int;                 (** CLB inputs *)
-  fc_in : float;           (** fraction of tracks an input pin connects to *)
-  fc_out : float;
-  fs : int;                (** switch-box fanout per incoming wire *)
-  segment_length : int;    (** logic blocks spanned by one wire segment *)
   segments : segment list;
-      (** mixed-length channel spec; [[]] = uniform [segment_length]
-          wires at the global Fc (the legacy single-type channel) *)
-  switch : switch_kind;
+      (** the channel: the mixed-length segment spec, in track-pattern
+          order; never empty in valid parameters *)
   switch_width : float;    (** multiples of the minimum transistor width *)
   io_rat : int;            (** IO pads per perimeter grid position *)
-  registered_outputs : bool;
   gated_clock : bool;      (** BLE + CLB gated clocks (Tables 2-3) *)
 }
 
@@ -50,21 +46,16 @@ val recommended_inputs : k:int -> n:int -> int
 (** The paper's empirical rule I = (K/2)(N+1) (~98 % BLE utilisation). *)
 
 val amdrel : t
-(** The selected platform: K=4, N=5, I=12, Fc=1, Fs=3, length-1 segments,
-    10x pass-transistor switches, gated clocks. *)
+(** The selected platform: K=4, N=5, I=12, the one-type [1xL1] mix (Fc
+    1.0 in and out, min-width/double-spacing metal), 10x switches, gated
+    clocks. *)
 
 exception Invalid_params of string
 
 val validate : t -> t
-(** Identity on valid parameters, including the full segment spec
-    (positive lengths and counts, per-type Fc in (0, 1]).
+(** Identity on valid parameters, including the segment mix (at least
+    one type; positive lengths and counts, per-type Fc in (0, 1]).
     @raise Invalid_params otherwise, with an actionable message. *)
-
-val effective_segments : t -> segment list
-(** The spec the RR-graph builder consumes: the declared [segments]
-    mix, or the legacy uniform channel (one type of [segment_length]
-    wires at the global Fc in the min-width/double-spacing metal) when
-    no mix is declared.  Never empty. *)
 
 val segments_of_string :
   ?fc_in:float -> ?fc_out:float -> ?metal:metal -> string -> segment list
@@ -74,13 +65,13 @@ val segments_of_string :
     @raise Invalid_params on an empty or malformed mix. *)
 
 val mix_name : t -> string
-(** The effective mix as ["4xL1+4xL2+2xL4"] (reports and sweep labels). *)
+(** The mix as ["4xL1+4xL2+2xL4"] (reports and sweep labels). *)
 
 val track_plan : t -> width:int -> (int * int) array
 (** Per-track channel composition: track [t] carries segment type
-    [fst plan.(t)] (an index into {!effective_segments}) with stagger
-    offset [snd plan.(t)].  The uniform single-type channel reduces to
-    offset = t mod length — the legacy stagger. *)
+    [fst plan.(t)] (an index into [segments]) with stagger offset
+    [snd plan.(t)].  A single-type channel reduces to offset = t mod
+    length. *)
 
 val follows_input_rule : t -> bool
 

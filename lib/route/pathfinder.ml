@@ -11,15 +11,14 @@
 
    Three stopping rules give up early on a routing that will not
    converge, so a failing width probe does not burn the whole budget.
-   On an incremental routing whose total overuse is above 12, the
-   failure predictor ([predicts_failure]) gives up from iteration 6 when
-   a log-linear fit of the overuse history reaches overuse 1 only past
-   the budget, or never, and the trend cutoff gives up from iteration 16
-   when overuse fell less than 25 % over the last 8 iterations.  The
-   stagnation rule gives up after 16 iterations without a new best
-   overuse (8 with full rip-up).  Each reads only the routing's own
-   overuse history, so a routing stops at the same iteration for any
-   [jobs].
+   While total overuse is above 12, the failure predictor
+   ([predicts_failure]) gives up from iteration 6 when a log-linear fit
+   of the overuse history reaches overuse 1 only past the budget, or
+   never, and the trend cutoff gives up from iteration 16 when overuse
+   fell less than 25 % over the last 8 iterations.  The stagnation rule
+   gives up after 16 iterations without a new best overuse.  Each reads
+   only the routing's own overuse history, so a routing stops at the
+   same iteration for any [jobs].
 
    The inner loop is net-parallel: each iteration's reroute list is
    partitioned into batches of pairwise-disjoint bounding boxes
@@ -368,7 +367,7 @@ let predicts_failure ~max_iterations over_hist =
       slope >= 0.0 || -.intercept /. slope > float_of_int max_iterations
   | _ -> false
 
-let route ?(max_iterations = 30) ?(incremental = true) ?jobs ?obs
+let route ?(max_iterations = 30) ?jobs ?obs
     ?node_delay (g : Rrgraph.t) (nets : net_spec array) =
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
   (* telemetry: histogram samples go to the caller's registry (if any);
@@ -496,7 +495,7 @@ let route ?(max_iterations = 30) ?(incremental = true) ?jobs ?obs
     Obs.Span.with_ ~name:"route.iteration"
       ~args:[ ("iteration", Obs.Emit.Int !iteration) ]
     @@ fun () ->
-    let full = (not incremental) || !iteration = 1 || !force_full in
+    let full = !iteration = 1 || !force_full in
     force_full := false;
     (* the iteration's reroute list, ascending net id *)
     let reroute = ref [] in
@@ -591,9 +590,8 @@ let route ?(max_iterations = 30) ?(incremental = true) ?jobs ?obs
          iterations ago — from iteration 16.  Both leave overuse of 12 or
          less alone (the endgame clears a handful of nodes in lumpy
          steps); the stagnation rule below covers it. *)
-      if incremental && predicts_failure ~max_iterations !over_hist then
-        hopeless := true;
-      (if incremental && !iteration >= 16 && over > 12 then
+      if predicts_failure ~max_iterations !over_hist then hopeless := true;
+      (if !iteration >= 16 && over > 12 then
          match List.nth_opt !over_hist 8 with
          | Some prev when float_of_int over > 0.75 *. float_of_int prev ->
              hopeless := true
@@ -608,16 +606,13 @@ let route ?(max_iterations = 30) ?(incremental = true) ?jobs ?obs
            shaking: go full every stagnant iteration.  Far from
            convergence full rip-ups are expensive and the width is
            probably infeasible, so only shake periodically. *)
-        if
-          incremental
-          && (if over <= 12 then !since_improvement >= 2
-              else !since_improvement mod 3 = 0)
-        then force_full := true
+        force_full :=
+          if over <= 12 then !since_improvement >= 2
+          else !since_improvement mod 3 = 0
       end;
-      (* incremental iterations are cheap, so stagnation gets more
-         patience there (it covers several full-rip-up shake-ups) *)
-      if !since_improvement >= (if incremental then 16 else 8) then
-        hopeless := true;
+      (* incremental iterations are cheap, so stagnation gets patience
+         that covers several full-rip-up shake-ups *)
+      if !since_improvement >= 16 then hopeless := true;
       (* update history on overused nodes, sharpen the present penalty *)
       Array.iteri
         (fun i used ->

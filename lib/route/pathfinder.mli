@@ -14,11 +14,12 @@
 
     A routing that will not converge stops early, by the first of three
     rules: the failure predictor ({!predicts_failure}), the trend cutoff
-    (an incremental routing from iteration 16 whose overuse, while above
-    12, fell less than 25 % over the last 8 iterations) and the
-    stagnation rule (no new best overuse for 16 iterations, or 8 with
-    full rip-up).  All three read only the routing's own overuse
-    history, so the stopping iteration is the same for any [jobs]. *)
+    (from iteration 16, overuse that, while above 12, fell less than
+    25 % over the last 8 iterations) and the stagnation rule (no new
+    best overuse for 16 iterations; a periodic full rip-up shakes a
+    stalled negotiation before it fires).  All three read only the
+    routing's own overuse history, so the stopping iteration is the
+    same for any [jobs]. *)
 
 type net_spec = {
   index : int;     (** position in the problem's net array *)
@@ -52,13 +53,10 @@ type result = {
 }
 
 val route :
-  ?max_iterations:int -> ?incremental:bool ->
-  ?jobs:int -> ?obs:Obs.Registry.t ->
+  ?max_iterations:int -> ?jobs:int -> ?obs:Obs.Registry.t ->
   ?node_delay:float array -> Rrgraph.t -> net_spec array -> result
 (** [max_iterations] (default 30) is the iteration budget; the stopping
     rules may end a failing routing well before it.
-    [incremental] (default true) enables congested-only rip-up after the
-    first iteration; [false] restores full rip-up every iteration.
     [jobs] bounds the Domain pool used to route a batch's nets
     concurrently; the routed result is bit-identical for every value
     (defaults to [AMDREL_JOBS] / the machine's core count, see
@@ -76,8 +74,8 @@ val predicts_failure : max_iterations:int -> int list -> bool
     12, it fits ln(overuse) against the iteration number by least
     squares over the whole history, and is true when the fit's slope is
     >= 0 or the fit reaches an overuse of 1 only after [max_iterations]:
-    the routing cannot converge within its budget.  {!route} gives up on
-    an incremental routing as soon as this holds. *)
+    the routing cannot converge within its budget.  {!route} gives up
+    as soon as this holds. *)
 
 val bbox_disjoint : int * int * int * int -> int * int * int * int -> bool
 (** [(xlo, xhi, ylo, yhi)] boxes, bounds inclusive: true when the two

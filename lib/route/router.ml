@@ -394,15 +394,18 @@ let sta ?constraints ?graph ?obs (r : routed) =
           Hashtbl.replace routed_tbl (net.Place.Problem.signal, sink_block) d)
         (Timing.net_delays r.graph r.constants ~source tr))
     r.result.Pathfinder.trees;
-  let c = r.constants in
+  (* the block delays pre-route STA uses: only the wires differ *)
+  let { Place.Td_timing.t_local; t_logic; t_clk_q; t_setup; _ } =
+    Place.Td_timing.default_model
+  in
   let provider =
     {
       Sta.Delays.name = "routed-elmore";
       producer = g.Sta.Graph.block_of;
-      t_local = c.Timing.t_ble_local;
-      t_logic = c.Timing.t_lut;
-      t_clk_q = c.Timing.t_clk_q;
-      t_setup = c.Timing.t_setup;
+      t_local;
+      t_logic;
+      t_clk_q;
+      t_setup;
       wires = Sta.Delays.Routed routed_tbl;
     }
   in
@@ -428,7 +431,7 @@ type stats = {
 
 let stats ?sta:analysis (r : routed) =
   let seg_len =
-    Fpga_arch.Params.effective_segments r.graph.Rrgraph.params
+    r.graph.Rrgraph.params.Fpga_arch.Params.segments
     |> List.map (fun (s : Fpga_arch.Params.segment) -> s.Fpga_arch.Params.s_length)
     |> Array.of_list
   in

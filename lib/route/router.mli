@@ -114,7 +114,9 @@ val sta :
     whose table holds the Elmore delay ({!Timing.net_delays}) of every
     routed (signal, sink block) connection, through
     {!Sta.Analysis.run}, directly comparable with the pre-route
-    (placement-distance) analysis.  [graph] reuses an already-built
+    (placement-distance) analysis: both take their local, logic,
+    clock-to-Q and setup delays from {!Place.Td_timing.default_model}.
+    [graph] reuses an already-built
     timing graph — it depends only on the problem, not the routing. *)
 
 type stats = {

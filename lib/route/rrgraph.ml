@@ -9,11 +9,10 @@
      only to track t of the other three channels, and only where wires
      END — a long wire passing over a switch point is not tapped, so
      switches sit at segment endpoints exactly;
-   - each channel carries the declared segment mix
-     (Params.effective_segments): track t's type and stagger offset come
-     from Params.track_plan, so ends of one type distribute evenly across
-     its tracks; the uniform single-type channel reduces to the legacy
-     offset = t mod len stagger;
+   - each channel carries the declared segment mix (Params.segments):
+     track t's type and stagger offset come from Params.track_plan, so
+     ends of one type distribute evenly across its tracks; a single-type
+     channel reduces to the offset = t mod len stagger;
    - every logic block touches the four surrounding channels; pins connect
      to an Fc fraction of the tracks OF EACH SEGMENT TYPE crossing the
      tile (per-type Fc_in/Fc_out); each block has one SINK node fed by its
@@ -32,8 +31,7 @@ type node = {
   capacity : int;
   base_cost : float;
   wire_tiles : int; (* tiles spanned; 0 for pins *)
-  seg : int;        (* segment-type index (Params.effective_segments);
-                       0 for pins *)
+  seg : int;        (* segment-type index (Params.segments); 0 for pins *)
 }
 
 type t = {
@@ -73,7 +71,7 @@ let spans ~len ~offset ~extent =
 let track_spans (params : Fpga_arch.Params.t) ~width ~extent ~track =
   if track < 0 || track >= width then
     invalid_arg "Rrgraph.track_spans: track out of range";
-  let segs = Array.of_list (Fpga_arch.Params.effective_segments params) in
+  let segs = Array.of_list params.Fpga_arch.Params.segments in
   let plan = Fpga_arch.Params.track_plan params ~width in
   let si, offset = plan.(track) in
   spans ~len:segs.(si).Fpga_arch.Params.s_length ~offset ~extent
@@ -87,7 +85,7 @@ let build (params : Fpga_arch.Params.t) (grid : Fpga_arch.Grid.t)
   let problem = placement.Place.Placement.problem in
   let blocks = problem.Place.Problem.blocks in
   let nx = grid.Fpga_arch.Grid.nx and ny = grid.Fpga_arch.Grid.ny in
-  let segs = Array.of_list (Fpga_arch.Params.effective_segments params) in
+  let segs = Array.of_list params.Fpga_arch.Params.segments in
   let plan = Fpga_arch.Params.track_plan params ~width in
   let seg_of t = fst plan.(t) in
   let len_of t = segs.(seg_of t).Fpga_arch.Params.s_length in

@@ -5,7 +5,7 @@
     switch box (Fs = 3) joins same-numbered tracks at segment endpoints
     only (a long wire passing over a switch point is not tapped); each
     channel carries the declared segment mix
-    ({!Fpga_arch.Params.effective_segments}) with per-track stagger from
+    ({!Fpga_arch.Params.t.segments}) with per-track stagger from
     {!Fpga_arch.Params.track_plan}; every logic block touches the four
     surrounding channels; pins connect to an Fc fraction of each segment
     type's tracks (per-type Fc_in/Fc_out); each block has one SINK fed
@@ -25,8 +25,8 @@ type node = {
   base_cost : float;
   wire_tiles : int; (** tiles spanned; 0 for pins *)
   seg : int;
-      (** segment-type index into
-          {!Fpga_arch.Params.effective_segments}; 0 for pins.  Keys the
+      (** segment-type index into {!Fpga_arch.Params.t.segments}; 0
+          for pins.  Keys the
           per-type RC in {!Timing} and the per-type capacitance in
           [Power.Model]. *)
 }

@@ -3,37 +3,27 @@
    which owns the post-route critical-path computation.
 
    Electrical constants derive from the platform's circuit design (§3):
-   pass-transistor switches at [switch_width] x minimum, length-1 metal-3
-   segments with the min-width/double-spacing RC selected in §3.3. *)
+   pass-transistor switches at [switch_width] x minimum, and per segment
+   type the wire RC of the metal configuration the type selects (the
+   default length-1 mix uses the min-width/double-spacing RC selected in
+   §3.3).  Logic, clock-to-Q and setup delays are not here: post-route
+   STA reads them from [Place.Td_timing.default_model], as pre-route STA
+   does. *)
 
 
 type constants = {
   r_switch : float;   (* routing switch on-resistance, ohm *)
   c_switch : float;   (* switch junction capacitance, F *)
-  r_wire_tile : float; (* per-tile RC of the default segment type *)
-  c_wire_tile : float;
   seg_r_tile : float array; (* per-tile RC per segment type, indexed by
                                Rrgraph node [seg] (one entry per
-                               Params.effective_segments element) *)
+                               Params.segments element) *)
   seg_c_tile : float array;
-  t_lut : float;      (* LUT + local-interconnect delay, s *)
-  t_ble_local : float;(* intra-cluster feedback delay, s *)
-  t_clk_q : float;    (* DETFF clock-to-Q, s *)
-  t_setup : float;
   t_ipin : float;     (* connection-box + input buffer delay, s *)
 }
 
-(* Per-tile RC of a wire node's segment type (scalar fallback keeps
-   hand-built constants without the arrays working). *)
-let wire_r consts seg =
-  if seg >= 0 && seg < Array.length consts.seg_r_tile then
-    consts.seg_r_tile.(seg)
-  else consts.r_wire_tile
-
-let wire_c consts seg =
-  if seg >= 0 && seg < Array.length consts.seg_c_tile then
-    consts.seg_c_tile.(seg)
-  else consts.c_wire_tile
+(* Per-tile RC of a wire node's segment type. *)
+let wire_r consts seg = consts.seg_r_tile.(seg)
+let wire_c consts seg = consts.seg_c_tile.(seg)
 
 let wire_config_of_metal = function
   | Fpga_arch.Params.Metal_min_min -> Spice.Tech.Min_width_min_spacing
@@ -58,29 +48,19 @@ let default_constants (params : Fpga_arch.Params.t) =
   (* per-segment-type RC from the measured wire model behind the
      Fig. 8-10 sizing experiments, one entry per declared segment type
      in the metal configuration the type selects *)
-  let segs = Array.of_list (Fpga_arch.Params.effective_segments params) in
   let rc =
-    Array.map
+    List.map
       (fun (s : Fpga_arch.Params.segment) ->
         Spice.Routing_exp.wire_rc_per_tile
           ~config:(wire_config_of_metal s.Fpga_arch.Params.s_metal))
-      segs
-  in
-  let r0, c0 =
-    Spice.Routing_exp.wire_rc_per_tile
-      ~config:Spice.Tech.Min_width_double_spacing
+      params.Fpga_arch.Params.segments
+    |> Array.of_list
   in
   {
     r_switch;
     c_switch;
-    r_wire_tile = r0;
-    c_wire_tile = c0;
     seg_r_tile = Array.map fst rc;
     seg_c_tile = Array.map snd rc;
-    t_lut = 0.45e-9;
-    t_ble_local = 0.18e-9;
-    t_clk_q = 0.20e-9;
-    t_setup = 0.10e-9;
     t_ipin = 0.25e-9;
   }
 

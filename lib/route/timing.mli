@@ -11,26 +11,23 @@
 type constants = {
   r_switch : float;    (** routing switch on-resistance, ohm *)
   c_switch : float;    (** switch junction capacitance, F *)
-  r_wire_tile : float; (** per-tile RC of the default segment type *)
-  c_wire_tile : float;
   seg_r_tile : float array;
       (** per-tile RC per segment type, indexed by the Rrgraph node
-          [seg] field (one entry per
-          {!Fpga_arch.Params.effective_segments} element) *)
+          [seg] field (one entry per {!Fpga_arch.Params.t.segments}
+          element) *)
   seg_c_tile : float array;
-  t_lut : float;       (** LUT + local-interconnect delay, s *)
-  t_ble_local : float; (** intra-cluster feedback delay, s *)
-  t_clk_q : float;
-  t_setup : float;
   t_ipin : float;      (** connection-box + input buffer delay, s *)
 }
+(** The routing fabric's electrical constants.  Logic, clock-to-Q and
+    setup delays live in {!Place.Td_timing.default_model}, which both
+    the pre-route and the post-route ({!Router.sta}) analyses read. *)
 
 val wire_r : constants -> int -> float
 (** [wire_r consts seg] is the per-tile wire resistance of segment type
-    [seg]; falls back to [r_wire_tile] when [seg] is out of range (e.g.
-    hand-built constants without the arrays). *)
+    [seg] ([seg_r_tile.(seg)]). *)
 
 val wire_c : constants -> int -> float
+(** [wire_c consts seg] is [seg_c_tile.(seg)]. *)
 
 val wire_config_of_metal :
   Fpga_arch.Params.metal -> Spice.Tech.wire_config

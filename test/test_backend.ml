@@ -93,8 +93,19 @@ let test_params_validation () =
       | exception Fpga_arch.Params.Invalid_params _ -> ()
       | _ -> Alcotest.failf "%s accepted" name)
     [
-      ("fc_in nan", { a with Fpga_arch.Params.fc_in = Float.nan });
-      ("fc_out nan", { a with Fpga_arch.Params.fc_out = Float.nan });
+      ( "fc_in nan",
+        {
+          a with
+          Fpga_arch.Params.segments =
+            Fpga_arch.Params.segments_of_string ~fc_in:Float.nan "L1";
+        } );
+      ( "fc_out nan",
+        {
+          a with
+          Fpga_arch.Params.segments =
+            Fpga_arch.Params.segments_of_string ~fc_out:Float.nan "L1";
+        } );
+      ("empty segment mix", { a with Fpga_arch.Params.segments = [] });
       ("switch_width nan", { a with Fpga_arch.Params.switch_width = Float.nan });
       ("switch_width inf", { a with Fpga_arch.Params.switch_width = Float.infinity });
     ]
@@ -105,7 +116,7 @@ let test_archfile_roundtrip () =
       Fpga_arch.Params.amdrel with
       Fpga_arch.Params.n = 4;
       i = 10;
-      segment_length = 2;
+      segments = Fpga_arch.Params.segments_of_string "L2";
       switch_width = 16.0;
     }
   in
@@ -328,7 +339,10 @@ let test_segment_length_two_routes () =
   let _, r = Lazy.force placed_counter in
   let params =
     Fpga_arch.Params.validate
-      { Fpga_arch.Params.amdrel with Fpga_arch.Params.segment_length = 2 }
+      {
+        Fpga_arch.Params.amdrel with
+        Fpga_arch.Params.segments = Fpga_arch.Params.segments_of_string "L2";
+      }
   in
   let routed = Route.Router.route_min_width params r.Place.Anneal.placement in
   Alcotest.(check bool) "routes" true
@@ -495,8 +509,10 @@ let test_timing_monotone_in_distance () =
   let params = Fpga_arch.Params.amdrel in
   let c = Route.Timing.default_constants params in
   Alcotest.(check bool) "switch R positive" true (c.Route.Timing.r_switch > 0.0);
-  Alcotest.(check bool) "wire RC positive" true
-    (c.Route.Timing.r_wire_tile > 0.0 && c.Route.Timing.c_wire_tile > 0.0);
+  Alcotest.(check bool) "wire RC positive, one entry per segment type" true
+    (Array.length c.Route.Timing.seg_r_tile = 1
+    && Route.Timing.wire_r c 0 > 0.0
+    && Route.Timing.wire_c c 0 > 0.0);
   (* wider switches are less resistive *)
   let r10 = Route.Timing.pass_resistance Spice.Tech.stm018 10.0 in
   let r20 = Route.Timing.pass_resistance Spice.Tech.stm018 20.0 in

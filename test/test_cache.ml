@@ -217,7 +217,10 @@ let test_flow_invalidation () =
      placement (which ignores routing params) still hits *)
   let params =
     Fpga_arch.Params.validate
-      { Fpga_arch.Params.amdrel with Fpga_arch.Params.segment_length = 2 }
+      {
+        Fpga_arch.Params.amdrel with
+        Fpga_arch.Params.segments = Fpga_arch.Params.segments_of_string "L2";
+      }
   in
   let config = { Core.Flow.default_config with Core.Flow.params } in
   let _, obs_p, _ = run_cached ~config ~dir vhdl in

@@ -1,8 +1,9 @@
 (* The amdrel_flow CLI end to end: single mode writes BASE.result.json
    for every design, a design that fails to compile exits 1 with an
    ok:false record naming the failed stage, a local-only option under
-   --remote or an out-of-domain --period or --route-width fails before
-   any product is written, -d and --ledger create missing parents,
+   --remote, an out-of-domain --period or --route-width, or an --arch
+   file asking for an unmodelled interconnect fails before any product
+   is written, -d and --ledger create missing parents,
    local --batch warns about the single-design flags it ignores, --arch
    honours the file's io_rat, a --remote run writes a local run's
    files, and the CLI reads a cache the library flow filled. *)
@@ -102,7 +103,7 @@ let test_missing_parents () =
 
 (* A period or fixed width outside its domain is refused before anything
    compiles, by the same check the daemon applies to a submit; the error
-   names the field. *)
+   names the field, and neither a record nor a bitstream is written. *)
 let out_of_domain ~field args () =
   let dir = Filename.temp_dir "amdrel-cli-test" "" in
   let path name = Filename.concat dir name in
@@ -120,7 +121,18 @@ let out_of_domain ~field args () =
        (In_channel.with_open_bin (path "stderr.txt") In_channel.input_all)
        field);
   Alcotest.(check bool) "no record written" false
-    (Sys.file_exists (path "counter8.result.json"))
+    (Sys.file_exists (path "counter8.result.json"));
+  Alcotest.(check bool) "no bitstream written" false
+    (Sys.file_exists (path "counter8.bit"))
+
+(* An arch file asking for an interconnect the flow does not model is
+   refused the same way, its error naming the line: compiling it would
+   write the default fabric's bitstream. *)
+let test_arch_unmodelled () =
+  let arch = Filename.temp_file "amdrel-cli-test" ".arch" in
+  Out_channel.with_open_bin arch (fun oc ->
+      output_string oc "switch tristate\n");
+  out_of_domain ~field:"switch tristate" [ "--arch"; arch ] ()
 
 (* --arch picks the fabric of a local compile; the daemon compiles for
    its own, so --remote with --arch must fail before connecting (here
@@ -331,6 +343,8 @@ let suite =
       (with_exe (out_of_domain ~field:"route_width" [ "--route-width"; "129" ]));
     Alcotest.test_case "--arch honours the file's io_rat" `Quick
       (with_exe test_arch_io_rat);
+    Alcotest.test_case "--arch with switch tristate exits 1" `Quick
+      (with_exe test_arch_unmodelled);
     Alcotest.test_case "--remote batch writes the local run's files" `Quick
       (with_exe test_remote_equals_local);
     Alcotest.test_case "cache shared across binaries" `Quick

@@ -52,7 +52,7 @@ let test_flow_nondefault_architecture () =
         Fpga_arch.Params.amdrel with
         Fpga_arch.Params.n = 4;
         i = Fpga_arch.Params.recommended_inputs ~k:4 ~n:4;
-        segment_length = 2;
+        segments = Fpga_arch.Params.segments_of_string "L2";
       }
   in
   let config = { Core.Flow.default_config with Core.Flow.params } in

@@ -123,7 +123,7 @@ let prop_anneal_cost_consistent =
    a set that prints exactly, so text round-trips are byte-faithful *)
 let segments_gen =
   QCheck.Gen.(
-    list_size (int_range 0 3)
+    list_size (int_range 1 3)
       (map
          (fun (((count, length), (fc_in, fc_out)), metal) ->
            {
@@ -150,16 +150,15 @@ let prop_archfile_roundtrip =
   QCheck.Test.make ~count:100 ~name:"architecture file round trip"
     QCheck.(
       pair
-        (quad (int_range 2 5) (int_range 1 8) (int_range 1 4) (int_range 1 3))
+        (triple (int_range 2 5) (int_range 1 8) (int_range 1 3))
         (make segments_gen))
-    (fun ((k, n, seg, io_rat), segments) ->
+    (fun ((k, n, io_rat), segments) ->
       let p =
         {
           Fpga_arch.Params.amdrel with
           Fpga_arch.Params.k;
           n;
           i = max k (Fpga_arch.Params.recommended_inputs ~k ~n);
-          segment_length = seg;
           segments;
           io_rat;
         }

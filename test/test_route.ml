@@ -1,5 +1,6 @@
 (* Router property and regression tests: tree invariants on random
-   placements, and incremental vs full rip-up agreement. *)
+   placements, and the incremental router at the searched minimum
+   width. *)
 
 let seed_arb = QCheck.int_bound 100000
 
@@ -64,9 +65,9 @@ let prop_width_search_edge =
           && (w = 1
              || Route.Router.try_width ~jobs:1 params placement (w - 1) = None))
 
-(* Incremental rip-up (the default) and classic full rip-up must both
-   route the bench circuits at the same channel width. *)
-let test_incremental_matches_full () =
+(* A fresh incremental routing of the bench circuits on a rebuilt graph
+   at the searched minimum width succeeds and is legal. *)
+let test_incremental_at_min_width () =
   List.iter
     (fun (name, vhdl) ->
       let net = Synth.Diviner.synthesize vhdl in
@@ -92,14 +93,10 @@ let test_incremental_matches_full () =
           problem.Place.Problem.grid placement ~width
       in
       let nets = Route.Router.net_terminals g problem in
-      let incr = Route.Pathfinder.route ~incremental:true g nets in
-      let full = Route.Pathfinder.route ~incremental:false g nets in
+      let incr = Route.Pathfinder.route g nets in
       Alcotest.(check bool)
         (Printf.sprintf "%s: incremental succeeds at width %d" name width)
         true incr.Route.Pathfinder.success;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: full rip-up succeeds at width %d" name width)
-        true full.Route.Pathfinder.success;
       Alcotest.(check bool)
         (Printf.sprintf "%s: incremental routing is legal" name)
         true (Route.Pathfinder.no_overuse incr))
@@ -629,8 +626,8 @@ let test_place_identity_pin () =
 
 let suite =
   [
-    Alcotest.test_case "incremental vs full rip-up" `Slow
-      test_incremental_matches_full;
+    Alcotest.test_case "incremental routing at min width" `Slow
+      test_incremental_at_min_width;
     Alcotest.test_case "intra-route jobs-deterministic" `Quick
       test_intra_route_jobs_deterministic;
     Alcotest.test_case "width search jobs-deterministic" `Quick

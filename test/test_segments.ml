@@ -1,9 +1,10 @@
 (* Mixed-length segmented routing fabric: spec parsing/validation, the
+   arch file (including the legacy format older files use), the
    per-track plan, structural properties of the segmented RR graph
    (span contiguity and stagger, Fs = 3 endpoint-only switch boxes,
-   per-type Fc), isomorphism of the uniform special case with the
-   legacy builder, end-to-end determinism across Domain-pool sizes,
-   and cache invalidation on segment-mix changes. *)
+   per-type Fc), isomorphism of the uniform special case with a legacy
+   [segment_length] file, end-to-end determinism across Domain-pool
+   sizes, and cache invalidation on segment-mix changes. *)
 
 module P = Fpga_arch.Params
 module R = Obs.Registry
@@ -68,39 +69,88 @@ let test_validate_spec () =
   check_invalid "fc above one" (with_segs [ seg 1 1 1.5 ]);
   check_invalid "fc nan" (with_segs [ seg 1 1 Float.nan ]);
   check_invalid "fc infinite" (with_segs [ seg 1 1 Float.infinity ]);
+  check_invalid "empty mix" (with_segs []);
   (* errors carry the offending segment so they are actionable *)
-  (let contains hay needle =
-     let nh = String.length hay and nn = String.length needle in
-     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-     at 0
-   in
-   match P.validate { P.amdrel with P.segments = [ seg 1 1 1.0; seg 0 1 1.0 ] } with
+  (match
+     P.validate { P.amdrel with P.segments = [ seg 1 1 1.0; seg 0 1 1.0 ] }
+   with
    | exception P.Invalid_params m ->
        Alcotest.(check bool)
          (Printf.sprintf "error names the segment (%s)" m)
          true
-         (contains m "segment 1")
+         (Str_helpers.contains m "segment 1")
    | _ -> Alcotest.fail "expected Invalid_params");
   (* a healthy mixed spec passes *)
   ignore (P.validate { P.amdrel with P.segments = [ seg 1 2 0.5; seg 4 1 1.0 ] })
 
 (* Malformed arch-file text fails as a parse or validation error that
    names the problem, never as a bare [Failure] from a number parser or
-   as an accepted non-finite value. *)
+   as an accepted non-finite value.  A value the flow cannot model (an
+   interconnect other than the §3 one, a gated_clock other than 0/1) is
+   a parse error naming its line, never a compile of the default
+   fabric. *)
+let unmodelled =
+  [
+    "switch tristate"; "registered_outputs 0"; "fs 4"; "gated_clock yes";
+    "gated_clock true";
+  ]
+
 let test_archfile_malformed () =
   List.iter
     (fun text ->
       match Fpga_arch.Archfile.of_string text with
-      | exception Fpga_arch.Archfile.Parse_error _ -> ()
-      | exception P.Invalid_params _ -> ()
+      | exception Fpga_arch.Archfile.Parse_error m ->
+          if List.mem text unmodelled && not (Str_helpers.contains m text)
+          then Alcotest.failf "%S: error %S does not name the line" text m
+      | exception P.Invalid_params _ when not (List.mem text unmodelled) -> ()
       | exception e ->
           Alcotest.failf "%S raised %s" text (Printexc.to_string e)
       | _ -> Alcotest.failf "%S accepted" text)
+    ([
+       "k four"; "fc_in 0.5x"; "segment 1 x"; "segment 1 4 nan 1.0 min_double";
+       "segment 1 4 1.0 one min_double"; "switch_width nan"; "switch_width inf";
+       "fc_in nan"; "fc_out -inf"; "io_rat 1.5";
+     ]
+    @ unmodelled)
+
+(* The two files DUTYS wrote before the segment mix became the only
+   channel spec (default, and --segments 2xL1+1xL4), verbatim: both
+   still read, as the fabric they described.  What DUTYS writes now
+   carries none of the legacy keys. *)
+let legacy_default_arch =
+  "# FPGA architecture description (generated by DUTYS)\n\
+   name amdrel_018\nk 4\nn 5\ni 12\nfc_in 1\nfc_out 1\nfs 3\n\
+   segment_length 1\nswitch pass\nswitch_width 10\nio_rat 2\n\
+   registered_outputs 1\ngated_clock 1\n"
+
+let legacy_mixed_arch =
+  "# FPGA architecture description (generated by DUTYS)\n\
+   name amdrel_018\nk 4\nn 5\ni 12\nfc_in 1\nfc_out 1\nfs 3\n\
+   segment_length 1\nsegment 1 2 1 1 min_double\n\
+   segment 4 1 1 1 min_double\nswitch pass\nswitch_width 10\n\
+   io_rat 2\nregistered_outputs 1\ngated_clock 1\n"
+
+let test_archfile_legacy_format () =
+  Alcotest.(check bool) "legacy default file reads as Params.amdrel" true
+    (Fpga_arch.Archfile.of_string legacy_default_arch = P.amdrel);
+  Alcotest.(check bool) "legacy mixed file reads as its mix" true
+    (Fpga_arch.Archfile.of_string legacy_mixed_arch
+    = { P.amdrel with P.segments = P.segments_of_string "2xL1+1xL4" });
+  let written = Fpga_arch.Archfile.to_string P.amdrel in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no %S line written" key)
+        false
+        (Str_helpers.contains written key))
     [
-      "k four"; "fc_in 0.5x"; "segment 1 x"; "segment 1 4 nan 1.0 min_double";
-      "segment 1 4 1.0 one min_double"; "switch_width nan"; "switch_width inf";
-      "fc_in nan"; "fc_out -inf"; "io_rat 1.5";
+      "segment_length"; "fc_in"; "fc_out"; "fs "; "switch ";
+      "registered_outputs";
     ]
+
+(* A legacy uniform channel of length [len], as an old file states it. *)
+let legacy_params len =
+  Fpga_arch.Archfile.of_string (Printf.sprintf "segment_length %d\n" len)
 
 let test_archfile_segments_roundtrip () =
   let p =
@@ -134,22 +184,8 @@ let test_archfile_segments_roundtrip () =
 let test_track_plan_uniform_reduction () =
   List.iter
     (fun len ->
-      let legacy = { P.amdrel with P.segment_length = len } in
-      let explicit =
-        {
-          legacy with
-          P.segments =
-            [
-              {
-                P.s_length = len;
-                s_count = 1;
-                s_fc_in = P.amdrel.P.fc_in;
-                s_fc_out = P.amdrel.P.fc_out;
-                s_metal = P.Metal_min_double;
-              };
-            ];
-        }
-      in
+      let legacy = legacy_params len in
+      let explicit = params_of_mix (Printf.sprintf "1xL%d" len) in
       let width = 9 in
       Alcotest.(check bool)
         (Printf.sprintf "explicit [1xL%d] plan = legacy plan" len)
@@ -202,7 +238,7 @@ let prop_track_spans =
           mix
       in
       let params = P.validate { P.amdrel with P.segments } in
-      let segs = Array.of_list (P.effective_segments params) in
+      let segs = Array.of_list params.P.segments in
       let plan = P.track_plan params ~width in
       let ok = ref true in
       for t = 0 to width - 1 do
@@ -252,30 +288,13 @@ let graph_for params seed ~width =
   let problem, placement = Test_route.place_random seed in
   (problem, Route.Rrgraph.build params problem.Place.Problem.grid placement ~width)
 
-(* every explicitly uniform spec builds the same graph as the legacy
-   single-length path: same node ids, same edges *)
+(* every explicitly uniform spec builds the same graph as a legacy
+   [segment_length] file: same node ids, same edges *)
 let test_uniform_isomorphism () =
   List.iter
     (fun len ->
-      let legacy =
-        P.validate { P.amdrel with P.segment_length = len }
-      in
-      let explicit =
-        P.validate
-          {
-            legacy with
-            P.segments =
-              [
-                {
-                  P.s_length = len;
-                  s_count = 1;
-                  s_fc_in = legacy.P.fc_in;
-                  s_fc_out = legacy.P.fc_out;
-                  s_metal = P.Metal_min_double;
-                };
-              ];
-          }
-      in
+      let legacy = legacy_params len in
+      let explicit = params_of_mix (Printf.sprintf "1xL%d" len) in
       let _, g1 = graph_for legacy 17 ~width:6 in
       let _, g2 = graph_for explicit 17 ~width:6 in
       Alcotest.(check bool)
@@ -568,6 +587,8 @@ let suite =
       test_archfile_segments_roundtrip;
     Alcotest.test_case "arch file rejects malformed numbers" `Quick
       test_archfile_malformed;
+    Alcotest.test_case "arch file reads the legacy format" `Quick
+      test_archfile_legacy_format;
     Alcotest.test_case "track plan: uniform reduction" `Quick
       test_track_plan_uniform_reduction;
     QCheck_alcotest.to_alcotest prop_track_spans;
