@@ -344,13 +344,18 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
     else None
   in
   let trace = collector Obs.Span.create trace_file in
-  let sink = collector Obs.Events.create events_file in
+  let events = collector (fun () -> ref []) events_file in
   let under c with_ f () =
     match c with Some (_, x) -> with_ x f | None -> f ()
   in
+  let keep got f =
+    let o, evs = Obs.Events.collect f in
+    got := !got @ evs;
+    o
+  in
   let ledger_suite = Option.map (fun _ -> suite) ledger in
   let local source =
-    under sink Obs.Events.with_sink
+    under events keep
       (under trace Obs.Span.with_trace (fun () ->
            compile_local config timing_report ledger_suite source))
       ()
@@ -403,12 +408,12 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
       Printf.printf "trace -> %s (chrome://tracing / Perfetto)\n" path)
     trace;
   Option.iter
-    (fun (path, s) ->
-      let events = List.map Obs.Events.to_json (Obs.Events.drain s) in
+    (fun (path, got) ->
+      let events = List.map Obs.Events.to_json !got in
       Tool_common.write_file path
         (String.concat "" (List.map (fun ev -> E.to_string ev ^ "\n") events));
       Printf.printf "events -> %s (%d records)\n" path (List.length events))
-    sink;
+    events;
   (* ledger lines append after the compiles, in input order, so the
      file order is deterministic at any jobs value *)
   (match (ledger, List.filter_map (fun o -> o.lrec) outcomes) with

@@ -11,7 +11,7 @@
 open Cmdliner
 
 let run socket queue_depth workers jobs no_cache cache_dir cache_max_bytes
-    heartbeat_ms quiet =
+    quiet =
   let log =
     if quiet then ignore
     else fun line -> Printf.eprintf "[amdreld] %s\n%!" line
@@ -23,7 +23,6 @@ let run socket queue_depth workers jobs no_cache cache_dir cache_max_bytes
       workers;
       jobs = (match jobs with Some j -> j | None -> Util.Parallel.default_jobs ());
       cache_max_bytes;
-      heartbeat_s = float_of_int (max 1 heartbeat_ms) /. 1000.0;
       flow =
         {
           Core.Flow.default_config with
@@ -100,15 +99,6 @@ let cache_max_bytes_arg =
            then least recently used (hits refresh recency).  Unbounded \
            when omitted.")
 
-let heartbeat_ms_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "heartbeat-ms" ] ~docv:"MS"
-        ~doc:
-          "Progress-stream heartbeat cadence: a stream that has been \
-           silent this long gets a synthetic heartbeat event, so watchers \
-           can tell a long-running stage from a dead daemon.")
-
 let quiet_arg =
   Arg.(
     value & flag
@@ -122,9 +112,9 @@ let cmd =
           compile requests over a Unix-domain socket, sharing one stage \
           cache and one domain budget")
     Term.(
-      const (fun s q w j nc cd cm hb qt ->
-          Tool_common.protect (fun () -> run s q w j nc cd cm hb qt))
+      const (fun s q w j nc cd cm qt ->
+          Tool_common.protect (fun () -> run s q w j nc cd cm qt))
       $ socket_arg $ queue_depth_arg $ workers_arg $ jobs_arg $ no_cache_arg
-      $ cache_dir_arg $ cache_max_bytes_arg $ heartbeat_ms_arg $ quiet_arg)
+      $ cache_dir_arg $ cache_max_bytes_arg $ quiet_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -40,6 +40,14 @@ let r32 r =
   r.pos <- r.pos + 4;
   !v
 
+(* [count], a count read from the stream, when the bytes left can hold
+   that many items of at least [size] bytes each: a decoder must not
+   allocate for a count the stream cannot back. *)
+let fits r count ~size =
+  if count > (String.length r.data - r.pos) / size then
+    raise (Corrupt "count exceeds the stream");
+  count
+
 let rstr r =
   let len = r32 r in
   if r.pos + len > String.length r.data then raise (Corrupt "truncated string");
@@ -139,8 +147,8 @@ let decode data =
   let k = r32 r in
   let n = r32 r in
   let i = r32 r in
-  let track_lengths = Array.init width (fun _ -> r32 r) in
-  let n_clbs = r32 r in
+  let track_lengths = Array.init (fits r width ~size:4) (fun _ -> r32 r) in
+  let n_clbs = fits r (r32 r) ~size:16 in
   let clbs =
     List.init n_clbs (fun _ ->
         let x = r32 r in
@@ -148,10 +156,12 @@ let decode data =
         let cluster = r32 r in
         let block = r32 r in
         let bles =
-          Array.init n (fun _ ->
+          Array.init (fits r n ~size:8) (fun _ ->
               let lut_bits = r32 r in
               let flags = r32 r in
-              let input_sources = Array.init k (fun _ -> r32 r) in
+              let input_sources =
+                Array.init (fits r k ~size:4) (fun _ -> r32 r)
+              in
               {
                 Layout.lut_bits;
                 registered = flags land 1 <> 0;
@@ -162,7 +172,7 @@ let decode data =
         in
         { Layout.x; y; cluster; block; bles })
   in
-  let n_pads = r32 r in
+  let n_pads = fits r (r32 r) ~size:24 in
   let pads =
     List.init n_pads (fun _ ->
         let pad_block = r32 r in
@@ -180,13 +190,13 @@ let decode data =
           pad_name;
         })
   in
-  let n_sw = r32 r in
+  let n_sw = fits r (r32 r) ~size:40 in
   let switches = List.init n_sw (fun _ ->
       let a = r_desc r in
       let b = r_desc r in
       (a, b))
   in
-  let n_pl = r32 r in
+  let n_pl = fits r (r32 r) ~size:40 in
   let pin_links = List.init n_pl (fun _ ->
       let a = r_desc r in
       let b = r_desc r in

@@ -13,4 +13,5 @@ val magic : string
 val encode : Fpga_arch.Params.t -> Layout.config -> string
 
 val decode : string -> Layout.config
-(** @raise Corrupt on truncation, bad magic or CRC mismatch. *)
+(** @raise Corrupt on truncation, bad magic, CRC mismatch or a count
+    larger than the rest of the stream can hold. *)

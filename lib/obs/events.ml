@@ -1,18 +1,11 @@
-(* Bounded progress-event queue under one mutex.
-
-   The producer (the domain running a flow) appends under the lock; the
-   consumer (daemon IO loop or CLI) takes the whole queue under the same
-   lock and stamps and frames the events after releasing it, so the
-   producer never waits on the consumer's socket IO.  A full queue
-   never back-pressures the producer: when it holds [cap] events the new
-   one is counted into [dropped] and discarded, and the next drain
-   synthesizes a [Dropped] record for the gap.
+(* Progress events through an ambient sink function.
 
    The ambient slot mirrors Span's discipline exactly: one DLS cell per
    domain, [with_sink] installs/restores, pool worker domains see no
    ambient and their emissions vanish.  That — plus [without] around the
    jobs-dependent paths — is what keeps the event-kind sequence
-   deterministic across jobs settings. *)
+   deterministic across jobs settings.  The sink's owner stamps [seq]
+   and [t_s]; this module only routes kinds to it. *)
 
 type kind =
   | Stage_begin of { stage : string }
@@ -26,87 +19,36 @@ type kind =
     }
   | Place_temperature of { step : int; temperature : float; accept_rate : float }
   | Heartbeat
-  | Dropped of { count : int }
 
 type event = { seq : int; t_s : float; kind : kind }
 
-type sink = {
-  lock : Mutex.t;
-  queue : (float * kind) Queue.t; (* (t_s, kind) in emission order *)
-  cap : int;
-  mutable dropped : int; (* under [lock] *)
-  epoch : float;
-  mutable next_seq : int; (* consumer-owned *)
-  mutable drop_seen : int; (* consumer-owned: drops already reported *)
-}
-
-let create ?(capacity = 8192) () =
-  {
-    lock = Mutex.create ();
-    queue = Queue.create ();
-    cap = max 16 capacity;
-    dropped = 0;
-    epoch = Unix.gettimeofday ();
-    next_seq = 0;
-    drop_seen = 0;
-  }
-
-let ambient : sink option ref Domain.DLS.key =
+let ambient : (kind -> unit) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_sink s f =
+let install s f =
   let cell = Domain.DLS.get ambient in
   let saved = !cell in
-  cell := Some s;
+  cell := s;
   Fun.protect ~finally:(fun () -> cell := saved) f
 
-let without f =
-  let cell = Domain.DLS.get ambient in
-  let saved = !cell in
-  cell := None;
-  Fun.protect ~finally:(fun () -> cell := saved) f
+let with_sink s f = install (Some s) f
+
+let without f = install None f
 
 let active () = Option.is_some !(Domain.DLS.get ambient)
 
-let emit_to s kind =
-  Mutex.protect s.lock (fun () ->
-      if Queue.length s.queue >= s.cap then s.dropped <- s.dropped + 1
-      else Queue.push (Unix.gettimeofday () -. s.epoch, kind) s.queue)
-
 let emit kind =
-  match !(Domain.DLS.get ambient) with
-  | None -> ()
-  | Some s -> emit_to s kind
+  match !(Domain.DLS.get ambient) with None -> () | Some s -> s kind
 
-let stamp s kind t_s =
-  let seq = s.next_seq in
-  s.next_seq <- seq + 1;
-  { seq; t_s; kind }
-
-let next_seq s =
-  let seq = s.next_seq in
-  s.next_seq <- seq + 1;
-  seq
-
-let heartbeat s = stamp s Heartbeat (Unix.gettimeofday () -. s.epoch)
-
-let dropped_total s = Mutex.protect s.lock (fun () -> s.dropped)
-
-let drain s =
-  let taken = Queue.create () in
-  let dropped =
-    Mutex.protect s.lock (fun () ->
-        Queue.transfer s.queue taken;
-        s.dropped)
+let collect f =
+  let epoch = Unix.gettimeofday () in
+  let got = ref [] and seq = ref 0 in
+  let keep kind =
+    got := { seq = !seq; t_s = Unix.gettimeofday () -. epoch; kind } :: !got;
+    incr seq
   in
-  let gap = dropped - s.drop_seen in
-  s.drop_seen <- dropped;
-  let out = ref [] in
-  if gap > 0 then
-    out :=
-      [ stamp s (Dropped { count = gap }) (Unix.gettimeofday () -. s.epoch) ];
-  Queue.iter (fun (t_s, kind) -> out := stamp s kind t_s :: !out) taken;
-  List.rev !out
+  let r = with_sink keep f in
+  (r, List.rev !got)
 
 let kind_name = function
   | Stage_begin _ -> "stage-begin"
@@ -115,9 +57,8 @@ let kind_name = function
   | Route_iteration _ -> "route-iteration"
   | Place_temperature _ -> "place-temperature"
   | Heartbeat -> "heartbeat"
-  | Dropped _ -> "dropped"
 
-let volatile = function Heartbeat | Dropped _ -> true | _ -> false
+let volatile = function Heartbeat -> true | _ -> false
 
 let kind_fields = function
   | Stage_begin { stage } -> [ ("stage", Emit.String stage) ]
@@ -139,7 +80,6 @@ let kind_fields = function
         ("accept_rate", Emit.Float accept_rate);
       ]
   | Heartbeat -> []
-  | Dropped { count } -> [ ("count", Emit.Int count) ]
 
 let to_fields ev =
   (("event", Emit.String (kind_name ev.kind)) :: ("seq", Emit.Int ev.seq)

@@ -1,40 +1,25 @@
-(** Bounded progress-event sink: the flow's live telemetry channel.
+(** Progress events: the flow's live telemetry channel.
 
-    A {!sink} is a bounded queue of progress events behind one mutex.
-    The {e producer} is the domain running a flow (instrumentation sites
-    call {!emit} against the ambient sink, a per-domain slot installed
-    with {!with_sink} — exactly the {!Obs.Span} ambient discipline, so a
-    site with no ambient sink costs one domain-local read).  The
-    {e consumer} is whoever relays events onward: the compile daemon's
-    IO loop framing them to subscribed clients, or a CLI draining the
-    queue after a local run.  Producer and consumer may be different
-    domains.  Each {!emit} and each {!drain} takes the lock once, and
-    the consumer holds it only to take the queue, so the producer never
-    waits on the consumer's IO.
+    A sink is a plain function over event kinds.  The {e producer} is
+    the domain running a flow: instrumentation sites call {!emit}
+    against the ambient sink, a per-domain slot installed with
+    {!with_sink} — exactly the {!Obs.Span} ambient discipline, so a site
+    with no ambient sink costs one domain-local read.  Whoever installs
+    the sink consumes what it receives and stamps each kind with a
+    sequence number and a timestamp: {!collect} for a local capture,
+    the compile daemon's worker pushing onto its one queue to the IO
+    loop for a progress stream.  A sink runs on the producer's domain,
+    inside the flow, so it must be cheap and must not wait on IO.
 
-    {b Bounding and loss.}  The queue holds at most [capacity] events.
-    When the producer outruns the consumer the overflowing event is
-    {e dropped} (the flow is never back-pressured by a slow watcher) and
-    counted; the next {!drain} reports the gap as a synthetic
-    {!constructor:kind.Dropped} event so consumers can tell a quiet flow
-    from a lossy one.
-
-    {b Sequence numbers.}  The consumer stamps each event with a
-    monotonically increasing sequence number at drain time (single
-    consumer, so strictly increasing without coordination).  Synthetic
-    consumer-side events ({!heartbeat}, {!next_seq}) draw from the same
-    counter, so everything framed from one sink is strictly ordered.
-
-    {b Determinism.}  Every event kind except [Heartbeat] and [Dropped]
-    is emitted at a deterministic instrumentation site, in a
-    deterministic order, on the domain that owns the flow — worker
-    domains of a [Util.Parallel] pool have no ambient sink, and the
-    jobs-dependent paths (width-search probes, multi-start annealing
-    with more than one start) run under {!without}.  Stripped of
-    sequence numbers, timestamps and wall durations, the event-kind
-    sequence of a flow is therefore byte-identical at any [jobs]
-    value.  docs/OBSERVABILITY.md documents the JSON schema and the
-    ordering contract. *)
+    {b Determinism.}  Every event kind except [Heartbeat] is emitted at
+    a deterministic instrumentation site, in a deterministic order, on
+    the domain that owns the flow — worker domains of a [Util.Parallel]
+    pool have no ambient sink, and the jobs-dependent paths
+    (width-search probes, multi-start annealing with more than one
+    start) run under {!without}.  Stripped of sequence numbers,
+    timestamps and wall durations, the event-kind sequence of a flow is
+    therefore byte-identical at any [jobs] value.  docs/OBSERVABILITY.md
+    documents the JSON schema and the ordering contract. *)
 
 type kind =
   | Stage_begin of { stage : string }
@@ -52,19 +37,12 @@ type kind =
   | Place_temperature of { step : int; temperature : float; accept_rate : float }
       (** one annealer temperature checkpoint *)
   | Heartbeat  (** consumer-side liveness tick; volatile *)
-  | Dropped of { count : int }
-      (** [count] events were lost to the queue bound since the previous
-          drain; volatile *)
 
 type event = { seq : int; t_s : float; kind : kind }
-(** [t_s] is wall seconds since the sink was created — volatile. *)
+(** [seq] counts from 0 per stream; [t_s] is wall seconds since the
+    stream began — volatile. *)
 
-type sink
-
-val create : ?capacity:int -> unit -> sink
-(** A fresh sink.  [capacity] (default 8192) bounds the queue. *)
-
-val with_sink : sink -> (unit -> 'a) -> 'a
+val with_sink : (kind -> unit) -> (unit -> 'a) -> 'a
 (** [with_sink s f] runs [f] with [s] as this domain's ambient sink,
     restoring the previous ambient on exit (exceptions included). *)
 
@@ -77,45 +55,23 @@ val active : unit -> bool
 (** True when a sink is ambient on this domain. *)
 
 val emit : kind -> unit
-(** Producer: append one event to the ambient sink, if any.  Never
-    waits on the consumer's IO; drops (and counts) when the queue is
-    full. *)
+(** Producer: hand one event to the ambient sink, if any. *)
 
-val emit_to : sink -> kind -> unit
-(** Producer: append directly to [s], bypassing the ambient slot. *)
-
-(** {1 Consumer side}
-
-    Everything below must be called from a single consumer (one domain
-    at a time); it is safe to run concurrently with the producer. *)
-
-val drain : sink -> event list
-(** All events published since the previous drain, in emission order,
-    seq-stamped.  A loss gap since the previous drain is reported first
-    as a [Dropped] event. *)
-
-val heartbeat : sink -> event
-(** A consumer-synthesized [Heartbeat] carrying the next sequence
-    number. *)
-
-val next_seq : sink -> int
-(** Allocate the next sequence number (for consumer-synthesized records
-    framed outside this module, e.g. the daemon's [accepted]/[done]
-    notices). *)
-
-val dropped_total : sink -> int
-(** Events lost to the queue bound over the sink's lifetime. *)
+val collect : (unit -> 'a) -> 'a * event list
+(** [collect f] runs [f] under a sink that keeps every emission, and
+    returns [f]'s result with the events in emission order: [seq] from
+    0, [t_s] since [collect] began. *)
 
 (** {1 Rendering} *)
 
 val kind_name : kind -> string
 (** The wire name of the kind: ["stage-begin"], ["stage-end"],
     ["cache"], ["route-iteration"], ["place-temperature"],
-    ["heartbeat"], ["dropped"]. *)
+    ["heartbeat"]. *)
 
 val volatile : kind -> bool
-(** True for [Heartbeat] and [Dropped] — kinds whose presence depends
-    on timing, excluded from deterministic comparisons. *)
+(** True for [Heartbeat], whose presence depends on timing: it is
+    excluded from deterministic comparisons. *)
 
 val to_fields : event -> (string * Emit.t) list
 (** The event as JSON object fields, leading with ["event"] (the kind

@@ -52,13 +52,12 @@ let validate s =
       bad "period_ns" "finite and > 0"
   | _ -> Ok s
 
-type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
+type request = Submit of submit | Status | Metrics | Shutdown
 
 let request_to_json = function
   | Status -> E.Obj [ ("verb", E.String "status") ]
   | Metrics -> E.Obj [ ("verb", E.String "metrics") ]
   | Shutdown -> E.Obj [ ("verb", E.String "shutdown") ]
-  | Watch id -> E.Obj [ ("verb", E.String "watch"); ("id", E.Int id) ]
   | Submit s ->
       E.Obj
         ([ ("verb", E.String "submit"); ("vhdl", E.String s.vhdl) ]
@@ -137,10 +136,6 @@ let request_of_json json =
   | Some "metrics" -> Ok Metrics
   | Some "shutdown" -> Ok Shutdown
   | Some "submit" -> submit_of_json json
-  | Some "watch" -> (
-      match Option.bind (J.member "id" json) J.get_int with
-      | Some id -> Ok (Watch id)
-      | None -> Error "watch requires an integer \"id\" field")
   | Some verb -> Error (Printf.sprintf "unknown verb %S" verb)
 
 (* ---------- bitstream transport ---------- *)

@@ -2,7 +2,7 @@
     Unix-domain socket.
 
     Each request is one JSON object on one line; each response is one
-    JSON object on one line.  Five verbs:
+    JSON object on one line.  Four verbs:
 
     - [submit] — compile one design.  Carries the VHDL source text and
       the output-affecting config the client may choose (seed, fixed
@@ -10,13 +10,11 @@
       everything else — cache directory, job budget — is the server's.
       The response arrives when the compile finishes (or immediately,
       with [code = "backpressure"], when the admission queue is full).
+      A submit with [progress = true] is acknowledged at once, and its
+      event lines come before the response: docs/OBSERVABILITY.md,
+      "Wire framing".
     - [status] — queue depth, in-flight count, lifetime counters, and
       the queued requests' positions and ages.  Answered immediately.
-    - [watch] — subscribe this connection to the progress-event stream
-      of a queued or running request (one submitted with
-      [progress = true]); answered with an immediate acknowledgement
-      line, then event lines until the request completes.  See
-      docs/OBSERVABILITY.md § Progress event stream for the framing.
     - [metrics] — the server's full metric registry ([service.*] and
       [cache.*] keys; docs/OBSERVABILITY.md).  Answered immediately.
     - [shutdown] — begin a graceful drain: stop admitting, finish
@@ -71,7 +69,7 @@ val validate : submit -> (submit, string) result
     [> 0].  {!request_of_json} applies it, and so does a local
     [amdrel_flow] run before it compiles. *)
 
-type request = Submit of submit | Status | Metrics | Shutdown | Watch of int
+type request = Submit of submit | Status | Metrics | Shutdown
 
 val request_to_json : request -> Obs.Emit.t
 

@@ -4,7 +4,8 @@
    (the domain calling [run]) owns every file descriptor, the server
    registry and the server-side cache handle; workers own nothing but
    the job they popped.  The only shared state is the admission queue
-   (qlock/qcond), the completion queue (clock) and two atomics. *)
+   (qlock/qcond), the one queue of worker output (olock) and two
+   atomics. *)
 
 module E = Obs.Emit
 module R = Obs.Registry
@@ -17,7 +18,6 @@ type config = {
   workers : int;
   jobs : int;
   cache_max_bytes : int option;
-  heartbeat_s : float;
   flow : F.config;
   log : string -> unit;
 }
@@ -29,30 +29,26 @@ let default_config =
     workers = 2;
     jobs = Util.Parallel.default_jobs ();
     cache_max_bytes = None;
-    heartbeat_s = 1.0;
     flow = { F.default_config with F.cache_dir = Some "_amdrel_cache" };
     log = ignore;
   }
 
-(* One admitted compile request.  [sink] is present when the client
-   asked for progress streaming: the worker publishes events into it,
-   the IO loop drains and frames them (the sink is the only object a
-   worker and the IO loop share per-request, and it is SPSC by
-   construction — worker produces, IO loop consumes). *)
+(* Seconds of silence after which a progress stream gets a heartbeat. *)
+let heartbeat_s = 1.0
+
+(* One admitted compile request. *)
 type job = {
   id : int;
   conn_uid : int;
   submit : P.submit;
   enqueued_at : float;
-  sink : Obs.Events.sink option;
 }
 
 (* IO-loop-owned view of one progress stream. *)
 type stream = {
-  st_id : int;
-  st_sink : Obs.Events.sink;
-  st_owner : int; (* submitting conn uid *)
-  mutable st_watchers : int list; (* extra conn uids via [watch] *)
+  st_conn : int; (* submitting conn uid *)
+  st_epoch : float; (* admission time: [t_s] counts from here *)
+  mutable st_seq : int; (* next [seq]; heartbeats and [done] share it *)
   mutable st_last : float; (* last line framed; heartbeat timer *)
 }
 
@@ -73,6 +69,15 @@ type completion = {
   c_misses : int;
 }
 
+(* The one channel from the workers to the IO loop.  A worker pushes a
+   progress request's events while it compiles and the request's
+   completion after them, so a request's events, its [done] and its
+   completion line, and the next request's events, reach the loop in
+   the order the wire needs. *)
+type output =
+  | Event of int * float * Obs.Events.kind (* request id, t_s, kind *)
+  | Done of completion
+
 type conn = {
   fd : Unix.file_descr;
   uid : int;
@@ -92,9 +97,9 @@ type t = {
   qcond : Condition.t;
   queue : job Queue.t;
   mutable q_closed : bool;
-  (* finished work: workers push, IO loop drains (after a wake) *)
-  clock : Mutex.t;
-  completions : completion Queue.t;
+  (* worker output: workers push, IO loop drains each pass *)
+  olock : Mutex.t;
+  outputs : output Queue.t;
   (* IO-loop-owned state: no lock, single domain *)
   obs : R.t;
   store : Cache.Store.t option;
@@ -121,14 +126,9 @@ let initiate_shutdown t =
 
 (* ---------- responses ---------- *)
 
-let error_json ?id ~code msg =
+let error_json ~code msg =
   E.Obj
-    ((match id with Some i -> [ ("id", E.Int i) ] | None -> [])
-    @ [
-        ("ok", E.Bool false);
-        ("code", E.String code);
-        ("error", E.String msg);
-      ])
+    [ ("ok", E.Bool false); ("code", E.String code); ("error", E.String msg) ]
 
 let send conn json = Buffer.add_string conn.outbox (E.to_string json ^ "\n")
 
@@ -184,8 +184,12 @@ let metrics_json t =
 
 (* ---------- workers ---------- *)
 
+let push t o = Mutex.protect t.olock (fun () -> Queue.push o t.outputs)
+
 (* Runs on a worker domain.  Fresh registry per request: nothing a
-   request records can bleed into another request or the server. *)
+   request records can bleed into another request or the server.  A
+   progress request's events go onto the output queue as they are
+   emitted, stamped with seconds since admission. *)
 let compile t job =
   let t0 = Unix.gettimeofday () in
   let c0 = Sys.time () in
@@ -196,10 +200,13 @@ let compile t job =
   in
   let obs = R.create () in
   let run () =
-    match job.sink with
-    | None -> F.run_vhdl ~config ~obs s.P.vhdl
-    | Some sink ->
-        Obs.Events.with_sink sink (fun () -> F.run_vhdl ~config ~obs s.P.vhdl)
+    if not s.P.progress then F.run_vhdl ~config ~obs s.P.vhdl
+    else
+      Obs.Events.with_sink
+        (fun kind ->
+          let t_s = Unix.gettimeofday () -. job.enqueued_at in
+          push t (Event (job.id, t_s, kind)))
+        (fun () -> F.run_vhdl ~config ~obs s.P.vhdl)
   in
   let resp, ok, design, hits, misses =
     match run () with
@@ -272,10 +279,7 @@ let worker t () =
     match job with
     | None -> () (* closed and drained: exit *)
     | Some job ->
-        let c = compile t job in
-        Mutex.lock t.clock;
-        Queue.push c t.completions;
-        Mutex.unlock t.clock;
+        push t (Done (compile t job));
         wake t;
         loop ()
   in
@@ -303,45 +307,30 @@ let submit t conn s =
     else begin
       let id = t.next_id in
       t.next_id <- id + 1;
-      let sink =
-        if s.P.progress then Some (Obs.Events.create ()) else None
-      in
+      let now = Unix.gettimeofday () in
       Queue.push
-        {
-          id;
-          conn_uid = conn.uid;
-          submit = s;
-          enqueued_at = Unix.gettimeofday ();
-          sink;
-        }
+        { id; conn_uid = conn.uid; submit = s; enqueued_at = now }
         t.queue;
       let position = Queue.length t.queue in
       Condition.signal t.qcond;
       Mutex.unlock t.qlock;
       t.accepted <- t.accepted + 1;
       R.incr t.obs "service.accepted";
-      match sink with
-      | None -> ()
-      | Some sk ->
-          (* The stream is registered before the worker can finish the
-             job: completions are only drained by this same domain. *)
-          Hashtbl.replace t.streams id
-            {
-              st_id = id;
-              st_sink = sk;
-              st_owner = conn.uid;
-              st_watchers = [];
-              st_last = Unix.gettimeofday ();
-            };
-          R.incr t.obs "service.streams";
-          send conn
-            (E.Obj
-               [
-                 ("id", E.Int id);
-                 ("ok", E.Bool true);
-                 ("accepted", E.Bool true);
-                 ("queue_position", E.Int position);
-               ])
+      if s.P.progress then begin
+        (* Registered before this domain can see any of the job's
+           output: only the IO loop drains the output queue. *)
+        Hashtbl.replace t.streams id
+          { st_conn = conn.uid; st_epoch = now; st_seq = 0; st_last = now };
+        R.incr t.obs "service.streams";
+        send conn
+          (E.Obj
+             [
+               ("id", E.Int id);
+               ("ok", E.Bool true);
+               ("accepted", E.Bool true);
+               ("queue_position", E.Int position);
+             ])
+      end
     end
   end
 
@@ -358,31 +347,6 @@ let handle_line t conn line =
   | Ok P.Shutdown ->
       send conn (E.Obj [ ("ok", E.Bool true); ("draining", E.Bool true) ]);
       initiate_shutdown t
-  | Ok (P.Watch id) -> (
-      match Hashtbl.find_opt t.streams id with
-      | None ->
-          send conn
-            (error_json ~id ~code:"unknown-id"
-               "no live progress stream with that id (not submitted with \
-                progress, or already completed)")
-      | Some st ->
-          if not (List.mem conn.uid st.st_watchers) then
-            st.st_watchers <- conn.uid :: st.st_watchers;
-          let state =
-            let queued = ref false in
-            Mutex.lock t.qlock;
-            Queue.iter (fun (j : job) -> if j.id = id then queued := true)
-              t.queue;
-            Mutex.unlock t.qlock;
-            if !queued then "queued" else "running"
-          in
-          send conn
-            (E.Obj
-               [
-                 ("id", E.Int id);
-                 ("ok", E.Bool true);
-                 ("state", E.String state);
-               ]))
   | Ok (P.Submit s) -> submit t conn s
 
 (* ---------- connection IO ---------- *)
@@ -463,69 +427,7 @@ let rec drain_pipe t buf =
   | 0 -> ()
   | _ -> drain_pipe t buf
 
-(* ---------- progress streams (IO loop) ---------- *)
-
-(* Frame one event line to the stream's owner and watchers.  Dead
-   connections drop their copy silently — a slow or vanished watcher
-   never stalls the compile (the queue bound upstream already guarantees
-   the producer side of that). *)
-let deliver_line t st line =
-  let to_uid uid =
-    match Hashtbl.find_opt t.conns uid with
-    | Some conn -> Buffer.add_string conn.outbox line
-    | None -> ()
-  in
-  to_uid st.st_owner;
-  List.iter (fun uid -> if uid <> st.st_owner then to_uid uid) st.st_watchers
-
-let frame_event t st ev =
-  deliver_line t st
-    (E.to_string (E.Obj (("id", E.Int st.st_id) :: Obs.Events.to_fields ev))
-    ^ "\n")
-
-(* Frame a live stream's freshly drained events; synthesize a heartbeat
-   when the stream has been silent past the cadence, so watchers can
-   tell a long-running stage from a dead server. *)
-let pump_stream t st evs =
-  match evs with
-  | [] ->
-      let now = Unix.gettimeofday () in
-      if now -. st.st_last >= t.cfg.heartbeat_s then begin
-        frame_event t st (Obs.Events.heartbeat st.st_sink);
-        st.st_last <- now
-      end
-  | evs ->
-      List.iter (frame_event t st) evs;
-      st.st_last <- Unix.gettimeofday ()
-
-(* The worker finished this request (its events all precede the
-   completion by the clock-mutex ordering): frame the events drained
-   earlier in this pass ([early]) and then the stream's tail, so every
-   event line lands before the final response line, tell watchers it is
-   over, and retire the stream. *)
-let finish_stream t c_id ~early ~ok =
-  match Hashtbl.find_opt t.streams c_id with
-  | None -> ()
-  | Some st ->
-      List.iter (frame_event t st) early;
-      List.iter (frame_event t st) (Obs.Events.drain st.st_sink);
-      let dropped = Obs.Events.dropped_total st.st_sink in
-      deliver_line t st
-        (E.to_string
-           (E.Obj
-              ([
-                 ("id", E.Int st.st_id);
-                 ("event", E.String "done");
-                 ("seq", E.Int (Obs.Events.next_seq st.st_sink));
-                 ("ok", E.Bool ok);
-               ]
-              @
-              if dropped > 0 then [ ("dropped_total", E.Int dropped) ]
-              else []))
-        ^ "\n");
-      Hashtbl.remove t.streams c_id
-
-(* ---------- completions and cache upkeep (IO loop) ---------- *)
+(* ---------- worker output (IO loop) ---------- *)
 
 let run_gc t =
   match t.store with
@@ -540,56 +442,80 @@ let run_gc t =
              g.Cache.Store.evicted g.Cache.Store.evicted_bytes
              g.Cache.Store.evicted_corrupt g.Cache.Store.resident_bytes)
 
-let drain_completions t ~drained =
-  Mutex.lock t.clock;
-  let comps = List.of_seq (Queue.to_seq t.completions) in
-  Queue.clear t.completions;
-  Mutex.unlock t.clock;
-  List.iter
-    (fun c ->
-      t.completed <- t.completed + 1;
-      R.incr t.obs "service.completed";
-      if not c.c_ok then R.incr t.obs "service.errors";
-      R.add_time t.obs "service.queue-wait" ~wall_s:c.c_wait_s ~cpu_s:0.0;
-      R.add_time t.obs "service.compile" ~wall_s:c.c_wall_s ~cpu_s:c.c_cpu_s;
-      if c.c_hits > 0 then R.incr ~by:c.c_hits t.obs "cache.hit";
-      if c.c_misses > 0 then R.incr ~by:c.c_misses t.obs "cache.miss";
-      let early = Option.value ~default:[] (List.assoc_opt c.c_id drained) in
-      finish_stream t c.c_id ~early ~ok:c.c_ok;
-      (match Hashtbl.find_opt t.conns c.c_conn with
-      | Some conn -> Buffer.add_string conn.outbox c.c_line
-      | None -> () (* client went away; response has nowhere to go *));
-      t.cfg.log
-        (Printf.sprintf "req %d %s ok=%b wait=%.3fs compile=%.3fs" c.c_id
-           c.c_design c.c_ok c.c_wait_s c.c_wall_s))
-    comps;
-  if comps <> [] then run_gc t
+let next_seq st =
+  let seq = st.st_seq in
+  st.st_seq <- seq + 1;
+  seq
 
-(* One IO-loop pass over the progress streams and the finished work.
-   The wire ordering rule (docs/OBSERVABILITY.md, "Wire framing"): a
-   completion line follows every event line of its own request and
-   precedes every event line of a request its worker started after it.
-   A worker queues request N's completion before it starts request N+1,
-   so the pass drains every stream FIRST and takes the completions
-   second: any completion that precedes a drained event is then already
-   queued.  Each completion is written after its own stream's drained
-   events and tail, and the other streams' events go out last.  Called
-   once per IO-loop pass — the 0.2 s select timeout bounds event
-   latency. *)
+(* A stream's lines go to the submitting connection; a vanished client
+   drops them, and the compile never waits on anyone's socket. *)
+let to_owner t st json =
+  match Hashtbl.find_opt t.conns st.st_conn with
+  | Some conn -> send conn json
+  | None -> ()
+
+let frame_event t id st t_s kind =
+  to_owner t st
+    (E.Obj
+       (("id", E.Int id)
+       :: Obs.Events.to_fields { Obs.Events.seq = next_seq st; t_s; kind }));
+  st.st_last <- Unix.gettimeofday ()
+
+(* A finished request: fold its telemetry into the server registry, end
+   its stream with [done], then write its completion line. *)
+let complete t c =
+  t.completed <- t.completed + 1;
+  R.incr t.obs "service.completed";
+  if not c.c_ok then R.incr t.obs "service.errors";
+  R.add_time t.obs "service.queue-wait" ~wall_s:c.c_wait_s ~cpu_s:0.0;
+  R.add_time t.obs "service.compile" ~wall_s:c.c_wall_s ~cpu_s:c.c_cpu_s;
+  if c.c_hits > 0 then R.incr ~by:c.c_hits t.obs "cache.hit";
+  if c.c_misses > 0 then R.incr ~by:c.c_misses t.obs "cache.miss";
+  (match Hashtbl.find_opt t.streams c.c_id with
+  | Some st ->
+      to_owner t st
+        (E.Obj
+           [
+             ("id", E.Int c.c_id);
+             ("event", E.String "done");
+             ("seq", E.Int (next_seq st));
+             ("ok", E.Bool c.c_ok);
+           ]);
+      Hashtbl.remove t.streams c.c_id
+  | None -> ());
+  (match Hashtbl.find_opt t.conns c.c_conn with
+  | Some conn -> Buffer.add_string conn.outbox c.c_line
+  | None -> () (* client went away; response has nowhere to go *));
+  t.cfg.log
+    (Printf.sprintf "req %d %s ok=%b wait=%.3fs compile=%.3fs" c.c_id
+       c.c_design c.c_ok c.c_wait_s c.c_wall_s)
+
+(* One IO-loop pass over the worker output: every item is framed in the
+   order it was pushed, which is the wire ordering rule
+   (docs/OBSERVABILITY.md, "Wire framing"); then each stream silent for
+   [heartbeat_s] gets a heartbeat.  Only a completion wakes the loop, so
+   the 0.2 s select timeout bounds event latency. *)
 let pump t =
-  let drained =
-    List.rev
-      (Hashtbl.fold
-         (fun id st acc -> (id, Obs.Events.drain st.st_sink) :: acc)
-         t.streams [])
-  in
-  drain_completions t ~drained;
-  List.iter
-    (fun (id, evs) ->
-      match Hashtbl.find_opt t.streams id with
-      | Some st -> pump_stream t st evs
-      | None -> ())
-    drained
+  let items = Queue.create () in
+  Mutex.protect t.olock (fun () -> Queue.transfer t.outputs items);
+  let completed = ref false in
+  Queue.iter
+    (function
+      | Event (id, t_s, kind) -> (
+          match Hashtbl.find_opt t.streams id with
+          | Some st -> frame_event t id st t_s kind
+          | None -> ())
+      | Done c ->
+          complete t c;
+          completed := true)
+    items;
+  let now = Unix.gettimeofday () in
+  Hashtbl.iter
+    (fun id st ->
+      if now -. st.st_last >= heartbeat_s then
+        frame_event t id st (now -. st.st_epoch) Obs.Events.Heartbeat)
+    t.streams;
+  if !completed then run_gc t
 
 (* ---------- lifecycle ---------- *)
 
@@ -652,8 +578,8 @@ let create cfg =
       qcond = Condition.create ();
       queue = Queue.create ();
       q_closed = false;
-      clock = Mutex.create ();
-      completions = Queue.create ();
+      olock = Mutex.create ();
+      outputs = Queue.create ();
       obs;
       store;
       per_request_jobs;

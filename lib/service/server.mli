@@ -20,13 +20,15 @@
       which writes it out and folds the request's headline telemetry
       ([service.*] timers/counters, cache traffic) into the server
       registry;
-    + a submit with [progress = true] additionally gets a per-request
-      {!Obs.Events} sink: the worker publishes stage/iteration events
-      into it while compiling, and the IO loop — the single consumer —
-      drains it every pass, framing each event as one JSON line to the
-      submitting connection (and any connection subscribed via the
-      [watch] verb), heartbeating when the stream is silent, and
-      flushing the tail of the stream before the final response line;
+    + a submit with [progress = true] additionally streams: while the
+      worker compiles it, an ambient {!Obs.Events} sink pushes each
+      event onto the same worker-to-IO-loop queue that then carries
+      the completion, and the IO loop frames every queued item in push
+      order — each event as one JSON line to the submitting
+      connection, a [done] line, then the response line — with a
+      heartbeat after 1 s of silence.  Push order is the wire ordering
+      rule: no event line of a request the worker starts later can
+      come before an earlier request's response;
     + when the server runs over a cache with a byte budget, the IO loop
       runs {!Cache.Store.gc} after completions, so a daemon serving
       requests for days keeps the shared store under
@@ -51,10 +53,6 @@ type config = {
   cache_max_bytes : int option;
       (** size bound for the shared store ({!Cache.Store.gc} after
           completions and at startup); [None] = unbounded *)
-  heartbeat_s : float;
-      (** progress-stream heartbeat cadence: a stream silent this long
-          gets a synthetic [heartbeat] event so watchers can tell a
-          long stage from a dead server *)
   flow : Core.Flow.config;
       (** base flow config — notably [cache_dir], the shared store.
           Per-request fields (seed, widths, timing, starts) are
@@ -66,8 +64,8 @@ type config = {
 
 val default_config : config
 (** [amdreld.sock], queue 32, 2 workers, the machine's default job
-    count, unbounded cache, 1 s heartbeats, [Core.Flow.default_config]
-    with the conventional [_amdrel_cache/] store, silent log. *)
+    count, unbounded cache, [Core.Flow.default_config] with the
+    conventional [_amdrel_cache/] store, silent log. *)
 
 type t
 

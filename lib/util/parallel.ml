@@ -89,6 +89,3 @@ let scratch slot ~valid ~create =
       let v = create () in
       cell := Some v;
       v
-
-let map_reduce ?jobs ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map ?jobs f xs)

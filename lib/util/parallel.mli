@@ -62,11 +62,3 @@ val scratch : 'a scratch_slot -> valid:('a -> bool) -> create:(unit -> 'a) -> 'a
 (** [scratch slot ~valid ~create] returns this domain's cached value when
     [valid] accepts it (e.g. the buffer is large enough), otherwise
     [create]s, caches and returns a replacement. *)
-
-val map_reduce :
-  ?jobs:int -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a array -> 'c
-(** [map_reduce ?jobs ~map ~reduce ~init xs] maps in parallel, then
-    folds the results {e left-to-right in input order} — the fold is
-    sequential and deterministic, so [reduce] need not be associative
-    or commutative. *)

@@ -121,7 +121,29 @@ let test_archfile_roundtrip () =
     }
   in
   let p2 = Fpga_arch.Archfile.of_string (Fpga_arch.Archfile.to_string p) in
-  Alcotest.(check bool) "round trip" true (p = p2)
+  Alcotest.(check bool) "round trip" true (p = p2);
+  (* values six significant digits cannot carry *)
+  let seg = List.hd Fpga_arch.Params.amdrel.Fpga_arch.Params.segments in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) (what ^ " round trips") true
+        (Fpga_arch.Archfile.of_string (Fpga_arch.Archfile.to_string p) = p))
+    [
+      ( "switch_width 10.123456789",
+        { Fpga_arch.Params.amdrel with Fpga_arch.Params.switch_width = 10.123456789 } );
+      ( "Fc 1/3",
+        {
+          Fpga_arch.Params.amdrel with
+          Fpga_arch.Params.segments =
+            [
+              {
+                seg with
+                Fpga_arch.Params.s_fc_in = 1.0 /. 3.0;
+                s_fc_out = 1.0 /. 3.0;
+              };
+            ];
+        } );
+    ]
 
 let test_grid_sizing () =
   let g = Fpga_arch.Grid.size_for ~n_clbs:10 ~n_ios:20 ~io_rat:2 in

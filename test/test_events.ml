@@ -1,5 +1,5 @@
-(* Progress-event sink: ring bounding, sequence stamping, the ambient
-   producer discipline, JSON rendering, and the flow-level determinism
+(* Progress events: the ambient producer discipline and [collect]'s
+   sequence stamping, JSON rendering, and the flow-level determinism
    contract (same event-kind sequence at any jobs value; cache hits
    replace stage events on warm runs). *)
 
@@ -12,119 +12,59 @@ let iteration_of = function
   | Ev.Route_iteration { iteration; _ } -> Some iteration
   | _ -> None
 
-(* ---------- ring mechanics ---------- *)
-
-let test_ring_bounds () =
-  let s = Ev.create ~capacity:16 () in
-  for i = 0 to 39 do
-    Ev.emit_to s (iter i)
-  done;
-  Alcotest.(check int) "dropped_total" 24 (Ev.dropped_total s);
-  let events = Ev.drain s in
-  Alcotest.(check int) "drained (gap + survivors)" 17 (List.length events);
-  (match (List.hd events).Ev.kind with
-  | Ev.Dropped { count } -> Alcotest.(check int) "gap size" 24 count
-  | k -> Alcotest.failf "expected Dropped first, got %s" (Ev.kind_name k));
-  (* the survivors are the first 16 emissions, in order: the ring drops
-     the overflowing event, not the oldest *)
-  let kept = List.filter_map (fun e -> iteration_of e.Ev.kind) events in
-  Alcotest.(check (list int)) "survivors in emission order"
-    (List.init 16 Fun.id) kept;
-  Alcotest.(check (list int)) "drain empties the ring" []
-    (List.map (fun e -> e.Ev.seq) (Ev.drain s))
-
-let test_seq_monotone () =
-  let s = Ev.create () in
-  let seqs = ref [] in
-  let note es = seqs := !seqs @ List.map (fun e -> e.Ev.seq) es in
-  Ev.emit_to s (iter 0);
-  Ev.emit_to s (iter 1);
-  note (Ev.drain s);
-  note [ Ev.heartbeat s ];
-  let n = Ev.next_seq s in
-  seqs := !seqs @ [ n ];
-  Ev.emit_to s (iter 2);
-  note (Ev.drain s);
-  let rec strictly_increasing = function
-    | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
-    | _ -> true
-  in
-  Alcotest.(check int) "count" 5 (List.length !seqs);
-  Alcotest.(check bool) "strictly increasing across drains/heartbeats" true
-    (strictly_increasing !seqs)
-
-let test_spsc_hammer () =
-  let s = Ev.create ~capacity:64 () in
-  let n = 20_000 in
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 0 to n - 1 do
-          Ev.emit_to s (iter i)
-        done)
-  in
-  let got = ref [] in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec pump () =
-    let es = Ev.drain s in
-    got := !got @ List.filter_map (fun e -> iteration_of e.Ev.kind) es;
-    if
-      List.length !got + Ev.dropped_total s < n
-      && Unix.gettimeofday () < deadline
-    then pump ()
-  in
-  pump ();
-  Domain.join producer;
-  (* final drain picks up the tail published after the last pump *)
-  got :=
-    !got
-    @ List.filter_map (fun e -> iteration_of e.Ev.kind) (Ev.drain s);
-  Alcotest.(check int) "nothing lost silently" n
-    (List.length !got + Ev.dropped_total s);
-  let rec ordered = function
-    | a :: (b :: _ as rest) -> a < b && ordered rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "payloads arrive in emission order" true
-    (ordered !got)
-
 (* ---------- ambient discipline ---------- *)
 
 let test_ambient () =
   Alcotest.(check bool) "no ambient sink by default" false (Ev.active ());
   Ev.emit (iter 0);
   (* no sink: dropped silently *)
-  let s = Ev.create () in
-  Ev.with_sink s (fun () ->
-      Alcotest.(check bool) "active inside with_sink" true (Ev.active ());
-      Ev.emit (iter 1);
-      Ev.without (fun () ->
-          Alcotest.(check bool) "without suppresses" false (Ev.active ());
-          Ev.emit (iter 2));
-      Alcotest.(check bool) "restored after without" true (Ev.active ());
-      Ev.emit (iter 3));
-  Alcotest.(check bool) "restored after with_sink" false (Ev.active ());
-  let kept = List.filter_map (fun e -> iteration_of e.Ev.kind) (Ev.drain s) in
-  Alcotest.(check (list int)) "only in-scope emissions land" [ 1; 3 ] kept;
-  (* worker domains see no ambient sink: the parent's installation is
-     domain-local *)
-  Ev.with_sink s (fun () ->
-      let d = Domain.spawn (fun () -> Ev.active ()) in
-      Alcotest.(check bool) "fresh domain has no ambient sink" false
-        (Domain.join d))
+  let (), events =
+    Ev.collect (fun () ->
+        Alcotest.(check bool) "active inside collect" true (Ev.active ());
+        Ev.emit (iter 1);
+        Ev.without (fun () ->
+            Alcotest.(check bool) "without suppresses" false (Ev.active ());
+            Ev.emit (iter 2));
+        Alcotest.(check bool) "restored after without" true (Ev.active ());
+        Ev.emit (iter 3);
+        (* a nested sink takes the emissions inside it, and the outer
+           one is ambient again after it *)
+        let (), inner = Ev.collect (fun () -> Ev.emit (iter 4)) in
+        Alcotest.(check (list int)) "nested sink sees its own" [ 4 ]
+          (List.filter_map (fun e -> iteration_of e.Ev.kind) inner);
+        Ev.emit (iter 5);
+        (* worker domains see no ambient sink: the installation is
+           domain-local *)
+        let d = Domain.spawn (fun () -> Ev.active ()) in
+        Alcotest.(check bool) "fresh domain has no ambient sink" false
+          (Domain.join d))
+  in
+  Alcotest.(check bool) "restored after collect" false (Ev.active ());
+  Alcotest.(check (list int)) "only in-scope emissions land, in order"
+    [ 1; 3; 5 ]
+    (List.filter_map (fun e -> iteration_of e.Ev.kind) events);
+  Alcotest.(check (list int)) "seq from 0 in emission order" [ 0; 1; 2 ]
+    (List.map (fun e -> e.Ev.seq) events);
+  (* a plain function sink receives the kinds themselves *)
+  let got = ref [] in
+  Ev.with_sink (fun k -> got := k :: !got) (fun () -> Ev.emit (iter 6));
+  Alcotest.(check (list int)) "with_sink hands kinds to the function" [ 6 ]
+    (List.filter_map iteration_of !got)
 
 (* ---------- rendering ---------- *)
 
 let test_json () =
-  let s = Ev.create () in
-  Ev.emit_to s (Ev.Stage_begin { stage = "vpr-place" });
-  Ev.emit_to s (Ev.Stage_end { stage = "vpr-place"; wall_s = 0.25 });
-  match Ev.drain s with
+  let (), events =
+    Ev.collect (fun () ->
+        Ev.emit (Ev.Stage_begin { stage = "vpr-place" });
+        Ev.emit (Ev.Stage_end { stage = "vpr-place"; wall_s = 0.25 }))
+  in
+  match events with
   | [ b; e ] ->
       Alcotest.(check string) "stage-begin wire form"
         (Printf.sprintf
-           "{\"event\": \"stage-begin\", \"seq\": %d, \"stage\": \
+           "{\"event\": \"stage-begin\", \"seq\": 0, \"stage\": \
             \"vpr-place\", \"t_s\": %s}"
-           b.Ev.seq
            (E.to_string (E.Float b.Ev.t_s)))
         (E.to_string (Ev.to_json b));
       (* the deterministic view drops seq/t_s/wall_s but keeps the kind
@@ -140,9 +80,7 @@ let test_json () =
         (Some "{\"event\": \"stage-end\", \"stage\": \"vpr-place\"}")
         (det e);
       Alcotest.(check (option string)) "heartbeat is volatile" None
-        (det (Ev.heartbeat s));
-      Alcotest.(check bool) "dropped is volatile" true
-        (Ev.volatile (Ev.Dropped { count = 3 }))
+        (det { Ev.seq = 2; t_s = 1.0; kind = Ev.Heartbeat })
   | es -> Alcotest.failf "expected 2 events, got %d" (List.length es)
 
 (* ---------- flow-level contract ---------- *)
@@ -156,9 +94,7 @@ let flow_events ?(cache_dir = None) ~jobs vhdl =
       verify_mapping = false;
     }
   in
-  let s = Ev.create () in
-  let r = Ev.with_sink s (fun () -> Core.Flow.run_vhdl ~config vhdl) in
-  (r, Ev.drain s)
+  Ev.collect (fun () -> Core.Flow.run_vhdl ~config vhdl)
 
 let test_flow_stream () =
   let r, events = flow_events ~jobs:1 (Core.Bench_circuits.counter 4) in
@@ -193,10 +129,9 @@ let test_flow_stream () =
        (fun e ->
          match e.Ev.kind with Ev.Place_temperature _ -> true | _ -> false)
        events);
-  let seqs = List.map (fun e -> e.Ev.seq) events in
-  Alcotest.(check (list int)) "seq strictly increasing"
-    (List.init (List.length seqs) (fun i -> List.hd seqs + i))
-    seqs
+  Alcotest.(check (list int)) "seq runs from 0 without a gap"
+    (List.init (List.length events) Fun.id)
+    (List.map (fun e -> e.Ev.seq) events)
 
 let test_flow_determinism_across_jobs () =
   let vhdl = Core.Bench_circuits.counter 4 in
@@ -258,12 +193,6 @@ let test_flow_cache_events () =
 
 let suite =
   [
-    Alcotest.test_case "ring bounds and drop accounting" `Quick
-      test_ring_bounds;
-    Alcotest.test_case "sequence numbers strictly increase" `Quick
-      test_seq_monotone;
-    Alcotest.test_case "cross-domain producer/consumer" `Quick
-      test_spsc_hammer;
     Alcotest.test_case "ambient sink discipline" `Quick test_ambient;
     Alcotest.test_case "JSON and deterministic views" `Quick test_json;
     Alcotest.test_case "flow streams every stage" `Slow test_flow_stream;

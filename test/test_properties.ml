@@ -119,9 +119,10 @@ let prop_anneal_cost_consistent =
       && Place.Placement.total_cost r.Place.Anneal.placement
          = r.Place.Anneal.final_cost)
 
-(* random mixed-length segment declarations: fc values are picked from
-   a set that prints exactly, so text round-trips are byte-faithful *)
+(* random mixed-length segment declarations at any Fc in (0, 1]: the
+   file must carry every digit a value needs *)
 let segments_gen =
+  let fc = QCheck.Gen.(float_bound_exclusive 1.0 >|= fun x -> 1.0 -. x) in
   QCheck.Gen.(
     list_size (int_range 1 3)
       (map
@@ -136,9 +137,7 @@ let segments_gen =
          (pair
             (pair
                (pair (int_range 1 3) (int_range 1 8))
-               (pair
-                  (oneofl [ 1.0; 0.5; 0.25; 0.75; 0.125 ])
-                  (oneofl [ 1.0; 0.5; 0.25; 0.75; 0.125 ])))
+               (pair fc fc))
             (oneofl
                [
                  Fpga_arch.Params.Metal_min_min;
@@ -149,10 +148,10 @@ let segments_gen =
 let prop_archfile_roundtrip =
   QCheck.Test.make ~count:100 ~name:"architecture file round trip"
     QCheck.(
-      pair
+      triple
         (triple (int_range 2 5) (int_range 1 8) (int_range 1 3))
-        (make segments_gen))
-    (fun ((k, n, io_rat), segments) ->
+        (make segments_gen) (float_range 1.0 20.0))
+    (fun ((k, n, io_rat), segments, switch_width) ->
       let p =
         {
           Fpga_arch.Params.amdrel with
@@ -160,6 +159,7 @@ let prop_archfile_roundtrip =
           n;
           i = max k (Fpga_arch.Params.recommended_inputs ~k ~n);
           segments;
+          switch_width;
           io_rat;
         }
       in
@@ -207,6 +207,56 @@ let prop_archfile_mutants_typed_errors =
         ->
           true)
 
+(* Mutants of a real bitstream (counter8's) as a damaged file could
+   reach the decoder: the body truncated, or three bytes of it each
+   XOR-ed with a non-zero mask, then a fresh CRC appended so the decoder
+   reads the damage instead of stopping at the checksum.  Half the flips
+   land in the first 64 bytes, where the header's counts live. *)
+let bitstream_mutant_arb =
+  let body =
+    lazy
+      (let r =
+         Core.Flow.run_vhdl
+           ~config:
+             {
+               Core.Flow.default_config with
+               Core.Flow.jobs = Some 1;
+               verify_mapping = false;
+             }
+           (Core.Bench_circuits.counter 8)
+       in
+       let s = r.Core.Flow.bitstream.Bitstream.Dagger.bytes in
+       String.sub s 0 (String.length s - 4))
+  in
+  let with_crc body =
+    let crc = Int32.to_int (Bitstream.Crc.of_string body) land 0xFFFFFFFF in
+    body ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xFF))
+  in
+  let mutant st =
+    let open QCheck.Gen in
+    let body = Lazy.force body in
+    let n = String.length body in
+    if bool st then with_crc (String.sub body 0 (int_bound (n - 1) st))
+    else begin
+      let b = Bytes.of_string body in
+      for _ = 1 to 3 do
+        let i = int_bound (if bool st then 63 else n - 1) st in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor int_range 1 255 st))
+      done;
+      with_crc (Bytes.to_string b)
+    end
+  in
+  QCheck.make ~print:String.escaped mutant
+
+let prop_bitstream_mutants_typed_errors =
+  QCheck.Test.make ~count:2000
+    ~name:"bitstream mutants: a config or Corrupt"
+    bitstream_mutant_arb
+    (fun data ->
+      match Bitstream.Frames.decode data with
+      | _ -> true
+      | exception Bitstream.Frames.Corrupt _ -> true)
+
 let prop_edif_sanitize_idempotent =
   QCheck.Test.make ~count:200 ~name:"EDIF identifier sanitisation idempotent"
     QCheck.(string_of_size (QCheck.Gen.int_range 1 20))
@@ -231,6 +281,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_anneal_cost_consistent;
     QCheck_alcotest.to_alcotest prop_archfile_roundtrip;
     QCheck_alcotest.to_alcotest prop_archfile_mutants_typed_errors;
+    QCheck_alcotest.to_alcotest prop_bitstream_mutants_typed_errors;
     QCheck_alcotest.to_alcotest prop_edif_sanitize_idempotent;
     QCheck_alcotest.to_alcotest prop_qm_matches_greedy_function;
   ]

@@ -153,7 +153,6 @@ let test_protocol_roundtrip () =
   roundtrip P.Metrics;
   roundtrip P.Shutdown;
   roundtrip (P.Submit { P.default_submit with P.vhdl = "entity e is end;" });
-  roundtrip (P.Watch 42);
   roundtrip
     (P.Submit
        {
@@ -177,6 +176,9 @@ let test_protocol_errors () =
   err {|{"verb":"submit"}|} (* vhdl required *);
   err {|{"verb":"submit","vhdl":3}|};
   err {|{"verb":"submit","vhdl":"x","seed":"high"}|};
+  (* no watch verb: the daemon answers it, like any request that does
+     not parse, with code bad-request *)
+  err {|{"verb": "watch", "id": 1}|};
   (* well-typed fields outside their domain: the error names the field *)
   List.iter
     (fun (field, value) ->
@@ -419,7 +421,6 @@ let quiet_server_config ~sock ~cache ~workers ~queue_depth ~jobs =
     workers;
     jobs;
     cache_max_bytes = None;
-    heartbeat_s = 1.0;
     flow = { Core.Flow.default_config with Core.Flow.cache_dir = Some cache };
     log = ignore;
   }
@@ -638,21 +639,13 @@ let stage_begins events =
     events
 
 let check_seqs name events =
-  let seqs =
-    List.filter_map (fun e -> Option.bind (J.member "seq" e) J.get_int) events
-  in
-  Alcotest.(check int)
-    (name ^ ": every event carries a seq")
-    (List.length events) (List.length seqs);
-  let rec strictly = function
-    | a :: (b :: _ as rest) -> a < b && strictly rest
-    | _ -> true
-  in
-  Alcotest.(check bool) (name ^ ": seq strictly increasing") true
-    (strictly seqs)
+  Alcotest.(check (list (option int)))
+    (name ^ ": seq runs 0..n without a gap")
+    (List.init (List.length events) Option.some)
+    (List.map (fun e -> Option.bind (J.member "seq" e) J.get_int) events)
 
 (* A progress submit streams at least one event per flow stage, with
-   strictly increasing sequence numbers, terminated by a "done" event —
+   sequence numbers 0..n, terminated by a "done" event —
    and the final artifacts are byte-identical to a plain submit of the
    same design (served warm from the shared cache, which is exactly the
    determinism the cache keys promise). *)
@@ -718,66 +711,81 @@ let test_daemon_streaming () =
       ignore (Service.Client.request c P.Shutdown));
   Domain.join server_domain
 
-(* The watch verb: a second connection attaches to a queued progress
-   submit and sees its event stream; watching a dead or unknown id is a
-   structured error. *)
-let test_daemon_watch () =
+(* Two progress submits pipelined on one connection to one worker: each
+   stream's seq runs 0..n without a gap and ends with done at n, each
+   completion follows its own stream, and no event line of the second
+   request comes before the first request's completion — the worker
+   pushes that completion before it starts the second compile.  Only the
+   second submit's acknowledgement, answered at admission, may. *)
+let test_daemon_pipelined_streams () =
   let sock = short_sock () in
   let server =
     Service.Server.create
       (quiet_server_config ~sock ~cache:(fresh_dir ()) ~workers:1
-         ~queue_depth:2 ~jobs:1)
+         ~queue_depth:4 ~jobs:1)
   in
   let server_domain = Domain.spawn (fun () -> Service.Server.run server) in
-  let submitter = Service.Client.connect sock in
-  let watcher = Service.Client.connect sock in
-  (* the first submit holds the single worker, so the progress submit is
-     still queued (stream live, job not started) when the watch lands *)
-  Service.Client.send submitter (submit_req (Core.Bench_circuits.multiplier 4));
-  Service.Client.send submitter
-    (P.Submit
-       {
-         P.default_submit with
-         P.vhdl = Core.Bench_circuits.counter 8;
-         progress = true;
-       });
-  let ack = Service.Client.recv submitter in
-  Alcotest.(check bool) "progress submit acked" true (Service.Client.ok ack);
-  let watched_id =
-    Option.bind (J.member "id" ack) J.get_int |> Option.value ~default:(-1)
+  let progress vhdl =
+    P.Submit { P.default_submit with P.vhdl; progress = true }
   in
-  let miss = Service.Client.request watcher (P.Watch 9999) in
-  Alcotest.(check bool) "unknown id rejected" false (Service.Client.ok miss);
-  Alcotest.(check (option string)) "unknown-id code" (Some "unknown-id")
-    (Option.bind (J.member "code" miss) J.get_string);
-  let watch_ack = Service.Client.request watcher (P.Watch watched_id) in
-  Alcotest.(check bool) "watch acked" true (Service.Client.ok watch_ack);
-  Alcotest.(check (option string)) "watched while queued" (Some "queued")
-    (Option.bind (J.member "state" watch_ack) J.get_string);
-  (* the watcher sees the full stream, terminated by done; it gets no
-     completion line (that belongs to the owner), so read to done *)
-  let rec watch_until_done events =
-    let line = Service.Client.recv watcher in
-    if event_name line = Some "done" then List.rev (line :: events)
-    else watch_until_done (line :: events)
+  let is_ack l = J.member "accepted" l <> None in
+  let is_completion l = event_name l = None && not (is_ack l) in
+  let lines =
+    Service.Client.with_connection sock (fun c ->
+        Service.Client.send c (progress (Core.Bench_circuits.counter 8));
+        Service.Client.send c (progress (Core.Bench_circuits.decoder 4));
+        let rec go completions acc =
+          if completions = 2 then List.rev acc
+          else
+            let line = Service.Client.recv c in
+            go
+              (if is_completion line then completions + 1 else completions)
+              (line :: acc)
+        in
+        go 0 [])
   in
-  let events = watch_until_done [] in
-  Alcotest.(check bool) "watcher saw stage events" true
-    (stage_begins events <> []);
-  check_seqs "watched stream" events;
-  (* the owner still gets everything: both completions, in order *)
-  let r1 = Service.Client.recv submitter in
-  let _events2, r2 = collect_stream submitter in
-  Alcotest.(check (option int)) "first completion id" (Some 1)
-    (Option.bind (J.member "id" r1) J.get_int);
-  Alcotest.(check (option int)) "second completion id" (Some watched_id)
-    (Option.bind (J.member "id" r2) J.get_int);
-  Alcotest.(check bool) "both ok" true
-    (Service.Client.ok r1 && Service.Client.ok r2);
-  Service.Client.close watcher;
+  let id_of l = Option.bind (J.member "id" l) J.get_int in
+  let first, second =
+    match List.filter_map id_of (List.filter is_ack lines) with
+    | [ a; b ] -> (a, b)
+    | ids ->
+        Alcotest.failf "expected two acknowledgements, got %d"
+          (List.length ids)
+  in
+  let positions p =
+    List.concat (List.mapi (fun i l -> if p l then [ i ] else []) lines)
+  in
+  let completion_at id =
+    match positions (fun l -> id_of l = Some id && is_completion l) with
+    | [ i ] -> i
+    | _ -> Alcotest.failf "request %d: expected one completion" id
+  in
+  List.iter
+    (fun id ->
+      let name = Printf.sprintf "request %d" id in
+      let stream =
+        List.filter (fun l -> id_of l = Some id && event_name l <> None) lines
+      in
+      check_seqs name stream;
+      (match List.rev stream with
+      | last :: _ ->
+          Alcotest.(check (option string)) (name ^ " ends with done")
+            (Some "done") (event_name last)
+      | [] -> Alcotest.failf "%s streamed nothing" name);
+      Alcotest.(check bool) (name ^ " completes after its stream") true
+        (List.for_all
+           (fun i -> i < completion_at id)
+           (positions (fun l -> id_of l = Some id && event_name l <> None)));
+      Alcotest.(check bool) (name ^ " ok") true
+        (Service.Client.ok (List.nth lines (completion_at id))))
+    [ first; second ];
+  Alcotest.(check bool)
+    "no line of the second stream before the first completion" true
+    (List.for_all
+       (fun i -> i > completion_at first)
+       (positions (fun l -> id_of l = Some second && not (is_ack l))));
   Service.Client.with_connection sock (fun c ->
       ignore (Service.Client.request c P.Shutdown));
-  Service.Client.close submitter;
   Domain.join server_domain
 
 (* Client retry: a connection refused while the daemon is still coming
@@ -896,7 +904,7 @@ let suite =
     ("daemon backpressure and drain", `Slow,
      test_daemon_backpressure_and_drain);
     ("daemon progress streaming", `Slow, test_daemon_streaming);
-    ("daemon watch verb", `Slow, test_daemon_watch);
+    ("daemon pipelined streams", `Slow, test_daemon_pipelined_streams);
     ("client retry: reject then accept", `Slow, test_client_retry);
   ]
   @ List.map

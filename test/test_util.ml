@@ -349,21 +349,6 @@ let test_parallel_exception_first_index () =
   in
   Alcotest.(check (option int)) "lowest failing index" (Some 1) raised
 
-let test_parallel_map_reduce () =
-  let xs = Array.init 50 (fun i -> i + 1) in
-  let total =
-    Util.Parallel.map_reduce ~jobs:4 ~map:(fun i -> i * i) ~reduce:( + )
-      ~init:0 xs
-  in
-  Alcotest.(check int) "sum of squares" (50 * 51 * 101 / 6) total;
-  (* the fold is sequential in input order, so a non-commutative reduce
-     is safe *)
-  let cat =
-    Util.Parallel.map_reduce ~jobs:3 ~map:string_of_int ~reduce:( ^ ) ~init:""
-      (Array.init 12 Fun.id)
-  in
-  Alcotest.(check string) "ordered fold" "01234567891011" cat
-
 let test_parallel_nested_sequential () =
   (* a map inside a pool worker must not spawn further domains *)
   let inner =
@@ -401,7 +386,6 @@ let suite =
     ("parallel empty/singleton", `Quick, test_parallel_empty_and_singleton);
     ("parallel exception propagation", `Quick,
      test_parallel_exception_first_index);
-    ("parallel map_reduce", `Quick, test_parallel_map_reduce);
     ("parallel nested sequential", `Quick, test_parallel_nested_sequential);
     QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
     QCheck_alcotest.to_alcotest prop_lu_random_solve;
