@@ -3,19 +3,13 @@
 
 open Cmdliner
 
-let run blif_path net_path arch_path freq_mhz seed =
-  let net = Netlist.Blif.of_string (Tool_common.read_file blif_path) in
-  let packing = Pack.Netfile.of_string net (Tool_common.read_file net_path) in
-  let params =
-    match arch_path with
-    | Some p -> Fpga_arch.Archfile.of_file p
-    | None -> Fpga_arch.Params.amdrel
+let run blif_path net_path arch freq_mhz seed =
+  let config, packing =
+    Tool_common.packed_design ~arch ~seed blif_path net_path
   in
-  let problem = Place.Problem.build ~io_rat:params.Fpga_arch.Params.io_rat packing in
-  let anneal =
-    Place.Anneal.run ~options:{ Place.Anneal.seed; inner_num = 1.0 } problem
-  in
-  let routed = Route.Router.route_min_width params anneal.Place.Anneal.placement in
+  let obs = Obs.Registry.create () in
+  let anneal = Core.Flow.place config obs packing in
+  let routed = Core.Flow.route config obs anneal.Place.Anneal.placement in
   let options =
     { Power.Model.default_options with Power.Model.frequency = freq_mhz *. 1e6 }
   in

@@ -54,3 +54,28 @@ let protect f =
   | Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1
+
+(* The packing in MAPPED.blif + PACKED.net, and the flow config that
+   places and routes it through [Core.Flow.place] and [Core.Flow.route]:
+   the fabric of the DUTYS file [arch] (the paper's platform when absent)
+   with its IO pads per position, the placement [seed], and [route_width]
+   or else the minimum-width search. *)
+let packed_design ~arch ~seed ?route_width blif_path net_path =
+  let net = Netlist.Blif.of_string (read_file blif_path) in
+  let packing = Pack.Netfile.of_string net (read_file net_path) in
+  let params =
+    match arch with
+    | Some p -> Fpga_arch.Archfile.of_file p
+    | None -> Fpga_arch.Params.amdrel
+  in
+  let default = Core.Flow.default_config in
+  ( {
+      default with
+      Core.Flow.params;
+      io_rat = params.Fpga_arch.Params.io_rat;
+      seed;
+      search_min_width = Option.is_none route_width;
+      route_width =
+        Option.value route_width ~default:default.Core.Flow.route_width;
+    },
+    packing )

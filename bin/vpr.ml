@@ -2,31 +2,22 @@
 
 open Cmdliner
 
-let run blif_path net_path arch_path seed fixed_width =
-  let net = Netlist.Blif.of_string (Tool_common.read_file blif_path) in
-  let packing = Pack.Netfile.of_string net (Tool_common.read_file net_path) in
-  let params =
-    match arch_path with
-    | Some p -> Fpga_arch.Archfile.of_file p
-    | None -> Fpga_arch.Params.amdrel
+let run blif_path net_path arch seed route_width =
+  let config, packing =
+    Tool_common.packed_design ~arch ~seed ?route_width blif_path net_path
   in
-  let problem = Place.Problem.build ~io_rat:params.Fpga_arch.Params.io_rat packing in
+  let obs = Obs.Registry.create () in
+  let anneal = Core.Flow.place config obs packing in
+  let problem = anneal.Place.Anneal.placement.Place.Placement.problem in
   Printf.printf "grid: %dx%d CLBs, %d blocks, %d nets\n"
     problem.Place.Problem.grid.Fpga_arch.Grid.nx
     problem.Place.Problem.grid.Fpga_arch.Grid.ny
     (Array.length problem.Place.Problem.blocks)
     (Array.length problem.Place.Problem.nets);
-  let anneal =
-    Place.Anneal.run ~options:{ Place.Anneal.seed; inner_num = 1.0 } problem
-  in
   Printf.printf "placement: cost %.2f -> %.2f (%d moves, %d accepted)\n"
     anneal.Place.Anneal.initial_cost anneal.Place.Anneal.final_cost
     anneal.Place.Anneal.moves anneal.Place.Anneal.accepted;
-  let routed =
-    match fixed_width with
-    | Some w -> Route.Router.route_fixed params anneal.Place.Anneal.placement ~width:w
-    | None -> Route.Router.route_min_width params anneal.Place.Anneal.placement
-  in
+  let routed = Core.Flow.route config obs anneal.Place.Anneal.placement in
   let st = Route.Router.stats routed in
   Printf.printf "routing: channel width %d%s, %d wire tiles, %d switches\n"
     st.Route.Router.channel_width

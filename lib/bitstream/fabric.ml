@@ -23,16 +23,27 @@ let desc_str (tag, a, b, t, _) =
   | 3 -> Printf.sprintf "ipin(b%d,p%d)" a b
   | _ -> Printf.sprintf "desc(%d,%d,%d,%d)" tag a b t
 
-(* Device-geometry validation: every configured routing switch must be a
-   real switch point of the target device's segmented fabric.  Wire
-   descriptors must name wires the track plan actually lays out,
-   wire-wire switches may only join two same-track wires where both END
-   (the disjoint Fs = 3 box taps segment endpoints only — a long wire
+(* Device-geometry validation: the array must be the one the placer
+   sizes for the stream's own CLBs and pads, and every configured routing
+   switch must be a real switch point of the target device's segmented
+   fabric.  Wire descriptors must name wires the track plan actually lays
+   out, wire-wire switches may only join two same-track wires where both
+   END (the disjoint Fs = 3 box taps segment endpoints only — a long wire
    passing over a switch point has no transistor there), and
    connection-box links must join a pin to a wire running past its
    block's tile.  A bitstream built for a different segment mix fails
    here, loudly, instead of configuring nonsense. *)
 let validate_geometry (params : Fpga_arch.Params.t) (cfg : Layout.config) =
+  (* first, so a damaged nx/ny never sizes a span list *)
+  let n_clbs = List.length cfg.Layout.clbs
+  and n_ios = List.length cfg.Layout.pads in
+  let { Fpga_arch.Grid.nx; ny; _ } =
+    Fpga_arch.Grid.size_for ~n_clbs ~n_ios
+      ~io_rat:params.Fpga_arch.Params.io_rat
+  in
+  if cfg.Layout.nx <> nx || cfg.Layout.ny <> ny then
+    fail "a %dx%d array, where %d CLBs and %d pads size a %dx%d device"
+      cfg.Layout.nx cfg.Layout.ny n_clbs n_ios nx ny;
   let width = cfg.Layout.width in
   let expected = Layout.track_lengths params ~width in
   if cfg.Layout.track_lengths <> expected then

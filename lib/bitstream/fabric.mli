@@ -15,12 +15,15 @@ exception Invalid_configuration of string
     segmented fabric). *)
 
 val validate_geometry : Fpga_arch.Params.t -> Layout.config -> unit
-(** Check the configuration against the device geometry: the track
-    table must match the device's segment mix, every wire descriptor
-    must name a wire the track plan lays out, wire-wire switches may
-    only join two same-track wires at a shared segment endpoint (the
-    disjoint Fs = 3 box taps endpoints only), and connection-box links
-    must join a pin to a wire passing its block's tile.
+(** Check the configuration against the device geometry: the array must
+    be the one {!Fpga_arch.Grid.size_for} gives the stream's own CLB and
+    pad counts at the device's [io_rat] (checked first, so a damaged
+    header never sizes the track layout), the track table must match
+    the device's segment mix, every wire descriptor must name a wire
+    the track plan lays out, wire-wire switches may only join two
+    same-track wires at a shared segment endpoint (the disjoint Fs = 3
+    box taps endpoints only), and connection-box links must join a pin
+    to a wire passing its block's tile.
     @raise Invalid_configuration otherwise. *)
 
 val to_logic : Fpga_arch.Params.t -> Layout.config -> Netlist.Logic.t

@@ -10,8 +10,10 @@
 
      synth -> techmap -> pack -> place -> route -> sta -> bitstream
 
-   and [run_stage] is the only place a stage is instrumented: its name is
-   the cache-key prefix, the registry timer, the trace span, the
+   and each stage's work is one exported function of the config, the
+   registry and the stage's input artifact.  [run_stage] wraps it and is
+   the only place a stage is instrumented: its name is the cache-key
+   prefix, the registry timer, the trace span, the
    [stage-begin]/[stage-end]/[cache] event stage and the [Flow_error]
    tag.  A tool inside a multi-tool stage records one sub-timer,
    [<stage>.<tool>], and nothing else.  With [config.cache_dir] set a
@@ -101,6 +103,159 @@ type result = {
 exception Flow_error of string * exn
 (** Stage name and underlying failure. *)
 
+(* ---------- the seven stage computations ---------- *)
+
+let sta_constraints config =
+  { Sta.Analysis.default_constraints with
+    Sta.Analysis.period = config.clock_period }
+
+(* VHDL Parser + DIVINER: library gates from source text.  Parsing and
+   elaboration have no knobs. *)
+let synth (_ : config) obs text =
+  let file =
+    R.time obs "synth.vhdl-parser" (fun () ->
+        Netlist.Vhdl_parser.file_of_string text)
+  in
+  let top = List.nth file (List.length file - 1) in
+  R.time obs "synth.diviner-synth" (fun () ->
+      Synth.Diviner.synthesize_ast ~library:file top)
+
+(* DIVINER end: EDIF out; DRUID: normalise; E2FMT: back to BLIF/logic;
+   SIS: LUT mapping.  Only the mapped network comes out: the
+   intermediate EDIF forms are worthless without the mapping. *)
+let techmap config obs net =
+  let edif =
+    R.time obs "techmap.diviner-edif" (fun () -> Netlist.Edif.of_logic net)
+  in
+  let normalized =
+    R.time obs "techmap.druid" (fun () -> Synth.Druid.normalize edif)
+  in
+  let net2 =
+    R.time obs "techmap.e2fmt" (fun () -> Netlist.Edif.to_logic normalized)
+  in
+  fst
+    (R.time obs "techmap.sis-flowmap" (fun () ->
+         Techmap.Mapper.map_network ~k:config.params.Fpga_arch.Params.k
+           ~verify:config.verify_mapping net2))
+
+(* T-VPack *)
+let pack config (_ : R.t) mapped =
+  Pack.Cluster.pack ~n:config.params.Fpga_arch.Params.n
+    ~i:config.params.Fpga_arch.Params.i mapped
+
+(* VPR placement.  vpr-setup also levelises the unified timing graph:
+   it depends only on the packed netlist, so one build serves the
+   annealer's per-temperature refreshes and its criticalities. *)
+let place config obs packing =
+  let problem, sta_graph =
+    R.time obs "place.vpr-setup" (fun () ->
+        let problem = Place.Problem.build ~io_rat:config.io_rat packing in
+        (problem, Sta.Graph.build problem))
+  in
+  let constraints = sta_constraints config in
+  let provider_at coords =
+    (* the graph's producing-block table doubles as the provider's,
+       saving an O(signals) rebuild on every annealing refresh *)
+    Sta.Delays.of_placement ~producer:sta_graph.Sta.Graph.block_of problem
+      ~coords
+  in
+  let sta_at coords =
+    Sta.Analysis.run ~constraints ?jobs:config.jobs ~obs sta_graph
+      (provider_at coords)
+  in
+  (* Incremental analysis chains for the annealer: one per annealing
+     run (the factory is called at each run's initialisation), each
+     holding the previous analysis and re-propagating only the moved
+     blocks' cones, with a full re-analysis every
+     [sta_full_refresh_every]-th refresh as a drift backstop — the
+     incremental update is bit-exact, so the backstop guards the code,
+     not the numbers. *)
+  let make_incremental () =
+    let state = ref None in
+    let calls = ref 0 in
+    fun ~coords ~changed_blocks ->
+      let k = config.sta_full_refresh_every in
+      let a =
+        match !state with
+        | Some prev when k > 0 && !calls mod k <> 0 ->
+            Sta.Analysis.update ?jobs:config.jobs ~obs ~changed_blocks prev
+              (provider_at coords)
+        | _ ->
+            R.incr obs "sta.incr.full-refresh";
+            sta_at coords
+      in
+      incr calls;
+      state := Some a;
+      Sta.Analysis.to_td a
+  in
+  R.time obs "place.vpr-place" (fun () ->
+      let timing =
+        if config.timing_driven then
+          Some
+            (Place.Anneal.default_timing
+               ?make_incremental:
+                 (if config.incremental_sta then Some make_incremental
+                  else None)
+               ~analyze:(fun ~coords -> Sta.Analysis.to_td (sta_at coords))
+               ())
+        else None
+      in
+      Place.Anneal.run_multistart
+        ~options:{ Place.Anneal.seed = config.seed; inner_num = 1.0 }
+        ?timing ?jobs:config.jobs ~starts:config.place_starts
+        ?prune_margin:config.place_prune_margin
+        ~prune_interval:config.place_prune_interval ~obs problem)
+
+(* VPR routing: the minimum-width search, or one routing at
+   [config.route_width]. *)
+let route config obs placement =
+  let timing =
+    if config.timing_driven then Some Place.Td_timing.default_model else None
+  in
+  if config.search_min_width then
+    Route.Router.route_min_width ?timing ?jobs:config.jobs ~obs config.params
+      placement
+  else
+    Route.Router.route_fixed ?timing ?jobs:config.jobs ~obs config.params
+      placement ~width:config.route_width
+
+(* Unified STA: the placement-distance analysis at the final placement
+   and the routed-Elmore analysis over the actual route trees, both on
+   one timing graph. *)
+let sta config obs (routed : Route.Router.routed) =
+  let problem = routed.Route.Router.problem in
+  let constraints = sta_constraints config in
+  let graph = Sta.Graph.build problem in
+  let provider =
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords routed.Route.Router.placement)
+  in
+  let pre =
+    Sta.Analysis.run ~constraints ?jobs:config.jobs ~obs graph provider
+  in
+  (pre, Route.Router.sta ~constraints ~graph ~obs routed)
+
+(* PowerModel + DAGGER + the two bitstream verifications: all pure
+   functions of the routed design and the power options. *)
+let bitstream config obs routed =
+  let power =
+    R.time obs "bitstream.powermodel" (fun () ->
+        Power.Model.estimate ~options:config.power_options routed)
+  in
+  let generated =
+    R.time obs "bitstream.dagger" (fun () -> Bitstream.Dagger.generate routed)
+  in
+  let bytes = generated.Bitstream.Dagger.bytes in
+  let verified =
+    R.time obs "bitstream.dagger-verify" (fun () ->
+        Bitstream.Dagger.verify routed bytes = Bitstream.Dagger.Verified)
+  in
+  let emulated =
+    R.time obs "bitstream.fabric-emulation" (fun () ->
+        Bitstream.Dagger.verify_functional routed bytes)
+  in
+  (power, generated, verified, emulated)
+
 (* ---------- the stage table ---------- *)
 
 (* The seven stages in flow order.  [version] is part of every cache key
@@ -108,19 +263,22 @@ exception Flow_error of string * exn
    — the cheap, explicit alternative to hashing the binary.  Bump on any
    change that alters a stage's output for identical inputs, or the type
    it stores. *)
-type stage = { name : string; version : int }
+module Stage = struct
+  type t = { name : string; version : int }
 
-let synth = { name = "synth"; version = 1 }
-and techmap = { name = "techmap"; version = 2 } (* mapped network alone *)
-and pack = { name = "pack"; version = 1 }
-and place = { name = "place"; version = 1 }
-and route = { name = "route"; version = 5 } (* one channel spec *)
-and sta = { name = "sta"; version = 2 } (* closure-free providers *)
-and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
+  let synth = { name = "synth"; version = 1 }
+  and techmap = { name = "techmap"; version = 2 } (* mapped network alone *)
+  and pack = { name = "pack"; version = 1 }
+  and place = { name = "place"; version = 1 }
+  and route = { name = "route"; version = 5 } (* one channel spec *)
+  and sta = { name = "sta"; version = 2 } (* closure-free providers *)
+  and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
+end
 
 let stages =
-  List.map (fun s -> s.name)
-    [ synth; techmap; pack; place; route; sta; bitstream ]
+  List.map
+    (fun s -> s.Stage.name)
+    Stage.[ synth; techmap; pack; place; route; sta; bitstream ]
 
 (* Content hash of an artifact: digest of its unshared Marshal bytes.
    Marshal is deterministic for a given value graph (Hashtbl layouts
@@ -137,15 +295,17 @@ let fp_float_opt = function None -> "-" | Some f -> fp_float f
 
 type ctx = { config : config; obs : R.t; store : Cache.Store.t option }
 
-(* Run one stage.  With a store, the lookup comes first and emits the
-   [cache] event; [key] (invoked only then) lists the content hashes and
-   config fingerprints the stage's output depends on.  A hit returns the
-   stored artifact and runs nothing — no timer, span or begin/end event.
-   Otherwise [compute] runs between [stage-begin] and [stage-end], inside
-   the span and the registry timer of the stage's name, with any failure
+(* Run one stage, computing [f config obs input] (one of the functions
+   above).  With a store, the lookup comes first and emits the [cache]
+   event; [key] (invoked only then) lists the content hashes and config
+   fingerprints the stage's output depends on.  A hit returns the stored
+   artifact and runs nothing — no timer, span or begin/end event.
+   Otherwise [f] runs between [stage-begin] and [stage-end], inside the
+   span and the registry timer of the stage's name, with any failure
    raised as [Flow_error (name, e)]; its result is stored for next time.
-   Nothing is timed or stored when [compute] raises. *)
-let run_stage ctx s key compute =
+   Nothing is timed or stored when [f] raises. *)
+let run_stage ctx (s : Stage.t) key f input =
+  let compute () = f ctx.config ctx.obs input in
   let run () =
     Obs.Events.emit (Obs.Events.Stage_begin { stage = s.name });
     let t0 = Unix.gettimeofday () in
@@ -177,83 +337,45 @@ let run_stage ctx s key compute =
           Cache.Store.store store k v;
           v)
 
-(* One tool of a multi-tool stage: a registry timer [<stage>.<tool>],
-   nothing else. *)
-let tool ctx s name f = R.time ctx.obs (s.name ^ "." ^ name) f
-
 (* The seven stages, from VHDL source text to the bitstream, recording
    into [ctx.obs]. *)
 let run_stages ctx text =
   let config = ctx.config and obs = ctx.obs in
   let p = config.params in
-  (* VHDL Parser + DIVINER.  synth keys on the source bytes alone:
-     parsing and elaboration have no knobs.  Early cutoff happens one
+  (* synth keys on the source bytes alone.  Early cutoff happens one
      stage later — an edited source that still elaborates to the same
      network gives techmap an unchanged input hash. *)
   let net =
-    run_stage ctx synth
+    run_stage ctx Stage.synth
       (fun () -> [ Digest.to_hex (Digest.string text) ])
-      (fun () ->
-        let file =
-          tool ctx synth "vhdl-parser" (fun () ->
-              Netlist.Vhdl_parser.file_of_string text)
-        in
-        let top = List.nth file (List.length file - 1) in
-        tool ctx synth "diviner-synth" (fun () ->
-            Synth.Diviner.synthesize_ast ~library:file top))
+      synth text
   in
   Obs.Span.annotate [ ("design", Obs.Emit.String net.Logic.model) ];
-  (* DIVINER end: EDIF out; DRUID: normalise; E2FMT: back to BLIF/logic;
-     SIS: LUT mapping.  One stage, storing the mapped network alone: the
-     intermediate EDIF forms are worthless without the mapping. *)
   let mapped =
-    run_stage ctx techmap
+    run_stage ctx Stage.techmap
       (fun () ->
         [
           artifact_hash net;
           string_of_int p.Fpga_arch.Params.k;
           fp_bool config.verify_mapping;
         ])
-      (fun () ->
-        let edif =
-          tool ctx techmap "diviner-edif" (fun () -> Netlist.Edif.of_logic net)
-        in
-        let normalized =
-          tool ctx techmap "druid" (fun () -> Synth.Druid.normalize edif)
-        in
-        let net2 =
-          tool ctx techmap "e2fmt" (fun () -> Netlist.Edif.to_logic normalized)
-        in
-        fst
-          (tool ctx techmap "sis-flowmap" (fun () ->
-               Techmap.Mapper.map_network ~k:p.Fpga_arch.Params.k
-                 ~verify:config.verify_mapping net2)))
+      techmap net
   in
-  (* T-VPack *)
   let packing =
-    run_stage ctx pack
+    run_stage ctx Stage.pack
       (fun () ->
         [
           artifact_hash mapped;
           string_of_int p.Fpga_arch.Params.n;
           string_of_int p.Fpga_arch.Params.i;
         ])
-      (fun () ->
-        Pack.Cluster.pack ~n:p.Fpga_arch.Params.n ~i:p.Fpga_arch.Params.i
-          mapped)
+      pack mapped
   in
-  let sta_constraints =
-    { Sta.Analysis.default_constraints with
-      Sta.Analysis.period = config.clock_period }
-  in
-  (* VPR placement.  vpr-setup also levelises the unified timing graph:
-     it depends only on the packed netlist, so one build serves the
-     annealer's per-temperature refreshes and its criticalities.  The
-     speed-only knobs (jobs, incremental_sta, sta_full_refresh_every)
-     are deliberately absent from the key: they are bit-identical
+  (* The speed-only knobs (jobs, incremental_sta, sta_full_refresh_every)
+     are deliberately absent from the place key: they are bit-identical
      switches, so flipping them must keep hitting the same entry. *)
   let anneal =
-    run_stage ctx place
+    run_stage ctx Stage.place
       (fun () ->
         [
           artifact_hash packing;
@@ -265,65 +387,7 @@ let run_stages ctx text =
           fp_float_opt config.place_prune_margin;
           string_of_int config.place_prune_interval;
         ])
-      (fun () ->
-        let problem, sta_graph =
-          tool ctx place "vpr-setup" (fun () ->
-              let problem = Place.Problem.build ~io_rat:config.io_rat packing in
-              (problem, Sta.Graph.build problem))
-        in
-        let provider_at coords =
-          (* the graph's producing-block table doubles as the provider's,
-             saving an O(signals) rebuild on every annealing refresh *)
-          Sta.Delays.of_placement ~producer:sta_graph.Sta.Graph.block_of
-            problem ~coords
-        in
-        let sta_at coords =
-          Sta.Analysis.run ~constraints:sta_constraints ?jobs:config.jobs ~obs
-            sta_graph (provider_at coords)
-        in
-        (* Incremental analysis chains for the annealer: one per annealing
-           run (the factory is called at each run's initialisation), each
-           holding the previous analysis and re-propagating only the moved
-           blocks' cones, with a full re-analysis every
-           [sta_full_refresh_every]-th refresh as a drift backstop — the
-           incremental update is bit-exact, so the backstop guards the code,
-           not the numbers. *)
-        let make_incremental () =
-          let state = ref None in
-          let calls = ref 0 in
-          fun ~coords ~changed_blocks ->
-            let k = config.sta_full_refresh_every in
-            let a =
-              match !state with
-              | Some prev when k > 0 && !calls mod k <> 0 ->
-                  Sta.Analysis.update ?jobs:config.jobs ~obs ~changed_blocks
-                    prev (provider_at coords)
-              | _ ->
-                  R.incr obs "sta.incr.full-refresh";
-                  sta_at coords
-            in
-            incr calls;
-            state := Some a;
-            Sta.Analysis.to_td a
-        in
-        tool ctx place "vpr-place" (fun () ->
-            let timing =
-              if config.timing_driven then
-                Some
-                  (Place.Anneal.default_timing
-                     ?make_incremental:
-                       (if config.incremental_sta then Some make_incremental
-                        else None)
-                     ~analyze:(fun ~coords ->
-                       Sta.Analysis.to_td (sta_at coords))
-                     ())
-              else None
-            in
-            Place.Anneal.run_multistart
-              ~options:{ Place.Anneal.seed = config.seed; inner_num = 1.0 }
-              ?timing ?jobs:config.jobs ~starts:config.place_starts
-              ?prune_margin:config.place_prune_margin
-              ~prune_interval:config.place_prune_interval ~obs problem))
+      place packing
   in
   let placement = anneal.Place.Anneal.placement in
   (* the exit cost is resummed from exact per-net costs; recording the
@@ -335,11 +399,11 @@ let run_stages ctx text =
   R.set obs "place.final-cost-recomputed"
     (Place.Placement.total_cost placement);
   R.incr ~by:anneal.Place.Anneal.moves obs "place.moves";
-  (* VPR routing.  Speculative width-search probes stay un-instrumented
-     (the probe set depends on the pool size); only the final routing
-     records, keeping every metric jobs-independent. *)
+  (* Speculative width-search probes stay un-instrumented (the probe set
+     depends on the pool size); only the final routing records, keeping
+     every metric jobs-independent. *)
   let routed =
-    run_stage ctx route
+    run_stage ctx Stage.route
       (fun () ->
         [
           artifact_hash placement;
@@ -349,42 +413,15 @@ let run_stages ctx text =
            else string_of_int config.route_width);
           fp_bool config.timing_driven;
         ])
-      (fun () ->
-        let timing =
-          if config.timing_driven then Some Place.Td_timing.default_model
-          else None
-        in
-        if config.search_min_width then
-          Route.Router.route_min_width ?timing ?jobs:config.jobs ~obs p
-            placement
-        else
-          Route.Router.route_fixed ?timing ?jobs:config.jobs ~obs p placement
-            ~width:config.route_width)
+      route placement
   in
-  (* Unified STA: the placement-distance analysis at the final placement
-     and the routed-Elmore analysis over the actual route trees, both on
-     the shared timing graph.  Headline figures ride in the registry as
-     gauges (sta.* entries are seconds-of-delay/slack, not durations). *)
+  (* Headline STA figures ride in the registry as gauges (sta.* entries
+     are seconds-of-delay/slack, not durations). *)
   let routed_hash = lazy (artifact_hash routed) in
   let sta_pre, sta_post =
-    run_stage ctx sta
+    run_stage ctx Stage.sta
       (fun () -> [ Lazy.force routed_hash; fp_float_opt config.clock_period ])
-      (fun () ->
-        let sta_graph = Sta.Graph.build routed.Route.Router.problem in
-        let provider =
-          Sta.Delays.of_placement ~producer:sta_graph.Sta.Graph.block_of
-            routed.Route.Router.problem
-            ~coords:(Place.Placement.coords routed.Route.Router.placement)
-        in
-        let pre =
-          Sta.Analysis.run ~constraints:sta_constraints ?jobs:config.jobs ~obs
-            sta_graph provider
-        in
-        let post =
-          Route.Router.sta ~constraints:sta_constraints ~graph:sta_graph ~obs
-            routed
-        in
-        (pre, post))
+      sta routed
   in
   R.set obs "sta.dmax" sta_post.Sta.Analysis.dmax;
   R.set obs "sta.wns" sta_post.Sta.Analysis.wns;
@@ -407,29 +444,10 @@ let run_stages ctx text =
   R.incr ~by:route_stats.Route.Router.par_batches obs "route.par.batches";
   R.incr ~by:route_stats.Route.Router.par_batch_max obs "route.par.batch-max";
   R.set obs "route.par.serial-frac" route_stats.Route.Router.par_serial_frac;
-  (* PowerModel + DAGGER + the two bitstream verifications, one stage:
-     all pure functions of the routed design and the power options. *)
-  let power, bitstream, bitstream_verified, fabric_verified =
-    run_stage ctx bitstream
+  let power, generated, bitstream_verified, fabric_verified =
+    run_stage ctx Stage.bitstream
       (fun () -> [ Lazy.force routed_hash; artifact_hash config.power_options ])
-      (fun () ->
-        let power =
-          tool ctx bitstream "powermodel" (fun () ->
-              Power.Model.estimate ~options:config.power_options routed)
-        in
-        let generated =
-          tool ctx bitstream "dagger" (fun () ->
-              Bitstream.Dagger.generate routed)
-        in
-        let bytes = generated.Bitstream.Dagger.bytes in
-        let bitstream_verified =
-          Bitstream.Dagger.verify routed bytes = Bitstream.Dagger.Verified
-        in
-        let fabric_verified =
-          tool ctx bitstream "fabric-emulation" (fun () ->
-              Bitstream.Dagger.verify_functional routed bytes)
-        in
-        (power, generated, bitstream_verified, fabric_verified))
+      bitstream routed
   in
   (* pool observability: the configured worker count and the measured
      CPU/wall ratio summed over the stage timers (~1.0 sequential,
@@ -463,7 +481,7 @@ let run_stages ctx text =
     routed;
     route_stats;
     power;
-    bitstream;
+    bitstream = generated;
     bitstream_verified;
     fabric_verified;
     sta_pre;

@@ -131,6 +131,66 @@ exception Flow_error of string * exn
 (** The failed stage's name (one of {!stages}) and the underlying
     failure. *)
 
+(** {1 The stage computations}
+
+    Each stage's work is a plain function
+    [config -> Obs.Registry.t -> input -> output], so any caller can run
+    one stage or chain several: the standalone [vpr], [powermodel] and
+    [dagger] tools place and route through {!place} and {!route}.
+    {!run_vhdl} wraps each one in its stage's cache lookup, registry
+    timer, span and events, and records the headline gauges and counters
+    ([place.final-cost], [sta.dmax], [vpr-route.*], ...) after it.  A
+    function records its tools' [<stage>.<tool>] sub-timers and whatever
+    the layers it calls record into the registry, never its stage's own
+    timer, and raises the layer's own exception, not {!Flow_error}. *)
+
+val synth : config -> Obs.Registry.t -> string -> Netlist.Logic.t
+(** VHDL Parser + DIVINER: source text (possibly several entities; the
+    last is the top) to library gates.  Sub-timers [synth.vhdl-parser]
+    and [synth.diviner-synth]. *)
+
+val techmap : config -> Obs.Registry.t -> Netlist.Logic.t -> Netlist.Logic.t
+(** DIVINER's EDIF writer, DRUID, E2FMT and SIS K-LUT mapping at
+    [params.k] (checked by random simulation when [verify_mapping]).
+    Sub-timers [techmap.diviner-edif], [techmap.druid], [techmap.e2fmt]
+    and [techmap.sis-flowmap]. *)
+
+val pack : config -> Obs.Registry.t -> Netlist.Logic.t -> Pack.Cluster.packing
+(** T-VPack at [params.n] BLEs and [params.i] inputs per cluster. *)
+
+val place :
+  config -> Obs.Registry.t -> Pack.Cluster.packing -> Place.Anneal.result
+(** VPR placement at [io_rat] pads per perimeter position:
+    {!Place.Anneal.run_multistart} over [place_starts] starts from
+    [seed], pruned by [place_prune_margin]/[place_prune_interval], and
+    path-timing-driven through the unified STA when [timing_driven].
+    Sub-timers [place.vpr-setup] and [place.vpr-place]. *)
+
+val route :
+  config -> Obs.Registry.t -> Place.Placement.t -> Route.Router.routed
+(** VPR routing on [params]: the minimum-width search when
+    [search_min_width], else one routing at [route_width];
+    timing-driven when [timing_driven].
+    @raise Failure when unroutable. *)
+
+val sta :
+  config -> Obs.Registry.t -> Route.Router.routed ->
+  Sta.Analysis.t * Sta.Analysis.t
+(** The pre-route (placement-distance) and post-route (routed-Elmore)
+    analyses against [clock_period]: {!result}'s [sta_pre] and
+    [sta_post]. *)
+
+val bitstream :
+  config -> Obs.Registry.t -> Route.Router.routed ->
+  Power.Model.report * Bitstream.Dagger.generated * bool * bool
+(** PowerModel at [power_options], DAGGER's bitstream, its structural
+    verification and its fabric emulation: {!result}'s [power],
+    [bitstream], [bitstream_verified] and [fabric_verified].  Sub-timers
+    [bitstream.powermodel], [bitstream.dagger], [bitstream.dagger-verify]
+    and [bitstream.fabric-emulation]. *)
+
+(** {1 The integrated flow} *)
+
 val run_vhdl : ?config:config -> ?obs:Obs.Registry.t -> string -> result
 (** The full flow from VHDL source text (possibly several entities; the
     last is the top).  [?obs] supplies the metric registry to record

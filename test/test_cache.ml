@@ -164,7 +164,8 @@ let test_flow_warm_hits () =
       ("synth", [ "vhdl-parser"; "diviner-synth" ]);
       ("techmap", [ "diviner-edif"; "druid"; "e2fmt"; "sis-flowmap" ]);
       ("place", [ "vpr-setup"; "vpr-place" ]);
-      ("bitstream", [ "powermodel"; "dagger"; "fabric-emulation" ]);
+      ( "bitstream",
+        [ "powermodel"; "dagger"; "dagger-verify"; "fabric-emulation" ] );
     ];
   (* skipped stages leave neither a timer in the registry nor a span in
      the trace *)

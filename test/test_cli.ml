@@ -6,11 +6,13 @@
    is written, -d and --ledger create missing parents,
    local --batch warns about the single-design flags it ignores, --arch
    honours the file's io_rat, a --remote run writes a local run's
-   files, and the CLI reads a cache the library flow filled. *)
+   files, the CLI reads a cache the library flow filled, and the
+   standalone tools chain to the flow's bitstream. *)
 
 module J = Obs.Jsonin
 
-let flow_exe = Filename.concat ".." (Filename.concat "bin" "amdrel_flow.exe")
+let exe name = Filename.concat ".." (Filename.concat "bin" (name ^ ".exe"))
+let flow_exe = exe "amdrel_flow"
 
 (* Compile NAME.vhd holding [vhdl] into a fresh directory; the exit code
    and the parsed NAME.result.json. *)
@@ -205,11 +207,13 @@ let test_batch_ignores_trace_events () =
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
-(* Run amdrel_flow with [args], stdout and stderr discarded. *)
-let flow args =
+(* Run bin/NAME.exe with [args], stdout and stderr discarded. *)
+let tool name args =
   Sys.command
-    (String.concat " " (List.map Filename.quote (flow_exe :: args))
+    (String.concat " " (List.map Filename.quote (exe name :: args))
     ^ " >/dev/null 2>&1")
+
+let flow = tool "amdrel_flow"
 
 (* The flow places on the arch file's IO pads per position: the .bit is
    the library flow's at io_rat 4, and not the default fabric's. *)
@@ -239,6 +243,33 @@ let test_arch_io_rat () =
     (cli = bit params 4);
   Alcotest.(check bool) "bit differs from the default fabric's" true
     (cli <> bit Fpga_arch.Params.amdrel 2)
+
+(* The paper's tools also run standalone, each reading the file the
+   previous one wrote: counter8 through diviner, druid, e2fmt, sismap,
+   tvpack and dagger writes the bitstream amdrel_flow writes, and vpr
+   and powermodel place and route the same files. *)
+let test_tool_chain () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "counter8.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.counter 8));
+  let packed = [ path "sismap.blif"; path "tvpack.net" ] in
+  List.iter
+    (fun (name, args) ->
+      Alcotest.(check int) (name ^ " exit code") 0 (tool name args))
+    [
+      ("diviner", [ path "counter8.vhd"; "-o"; path "diviner.edf" ]);
+      ("druid", [ path "diviner.edf"; "-o"; path "druid.edf" ]);
+      ("e2fmt", [ path "druid.edf"; "-o"; path "e2fmt.blif" ]);
+      ("sismap", [ path "e2fmt.blif"; "-o"; path "sismap.blif" ]);
+      ("tvpack", [ path "sismap.blif"; "-o"; path "tvpack.net" ]);
+      ("dagger", packed @ [ "-o"; path "dagger.bit" ]);
+      ("vpr", packed);
+      ("powermodel", packed);
+      ("amdrel_flow", [ path "counter8.vhd"; "-d"; dir; "--no-cache" ]);
+    ];
+  Alcotest.(check bool) "dagger's .bit = amdrel_flow's" true
+    (read (path "dagger.bit") = read (path "counter8.bit"))
 
 (* Stage artifacts are plain data, so a cache one binary fills answers
    every stage for another: amdrel_flow reads what this test binary's
@@ -349,4 +380,6 @@ let suite =
       (with_exe test_remote_equals_local);
     Alcotest.test_case "cache shared across binaries" `Quick
       (with_exe test_cache_shared);
+    Alcotest.test_case "standalone tool chain writes the flow's .bit" `Quick
+      (with_exe test_tool_chain);
   ]

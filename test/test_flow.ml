@@ -91,16 +91,12 @@ let test_td_placement_reports_dmax () =
   let net = Synth.Diviner.synthesize (Core.Bench_circuits.counter 8) in
   let mapped, _ = Techmap.Mapper.map_network ~k:4 ~verify:false net in
   let packing = Pack.Cluster.pack ~n:5 ~i:12 mapped in
-  let problem = Place.Problem.build packing in
-  (* the annealer's timing hook, as the flow wires it: unified STA on a
-     shared graph, adapted to the Td record *)
-  let graph = Sta.Graph.build problem in
-  let analyze ~coords =
-    Sta.Analysis.to_td
-      (Sta.Analysis.run graph (Sta.Delays.of_placement problem ~coords))
-  in
+  (* the flow's place stage: the annealer's timing hook is the unified
+     STA on a shared graph, adapted to the Td record *)
   let r =
-    Place.Anneal.run ~timing:(Place.Anneal.default_timing ~analyze ()) problem
+    Core.Flow.place
+      { Core.Flow.default_config with Core.Flow.timing_driven = true }
+      (Obs.Registry.create ()) packing
   in
   (match r.Place.Anneal.estimated_dmax with
   | Some d -> Alcotest.(check bool) "dmax sane" true (d > 0.0 && d < 100e-9)

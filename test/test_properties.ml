@@ -211,7 +211,9 @@ let prop_archfile_mutants_typed_errors =
    reach the decoder: the body truncated, or three bytes of it each
    XOR-ed with a non-zero mask, then a fresh CRC appended so the decoder
    reads the damage instead of stopping at the checksum.  Half the flips
-   land in the first 64 bytes, where the header's counts live. *)
+   land in the first 64 bytes, where the header's counts and array size
+   live.  Each mutant is loaded into the fabric model, which must return
+   a netlist or refuse the stream with a typed error. *)
 let bitstream_mutant_arb =
   let body =
     lazy
@@ -250,12 +252,15 @@ let bitstream_mutant_arb =
 
 let prop_bitstream_mutants_typed_errors =
   QCheck.Test.make ~count:2000
-    ~name:"bitstream mutants: a config or Corrupt"
+    ~name:"bitstream mutants: emulated or refused"
     bitstream_mutant_arb
     (fun data ->
-      match Bitstream.Frames.decode data with
+      match Bitstream.Dagger.emulate Fpga_arch.Params.amdrel data with
       | _ -> true
-      | exception Bitstream.Frames.Corrupt _ -> true)
+      | exception
+          (Bitstream.Frames.Corrupt _ | Bitstream.Fabric.Invalid_configuration _)
+        ->
+          true)
 
 let prop_edif_sanitize_idempotent =
   QCheck.Test.make ~count:200 ~name:"EDIF identifier sanitisation idempotent"

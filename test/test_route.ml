@@ -563,31 +563,9 @@ let test_place_identity_pin () =
       in
       let r = Core.Flow.run_vhdl ~config vhdl in
       let metrics = r.Core.Flow.metrics in
-      (* the flow records no accepted count: replay the place stage on
-         its packing, with a full analysis per refresh (the flow's
-         incremental chain matches it bit for bit) *)
-      let problem =
-        Place.Problem.build ~io_rat:config.Core.Flow.io_rat r.Core.Flow.packing
-      in
-      let timing =
-        if config.Core.Flow.timing_driven then
-          let g = Sta.Graph.build problem in
-          Some
-            (Place.Anneal.default_timing
-               ~analyze:(fun ~coords ->
-                 Sta.Analysis.to_td
-                   (Sta.Analysis.run ~jobs:1 g
-                      (Sta.Delays.of_placement
-                         ~producer:g.Sta.Graph.block_of problem ~coords)))
-               ())
-        else None
-      in
+      (* the flow records no accepted count: rerun its place stage *)
       let a =
-        Place.Anneal.run_multistart
-          ~options:{ Place.Anneal.seed = 1; inner_num = 1.0 }
-          ?timing ~jobs:1 ~starts:config.Core.Flow.place_starts
-          ?prune_margin:config.Core.Flow.place_prune_margin
-          ~prune_interval:config.Core.Flow.place_prune_interval problem
+        Core.Flow.place config (Obs.Registry.create ()) r.Core.Flow.packing
       in
       Alcotest.(check int) (name ^ " place.moves") moves
         (Obs.Registry.counter metrics "place.moves");
