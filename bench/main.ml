@@ -1,8 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md §3) plus the flow QoR, timing-driven and
-   full-flow stress tables and the architecture ablations.  Per-stage
-   times come from the flow's own stage timers (EXPERIMENTS.md) and
-   per-layer times from perfbench.
+   full-flow stress tables and the architecture ablations.  Every table
+   over designs compiles a Core.Bench_circuits list through
+   Core.Explore.run_suite.  Per-stage times come from the flow's own
+   stage timers (EXPERIMENTS.md) and per-layer times from perfbench.
 
    Usage:
      dune exec bench/main.exe             # everything
@@ -251,7 +252,10 @@ let ablations () =
   hr "Ablation: timing-driven vs routability-driven place & route";
   let td = Core.Explore.timing_driven_comparison () in
   Util.Tablefmt.print
-    [ "circuit"; "crit rt (ns)"; "crit td (ns)"; "wire rt"; "wire td" ]
+    [
+      "circuit"; "crit rt (ns)"; "crit td (ns)"; "wire rt"; "wire td";
+      "Wmin rt"; "Wmin td";
+    ]
     (List.map
        (fun (p : Core.Explore.td_point) ->
          [
@@ -260,6 +264,8 @@ let ablations () =
            Util.Tablefmt.f2 p.timing_driven_crit_ns;
            string_of_int p.routability_wire;
            string_of_int p.timing_driven_wire;
+           string_of_int p.routability_min_width;
+           string_of_int p.timing_driven_min_width;
          ])
        td);
   let geo f = Util.Stats.geomean (Array.of_list (List.map f td)) in
@@ -313,61 +319,37 @@ let stress () =
   hr "Stress: larger workloads through the complete flow";
   print_endline
     "(scaling check: hundreds of LUTs, 7x7-10x10 arrays, all verified)\n";
-  let circuits =
-    [
-      ("alu16", Core.Bench_circuits.alu 16);
-      ("mult8", Core.Bench_circuits.multiplier 8);
-      ("counter32", Core.Bench_circuits.counter 32);
-      ("accum24", Core.Bench_circuits.accumulator 24);
-      ("mult12", Core.Bench_circuits.multiplier 12);
-    ]
-  in
   Printf.printf "domains: %d (AMDREL_JOBS overrides)\n\n"
     (Util.Parallel.default_jobs ());
-  let t_all0 = Unix.gettimeofday () in
-  (* per-circuit wall time, not Sys.time: the CPU clock counts every
-     domain, so it would charge each circuit for its neighbours *)
-  let rows =
-    Util.Parallel.map_list
-      (fun (name, vhdl) ->
-        let t0 = Unix.gettimeofday () in
-        match Core.Flow.run_vhdl vhdl with
-        | r ->
-            Ok
-              [
-                name;
-                string_of_int r.Core.Flow.mapped_stats.Netlist.Logic.n_gates;
-                string_of_int r.Core.Flow.n_clusters;
-                Printf.sprintf "%dx%d" r.Core.Flow.grid.Fpga_arch.Grid.nx
-                  r.Core.Flow.grid.Fpga_arch.Grid.ny;
-                (match r.Core.Flow.route_stats.Route.Router.minimum_width with
-                | Some w -> string_of_int w
-                | None -> "-");
-                string_of_int
-                  r.Core.Flow.route_stats.Route.Router.router_iterations;
-                string_of_int r.Core.Flow.route_stats.Route.Router.heap_pops;
-                Util.Tablefmt.f2
-                  (r.Core.Flow.route_stats.Route.Router.critical_path_s *. 1e9);
-                Util.Tablefmt.f2 (r.Core.Flow.power.Power.Model.total_w *. 1e3);
-                (if r.Core.Flow.bitstream_verified && r.Core.Flow.fabric_verified
-                 then "yes" else "NO");
-                Util.Tablefmt.f1 (Unix.gettimeofday () -. t0);
-              ]
-        | exception Core.Flow.Flow_error (stage, e) ->
-            Error (name, stage, Printexc.to_string e))
-      circuits
-    |> List.filter_map (function
-         | Ok row -> Some row
-         | Error (name, stage, e) ->
-             Printf.printf "%s: FAILED at %s (%s)\n" name stage e;
-             None)
-  in
+  let t0 = Unix.gettimeofday () in
+  let results = Core.Explore.run_suite Core.Bench_circuits.stress in
   Util.Tablefmt.print
     [ "circuit"; "LUTs"; "CLBs"; "grid"; "Wmin"; "rt iters"; "heap pops";
       "crit(ns)"; "P(mW)"; "verified"; "wall(s)" ]
-    rows;
-  Printf.printf "\ntotal wall time: %.1f s\n"
-    (Unix.gettimeofday () -. t_all0)
+    (List.map
+       (fun (r : Core.Flow.result) ->
+         [
+           r.Core.Flow.design;
+           string_of_int r.Core.Flow.mapped_stats.Netlist.Logic.n_gates;
+           string_of_int r.Core.Flow.n_clusters;
+           Printf.sprintf "%dx%d" r.Core.Flow.grid.Fpga_arch.Grid.nx
+             r.Core.Flow.grid.Fpga_arch.Grid.ny;
+           (match r.Core.Flow.route_stats.Route.Router.minimum_width with
+           | Some w -> string_of_int w
+           | None -> "-");
+           string_of_int r.Core.Flow.route_stats.Route.Router.router_iterations;
+           string_of_int r.Core.Flow.route_stats.Route.Router.heap_pops;
+           Util.Tablefmt.f2
+             (r.Core.Flow.route_stats.Route.Router.critical_path_s *. 1e9);
+           Util.Tablefmt.f2 (r.Core.Flow.power.Power.Model.total_w *. 1e3);
+           (if r.Core.Flow.bitstream_verified && r.Core.Flow.fabric_verified
+            then "yes" else "NO");
+           (* the design's own stage timers, not a clock around the
+              pool: that would charge each circuit for its neighbours *)
+           Util.Tablefmt.f1 (fst (Core.Flow.stage_time r.Core.Flow.metrics));
+         ])
+       results);
+  Printf.printf "\ntotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0)
 
 (* ---------- Unified STA timing report ---------- *)
 
@@ -377,81 +359,41 @@ let timing () =
     "(timing-driven place & route; pre is the placement-distance\n\
      estimate, post the routed-Elmore analysis — both from the unified\n\
      STA engine, the sole timing oracle)\n";
-  let rows =
-    Util.Parallel.map_list
-      (fun (name, vhdl) ->
-        let config =
-          { Core.Flow.default_config with Core.Flow.timing_driven = true }
-        in
-        match Core.Flow.run_vhdl ~config vhdl with
-        | r ->
-            let pre = r.Core.Flow.sta_pre.Sta.Analysis.dmax in
-            let post = r.Core.Flow.sta_post.Sta.Analysis.dmax in
-            Ok
-              ( name,
-                r,
-                [
-                  name;
-                  Util.Tablefmt.f2 (pre *. 1e9);
-                  Util.Tablefmt.f2 (post *. 1e9);
-                  Util.Tablefmt.pct ((post -. pre) /. pre);
-                  string_of_int
-                    (List.length (Sta.Report.paths r.Core.Flow.sta_post));
-                ] )
-        | exception Core.Flow.Flow_error (stage, e) ->
-            Error (name, stage, Printexc.to_string e))
+  let results =
+    Core.Explore.run_suite
+      ~config:{ Core.Flow.default_config with Core.Flow.timing_driven = true }
       Core.Bench_circuits.suite
-  in
-  let ok =
-    List.filter_map
-      (function
-        | Ok row -> Some row
-        | Error (name, stage, e) ->
-            Printf.printf "%s: FAILED at %s (%s)\n" name stage e;
-            None)
-      rows
   in
   Util.Tablefmt.print
     [
       "circuit"; "pre dmax(ns)"; "post dmax(ns)"; "post vs pre"; "paths";
     ]
-    (List.map (fun (_, _, row) -> row) ok);
+    (List.map
+       (fun (r : Core.Flow.result) ->
+         let pre = r.Core.Flow.sta_pre.Sta.Analysis.dmax in
+         let post = r.Core.Flow.sta_post.Sta.Analysis.dmax in
+         [
+           r.Core.Flow.design;
+           Util.Tablefmt.f2 (pre *. 1e9);
+           Util.Tablefmt.f2 (post *. 1e9);
+           Util.Tablefmt.pct ((post -. pre) /. pre);
+           string_of_int (List.length (Sta.Report.paths r.Core.Flow.sta_post));
+         ])
+       results);
   (* the worst path of the largest circuit, end to end *)
   (match
-     List.find_opt (fun (name, _, _) -> name = "mult4") ok
+     List.find_opt (fun r -> r.Core.Flow.design = "mult4") results
    with
-  | Some (_, r, _) ->
+  | Some r ->
       print_newline ();
       print_string
         (Sta.Report.to_text ~title:"mult4 post-route critical path"
            r.Core.Flow.sta_post
            (Sta.Report.paths ~k:1 r.Core.Flow.sta_post))
   | None -> ());
-  (* timing-driven vs routability-driven routing, unified-STA measured *)
-  hr "Timing-driven routing (criticality-weighted PathFinder) vs routability";
-  let compare_one (name, vhdl) =
-    let run td =
-      let config =
-        { Core.Flow.default_config with Core.Flow.timing_driven = td }
-      in
-      Core.Flow.run_vhdl ~config vhdl
-    in
-    let rt = run false and td = run true in
-    [
-      name;
-      Util.Tablefmt.f2 (rt.Core.Flow.sta_post.Sta.Analysis.dmax *. 1e9);
-      Util.Tablefmt.f2 (td.Core.Flow.sta_post.Sta.Analysis.dmax *. 1e9);
-      (match rt.Core.Flow.route_stats.Route.Router.minimum_width with
-      | Some w -> string_of_int w
-      | None -> "-");
-      (match td.Core.Flow.route_stats.Route.Router.minimum_width with
-      | Some w -> string_of_int w
-      | None -> "-");
-    ]
-  in
-  Util.Tablefmt.print
-    [ "circuit"; "rt dmax(ns)"; "td dmax(ns)"; "rt Wmin"; "td Wmin" ]
-    (Util.Parallel.map_list compare_one Core.Bench_circuits.quick_suite)
+  print_endline
+    "\n(timing-driven vs routability-driven crit and Wmin per circuit: \
+     the ablate section)"
 
 (* ---------- driver ---------- *)
 

@@ -330,7 +330,6 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
         {
           Core.Flow.default_config with
           params;
-          io_rat = params.Fpga_arch.Params.io_rat;
           jobs;
           cache_dir;
         }

@@ -88,7 +88,8 @@ let group_by_design records =
   |> List.rev
 
 (* The sum of the top-level stage timers: dotted keys such as
-   sta.phase.forward or place.move-eval are sub-stage profiling. *)
+   sta.phase.forward or place.move-eval are sub-stage profiling.  This
+   is Core.Flow.stage_time's rule, read from a record's JSON. *)
 let wall_total r =
   match L.find [ "metrics" ] r with
   | Some (E.Obj entries) ->

@@ -72,7 +72,6 @@ let packed_design ~arch ~seed ?route_width blif_path net_path =
   ( {
       default with
       Core.Flow.params;
-      io_rat = params.Fpga_arch.Params.io_rat;
       seed;
       search_min_width = Option.is_none route_width;
       route_width =

@@ -24,12 +24,9 @@ let () =
   print_endline "== Architecture exploration ==";
   (* a compact circuit subset keeps this example fast *)
   let circuits =
-    [
-      ("counter8", Core.Bench_circuits.counter 8);
-      ("alu8", Core.Bench_circuits.alu 8);
-      ("lfsr12", Core.Bench_circuits.lfsr 12);
-      ("accum12", Core.Bench_circuits.accumulator 12);
-    ]
+    List.map
+      (fun name -> (name, Option.get (Core.Bench_circuits.find name)))
+      [ "counter8"; "alu8"; "lfsr12"; "accum12" ]
   in
   print_sweep "cluster size N (K = 4, I by the rule)"
     (Core.Explore.cluster_size_sweep ~circuits ());

@@ -474,26 +474,56 @@ end rtl;
 |}
     bits (bits - 1) (bits - 1) (bits - 1) bits bits bits (bits - 1) bits
 
-(* The benchmark suite used by the flow evaluation and benches. *)
-let suite =
+(* Each sized family by its top entity's name prefix, with its largest
+   size: the decoder's VHDL grows as 4^n (2^n case lines of 2^n bits),
+   the multiplier's as n^2 and the others' linearly.  Sizes start at 2,
+   the smallest the shift register, LFSR, multiplier and Gray counter
+   generate. *)
+let families =
   [
-    ("counter8", counter 8);
-    ("counter16", counter 16);
-    ("shiftreg16", shift_register 16);
-    ("lfsr12", lfsr 12);
-    ("alu8", alu 8);
-    ("parity16", parity 16);
-    ("decoder4", decoder 4);
-    ("prienc8", priority_encoder 8);
-    ("mult4", multiplier 4);
-    ("gray8", gray_counter 8);
-    ("traffic", traffic_fsm);
-    ("accum12", accumulator 12);
-    ("datapath8", datapath 8);
-    ("pwm8", pwm 8);
-    ("gen_adder8", gen_adder 8);
+    ("counter", counter, 64);
+    ("shiftreg", shift_register, 64);
+    ("lfsr", lfsr, 64);
+    ("alu", alu, 64);
+    ("parity", parity, 64);
+    ("decoder", decoder, 8);
+    ("prienc", priority_encoder, 64);
+    ("mult", multiplier, 64);
+    ("gray", gray_counter, 64);
+    ("accum", accumulator, 64);
+    ("pwm", pwm, 64);
+    ("datapath", datapath, 64);
+    ("gen_adder", gen_adder, 64);
   ]
 
+let find name =
+  if name = "traffic" then Some traffic_fsm
+  else
+    List.find_map
+      (fun (prefix, gen, largest) ->
+        if not (String.starts_with ~prefix name) then None
+        else
+          let cut = String.length prefix in
+          let size = String.sub name cut (String.length name - cut) in
+          match int_of_string_opt size with
+          | Some n when n >= 2 && n <= largest && string_of_int n = size ->
+              Some (gen n)
+          | _ -> None)
+      families
+
+let named = List.map (fun name -> (name, Option.get (find name)))
+
+(* The benchmark suite used by the flow evaluation and benches. *)
+let suite =
+  named
+    [
+      "counter8"; "counter16"; "shiftreg16"; "lfsr12"; "alu8"; "parity16";
+      "decoder4"; "prienc8"; "mult4"; "gray8"; "traffic"; "accum12";
+      "datapath8"; "pwm8"; "gen_adder8";
+    ]
+
 (* A smaller subset for quick tests. *)
-let quick_suite =
-  [ ("counter8", counter 8); ("parity16", parity 16); ("traffic", traffic_fsm) ]
+let quick_suite = named [ "counter8"; "parity16"; "traffic" ]
+
+(* Larger designs (95-477 LUTs): the bench's full-flow scaling check. *)
+let stress = named [ "alu16"; "mult8"; "counter32"; "accum24"; "mult12" ]

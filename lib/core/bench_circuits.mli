@@ -42,8 +42,21 @@ val datapath : int -> string
 val gen_adder : int -> string
 (** Structural ripple adder: for-generate over full-adder instances. *)
 
+val find : string -> string option
+(** [find name] is the VHDL of the design whose top entity is [name]:
+    [traffic], or a family's entity prefix followed by a size in
+    decimal with no leading zero, from 2 up to 8 for [decoder] and 64
+    for [counter], [shiftreg], [lfsr], [alu], [parity], [prienc],
+    [mult], [gray], [accum], [pwm], [datapath] and [gen_adder]
+    ([mult24], [alu32]).  [None] for any other name. *)
+
 val suite : (string * string) list
-(** The evaluation suite (name, VHDL). *)
+(** The evaluation suite (name, VHDL); each name is its design's top
+    entity, so [find name] gives the same VHDL. *)
 
 val quick_suite : (string * string) list
 (** A 3-circuit subset for fast tests. *)
+
+val stress : (string * string) list
+(** Five larger designs (alu16, mult8, counter32, accum24, mult12) for
+    the full-flow scaling check. *)

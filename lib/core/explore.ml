@@ -28,6 +28,12 @@ let run_suite ?(config = Flow.default_config) ?jobs circuits =
              (Printexc.to_string e);
            None)
 
+(* The searched minimum channel width, or the routed one when no search
+   ran. *)
+let min_width (r : Flow.result) =
+  Option.value r.Flow.route_stats.Route.Router.minimum_width
+    ~default:r.Flow.route_stats.Route.Router.channel_width
+
 let summarize label results =
   let arr f = Array.of_list (List.map f results) in
   {
@@ -38,45 +44,40 @@ let summarize label results =
       Util.Stats.geomean
         (arr (fun r -> r.Flow.route_stats.Route.Router.critical_path_s *. 1e9));
     avg_clusters = Util.Stats.mean (arr (fun r -> float_of_int r.Flow.n_clusters));
-    avg_min_width =
-      Util.Stats.mean
-        (arr (fun r ->
-             float_of_int
-               (Option.value r.Flow.route_stats.Route.Router.minimum_width
-                  ~default:r.Flow.route_stats.Route.Router.channel_width)));
+    avg_min_width = Util.Stats.mean (arr (fun r -> float_of_int (min_width r)));
     avg_utilization = Util.Stats.mean (arr (fun r -> r.Flow.utilization));
   }
+
+(* The studies' one experiment: the circuits on the paper's platform
+   with one change to its parameters. *)
+let on_platform ?jobs circuits change =
+  let params = Fpga_arch.Params.validate (change Fpga_arch.Params.amdrel) in
+  run_suite ~config:{ Flow.default_config with Flow.params } ?jobs circuits
 
 (* Cluster-size exploration (paper: N = 5 minimises energy). *)
 let cluster_size_sweep ?(ns = [ 2; 3; 4; 5; 6; 8 ]) ?(circuits = Bench_circuits.suite) ?jobs () =
   List.map
     (fun n ->
-      let params =
-        Fpga_arch.Params.validate
-          {
-            Fpga_arch.Params.amdrel with
-            Fpga_arch.Params.n;
-            i = Fpga_arch.Params.recommended_inputs ~k:4 ~n;
-          }
-      in
-      let config = { Flow.default_config with Flow.params } in
-      summarize (Printf.sprintf "N=%d" n) (run_suite ~config ?jobs circuits))
+      summarize (Printf.sprintf "N=%d" n)
+        (on_platform ?jobs circuits (fun p ->
+             {
+               p with
+               Fpga_arch.Params.n;
+               i = Fpga_arch.Params.recommended_inputs ~k:4 ~n;
+             })))
     ns
 
 (* LUT-size exploration (paper cites K = 4 as the energy sweet spot). *)
 let lut_size_sweep ?(ks = [ 2; 3; 4; 5 ]) ?(circuits = Bench_circuits.suite) ?jobs () =
   List.map
     (fun k ->
-      let params =
-        Fpga_arch.Params.validate
-          {
-            Fpga_arch.Params.amdrel with
-            Fpga_arch.Params.k;
-            i = Fpga_arch.Params.recommended_inputs ~k ~n:5;
-          }
-      in
-      let config = { Flow.default_config with Flow.params } in
-      summarize (Printf.sprintf "K=%d" k) (run_suite ~config ?jobs circuits))
+      summarize (Printf.sprintf "K=%d" k)
+        (on_platform ?jobs circuits (fun p ->
+             {
+               p with
+               Fpga_arch.Params.k;
+               i = Fpga_arch.Params.recommended_inputs ~k ~n:5;
+             })))
     ks
 
 (* The input-count rule: utilisation versus I (paper: I = (K/2)(N+1) gives
@@ -92,13 +93,11 @@ let input_rule_sweep ?(circuits = Bench_circuits.suite) ?jobs () =
   let rule = Fpga_arch.Params.recommended_inputs ~k:4 ~n:5 in
   List.map
     (fun i_value ->
-      let params =
-        Fpga_arch.Params.validate
-          { Fpga_arch.Params.amdrel with Fpga_arch.Params.i = i_value }
+      let s =
+        summarize (Printf.sprintf "I=%d" i_value)
+          (on_platform ?jobs circuits (fun p ->
+               { p with Fpga_arch.Params.i = i_value }))
       in
-      let config = { Flow.default_config with Flow.params } in
-      let results = run_suite ~config ?jobs circuits in
-      let s = summarize (Printf.sprintf "I=%d" i_value) results in
       {
         i_value;
         rule_value = rule;
@@ -125,15 +124,13 @@ let segment_mix_sweep
      over-subscription and the per-point results stay jobs-invariant *)
   Util.Parallel.map_list ?jobs
     (fun mix ->
-      let params =
-        Fpga_arch.Params.validate
-          {
-            Fpga_arch.Params.amdrel with
-            Fpga_arch.Params.segments = Fpga_arch.Params.segments_of_string mix;
-          }
+      let results =
+        on_platform ?jobs circuits (fun p ->
+            {
+              p with
+              Fpga_arch.Params.segments = Fpga_arch.Params.segments_of_string mix;
+            })
       in
-      let config = { Flow.default_config with Flow.params } in
-      let results = run_suite ~config ?jobs circuits in
       let f = Power.Model.default_options.Power.Model.frequency in
       let energies =
         Array.of_list
@@ -155,38 +152,37 @@ type td_point = {
   timing_driven_crit_ns : float;
   routability_wire : int;
   timing_driven_wire : int;
+  routability_min_width : int;
+  timing_driven_min_width : int;
 }
 
+(* One suite run per mode; a circuit that fails in either mode has no
+   point. *)
 let timing_driven_comparison ?(circuits = Bench_circuits.suite) ?jobs () =
-  Util.Parallel.map_list ?jobs
-    (fun (name, vhdl) ->
-      let run td =
-        Flow.run_vhdl
-          ~config:{ Flow.default_config with Flow.timing_driven = td }
-          vhdl
-      in
-      match (run false, run true) with
-      | a, b ->
-          Ok
-            {
-              circuit = name;
-              routability_crit_ns =
-                a.Flow.route_stats.Route.Router.critical_path_s *. 1e9;
-              timing_driven_crit_ns =
-                b.Flow.route_stats.Route.Router.critical_path_s *. 1e9;
-              routability_wire =
-                a.Flow.route_stats.Route.Router.total_wire_tiles;
-              timing_driven_wire =
-                b.Flow.route_stats.Route.Router.total_wire_tiles;
-            }
-      | exception Flow.Flow_error (stage, e) -> Error (name, stage, e))
-    circuits
-  |> List.filter_map (function
-       | Ok p -> Some p
-       | Error (name, stage, e) ->
-           Printf.eprintf "explore: %s failed at %s (%s)\n%!" name stage
-             (Printexc.to_string e);
-           None)
+  let run timing_driven =
+    run_suite ~config:{ Flow.default_config with Flow.timing_driven } ?jobs
+      circuits
+  in
+  let rt = run false in
+  let td = run true in
+  List.filter_map
+    (fun (a : Flow.result) ->
+      List.find_opt (fun (b : Flow.result) -> b.Flow.design = a.Flow.design) td
+      |> Option.map (fun (b : Flow.result) ->
+             {
+               circuit = a.Flow.design;
+               routability_crit_ns =
+                 a.Flow.route_stats.Route.Router.critical_path_s *. 1e9;
+               timing_driven_crit_ns =
+                 b.Flow.route_stats.Route.Router.critical_path_s *. 1e9;
+               routability_wire =
+                 a.Flow.route_stats.Route.Router.total_wire_tiles;
+               timing_driven_wire =
+                 b.Flow.route_stats.Route.Router.total_wire_tiles;
+               routability_min_width = min_width a;
+               timing_driven_min_width = min_width b;
+             }))
+    rt
 
 (* Switch-style comparison at the selected operating point (pass transistor
    vs tri-state buffer pairs, §3.3.2): circuit-level E/D/A. *)

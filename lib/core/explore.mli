@@ -14,8 +14,10 @@ type sweep_point = {
 val run_suite :
   ?config:Flow.config -> ?jobs:int -> (string * string) list ->
   Flow.result list
-(** Run circuits through the flow, skipping (and reporting) failures.
-    Circuits fan out across a Domain pool of [jobs] workers (default
+(** Run circuits through the flow, skipping failures and reporting each
+    on stderr with its name and stage: the one loop over designs that
+    the studies, the benches and the examples share.  Circuits fan out
+    across a Domain pool of [jobs] workers (default
     {!Util.Parallel.default_jobs}); results and failure reports keep
     suite order, so the output is identical for any [jobs]. *)
 
@@ -67,10 +69,15 @@ type td_point = {
   timing_driven_crit_ns : float;
   routability_wire : int;
   timing_driven_wire : int;
+  routability_min_width : int;
+  timing_driven_min_width : int;
 }
 
 val timing_driven_comparison :
   ?circuits:(string * string) list -> ?jobs:int -> unit -> td_point list
+(** Two {!run_suite}s, routability- and timing-driven; a circuit that
+    fails in either has no point.  Points keep [circuits] order and are
+    named by each design's top entity. *)
 
 type switch_point = {
   style : Spice.Routing_exp.switch_style;

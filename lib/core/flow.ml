@@ -33,7 +33,8 @@ module R = Obs.Registry
 type config = {
   params : Fpga_arch.Params.t;
   seed : int;
-  io_rat : int;
+  io_rat : int;            (* unread: the flow places at
+                              [params.io_rat] (see flow.mli) *)
   search_min_width : bool; (* search the minimum channel width *)
   route_width : int;       (* channel width when [search_min_width] is off *)
   timing_driven : bool;    (* VPR's path-timing-driven place & route *)
@@ -149,7 +150,10 @@ let pack config (_ : R.t) mapped =
 let place config obs packing =
   let problem, sta_graph =
     R.time obs "place.vpr-setup" (fun () ->
-        let problem = Place.Problem.build ~io_rat:config.io_rat packing in
+        let problem =
+          Place.Problem.build ~io_rat:config.params.Fpga_arch.Params.io_rat
+            packing
+        in
         (problem, Sta.Graph.build problem))
   in
   let constraints = sta_constraints config in
@@ -337,6 +341,19 @@ let run_stage ctx (s : Stage.t) key f input =
           Cache.Store.store store k v;
           v)
 
+(* A compile's stage time: wall and CPU seconds summed over the stage
+   timers, the undotted keys.  Dotted timers ([place.vpr-place],
+   [sta.phase.forward]) time work inside a stage, so adding them would
+   count it twice. *)
+let stage_time metrics =
+  List.fold_left
+    (fun (w, c) (e : R.entry) ->
+      match e.R.value with
+      | R.Timer { wall_s; cpu_s; _ } when not (String.contains e.R.key '.') ->
+          (w +. wall_s, c +. cpu_s)
+      | _ -> (w, c))
+    (0.0, 0.0) metrics
+
 (* The seven stages, from VHDL source text to the bitstream, recording
    into [ctx.obs]. *)
 let run_stages ctx text =
@@ -379,7 +396,7 @@ let run_stages ctx text =
       (fun () ->
         [
           artifact_hash packing;
-          string_of_int config.io_rat;
+          string_of_int p.Fpga_arch.Params.io_rat;
           string_of_int config.seed;
           string_of_int config.place_starts;
           fp_bool config.timing_driven;
@@ -454,16 +471,7 @@ let run_stages ctx text =
      approaches the job count when the parallel stages dominate).  Both
      are volatile gauges: time-derived, so excluded from the
      deterministic metrics view. *)
-  let cpu_sum, wall_sum =
-    List.fold_left
-      (fun (c, w) (e : R.entry) ->
-        match e.R.value with
-        | R.Timer { wall_s; cpu_s; _ } when not (String.contains e.R.key '.')
-          ->
-            (c +. cpu_s, w +. wall_s)
-        | _ -> (c, w))
-      (0.0, 0.0) (R.snapshot obs)
-  in
+  let wall_sum, cpu_sum = stage_time (R.snapshot obs) in
   R.set ~volatile:true obs "parallel.jobs"
     (float_of_int (Util.Parallel.resolve_jobs ?jobs:config.jobs ()));
   R.set ~volatile:true obs "parallel.speedup"

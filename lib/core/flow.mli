@@ -39,6 +39,10 @@ type config = {
   params : Fpga_arch.Params.t;
   seed : int;
   io_rat : int;
+      (** unread by the flow, which places at [params.io_rat], the pad
+          count the bitstream's fabric check sizes the array by.  Kept
+          only for perfbench's copy of the place stage; step 3 of the
+          ROADMAP's [benchmark] item deletes it. *)
   search_min_width : bool; (** search the minimum channel width *)
   route_width : int;       (** channel width when [search_min_width] is off *)
   timing_driven : bool;    (** VPR's path-timing-driven place & route,
@@ -160,7 +164,7 @@ val pack : config -> Obs.Registry.t -> Netlist.Logic.t -> Pack.Cluster.packing
 
 val place :
   config -> Obs.Registry.t -> Pack.Cluster.packing -> Place.Anneal.result
-(** VPR placement at [io_rat] pads per perimeter position:
+(** VPR placement at [params.io_rat] pads per perimeter position:
     {!Place.Anneal.run_multistart} over [place_starts] starts from
     [seed], pruned by [place_prune_margin]/[place_prune_interval], and
     path-timing-driven through the unified STA when [timing_driven].
@@ -190,6 +194,13 @@ val bitstream :
     and [bitstream.fabric-emulation]. *)
 
 (** {1 The integrated flow} *)
+
+val stage_time : Obs.Registry.snapshot -> float * float
+(** [(wall_s, cpu_s)] summed over the stage timers of a compile's
+    metrics: the undotted timer keys, one per {!stages} entry that ran
+    (a cache hit records none).  Dotted sub-timers are inside a stage
+    and are not added again.  [parallel.speedup] is the ratio of the
+    two, and the bench's stress table reports the wall sum. *)
 
 val run_vhdl : ?config:config -> ?obs:Obs.Registry.t -> string -> result
 (** The full flow from VHDL source text (possibly several entities; the

@@ -231,18 +231,16 @@ let test_arch_io_rat () =
          path "counter8.vhd"; "-d"; dir; "--arch"; path "io4.arch";
          "--no-cache"; "-j"; "1";
        ]);
-  let bit params io_rat =
+  let bit params =
     (Core.Flow.run_vhdl
-       ~config:
-         { Core.Flow.default_config with params; io_rat; jobs = Some 1 }
+       ~config:{ Core.Flow.default_config with params; jobs = Some 1 }
        vhdl)
       .Core.Flow.bitstream.Bitstream.Dagger.bytes
   in
   let cli = read (path "counter8.bit") in
-  Alcotest.(check bool) "bit = the flow's at io_rat 4" true
-    (cli = bit params 4);
+  Alcotest.(check bool) "bit = the flow's at io_rat 4" true (cli = bit params);
   Alcotest.(check bool) "bit differs from the default fabric's" true
-    (cli <> bit Fpga_arch.Params.amdrel 2)
+    (cli <> bit Fpga_arch.Params.amdrel)
 
 (* The paper's tools also run standalone, each reading the file the
    previous one wrote: counter8 through diviner, druid, e2fmt, sismap,

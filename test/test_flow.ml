@@ -14,7 +14,10 @@ let test_flow_counter () =
           (fun (e : R.entry) ->
             match e.R.value with R.Timer _ -> true | _ -> false)
           r.Core.Flow.metrics)
-    >= 10)
+    >= 10);
+  let wall, cpu = Core.Flow.stage_time r.Core.Flow.metrics in
+  Alcotest.(check bool) "parallel.speedup is the stage time's cpu/wall" true
+    (R.find r.Core.Flow.metrics "parallel.speedup" = Some (R.Gauge (cpu /. wall)))
 
 let test_flow_whole_suite () =
   List.iter
@@ -215,6 +218,125 @@ let test_flow_incremental_sta_equivalence () =
       ("alu8", Core.Bench_circuits.alu 8);
     ]
 
+(* The flow places on the fabric's own pads per perimeter position,
+   the count DAGGER's fabric check sizes the array by.  These designs
+   are pad-limited, so at [params.io_rat] 4 their array is smaller than
+   the default config's [io_rat] 2 would make it. *)
+let test_flow_params_io_rat () =
+  let params = { Fpga_arch.Params.amdrel with Fpga_arch.Params.io_rat = 4 } in
+  let config = { Core.Flow.default_config with Core.Flow.params } in
+  List.iter
+    (fun name ->
+      let r =
+        Core.Flow.run_vhdl ~config (List.assoc name Core.Bench_circuits.suite)
+      in
+      Alcotest.(check bool) (name ^ " verified and emulated") true
+        (r.Core.Flow.bitstream_verified && r.Core.Flow.fabric_verified))
+    [ "parity16"; "decoder4"; "gen_adder8" ]
+
+(* Every named design by its family generator: the suite (perfbench
+   reads its names and VHDL), the stress designs, and sizes only
+   [find] reaches. *)
+let catalog_designs =
+  let open Core.Bench_circuits in
+  [
+    ("counter8", counter 8);
+    ("counter16", counter 16);
+    ("shiftreg16", shift_register 16);
+    ("lfsr12", lfsr 12);
+    ("alu8", alu 8);
+    ("parity16", parity 16);
+    ("decoder4", decoder 4);
+    ("prienc8", priority_encoder 8);
+    ("mult4", multiplier 4);
+    ("gray8", gray_counter 8);
+    ("traffic", traffic_fsm);
+    ("accum12", accumulator 12);
+    ("datapath8", datapath 8);
+    ("pwm8", pwm 8);
+    ("gen_adder8", gen_adder 8);
+    ("alu16", alu 16);
+    ("mult8", multiplier 8);
+    ("counter32", counter 32);
+    ("accum24", accumulator 24);
+    ("mult12", multiplier 12);
+    ("alu32", alu 32);
+    ("mult16", multiplier 16);
+    ("mult24", multiplier 24);
+  ]
+
+let top_entity vhdl =
+  (Netlist.Vhdl_parser.of_string vhdl).Netlist.Vhdl_ast.entity
+    .Netlist.Vhdl_ast.entity_name
+
+let test_catalog_names () =
+  let module B = Core.Bench_circuits in
+  let names = List.map fst in
+  Alcotest.(check (list string)) "suite"
+    (List.filteri (fun i _ -> i < 15) (names catalog_designs))
+    (names B.suite);
+  Alcotest.(check (list string)) "quick suite"
+    [ "counter8"; "parity16"; "traffic" ] (names B.quick_suite);
+  Alcotest.(check (list string)) "stress"
+    [ "alu16"; "mult8"; "counter32"; "accum24"; "mult12" ] (names B.stress);
+  List.iter
+    (fun (name, vhdl) ->
+      Alcotest.(check string) (name ^ " listed VHDL")
+        (List.assoc name catalog_designs) vhdl)
+    (B.suite @ B.quick_suite @ B.stress);
+  List.iter
+    (fun (name, vhdl) ->
+      Alcotest.(check (option string)) (name ^ " found") (Some vhdl)
+        (B.find name);
+      Alcotest.(check string) (name ^ " top entity") name (top_entity vhdl))
+    catalog_designs;
+  (* each family's smallest and largest size *)
+  List.iter
+    (fun (family, largest) ->
+      List.iter
+        (fun n ->
+          let name = family ^ string_of_int n in
+          match B.find name with
+          | Some vhdl ->
+              Alcotest.(check string) (name ^ " top entity") name
+                (top_entity vhdl)
+          | None -> Alcotest.failf "%s not found" name)
+        [ 2; largest ])
+    [
+      ("counter", 64); ("shiftreg", 64); ("lfsr", 64); ("alu", 64);
+      ("parity", 64); ("decoder", 8); ("prienc", 64); ("mult", 64);
+      ("gray", 64); ("accum", 64); ("pwm", 64); ("datapath", 64);
+      ("gen_adder", 64);
+    ];
+  (* an unknown family, a missing, non-canonical or out-of-range size;
+     the decoder stops at 8, since its VHDL grows as 4^n *)
+  List.iter
+    (fun name ->
+      Alcotest.(check (option string)) (name ^ " unknown") None (B.find name))
+    [
+      "foo8"; "mult"; "mult012"; "mult+12"; "mult0"; "mult1"; "mult65";
+      "decoder9"; "decoder40"; "traffic8"; "";
+    ]
+
+(* The one multi-design runner skips a design that fails and keeps the
+   others in order. *)
+let test_run_suite_skips_failures () =
+  let named name = (name, List.assoc name Core.Bench_circuits.suite) in
+  Alcotest.(check (list string)) "the designs that compile, in order"
+    [ "counter8"; "parity16" ]
+    (List.map
+       (fun r -> r.Core.Flow.design)
+       (Core.Explore.run_suite
+          [ named "counter8"; ("broken", "entity broken"); named "parity16" ]))
+
+let test_timing_driven_comparison () =
+  Alcotest.(check (list string)) "one point per circuit"
+    [ "counter8"; "parity16"; "traffic" ]
+    (List.map
+       (fun p -> p.Core.Explore.circuit)
+       (Core.Explore.timing_driven_comparison
+          ~circuits:Core.Bench_circuits.quick_suite ()))
+
 let suite =
   [
     ("flow counter", `Quick, test_flow_counter);
@@ -236,4 +358,10 @@ let suite =
     ( "flow intra-route jobs identical (alu16)",
       `Slow,
       flow_intra_route_jobs_identical (Core.Bench_circuits.alu 16) );
+    ("flow places at params.io_rat", `Quick, test_flow_params_io_rat);
+    ("catalog names every design once", `Quick, test_catalog_names);
+    ("run_suite skips failures in order", `Quick, test_run_suite_skips_failures);
+    ( "timing-driven comparison over the quick suite",
+      `Quick,
+      test_timing_driven_comparison );
   ]
