@@ -317,12 +317,32 @@ let segments () =
 
 let stress () =
   hr "Stress: larger workloads through the complete flow";
-  print_endline
-    "(scaling check: hundreds of LUTs, 7x7-10x10 arrays, all verified)\n";
   Printf.printf "domains: %d (AMDREL_JOBS overrides)\n\n"
     (Util.Parallel.default_jobs ());
   let t0 = Unix.gettimeofday () in
   let results = Core.Explore.run_suite Core.Bench_circuits.stress in
+  let verified (r : Core.Flow.result) =
+    r.Core.Flow.bitstream_verified && r.Core.Flow.fabric_verified
+  in
+  (* the caption's ranges come from the table's own rows *)
+  let span f =
+    let xs = List.sort compare (List.map f results) in
+    (List.hd xs, List.hd (List.rev xs))
+  in
+  if results <> [] then begin
+    let lut_lo, lut_hi =
+      span (fun r -> r.Core.Flow.mapped_stats.Netlist.Logic.n_gates)
+    in
+    let (x0, y0), (x1, y1) =
+      span (fun r ->
+          (r.Core.Flow.grid.Fpga_arch.Grid.nx, r.Core.Flow.grid.Fpga_arch.Grid.ny))
+    in
+    let n_ok = List.length (List.filter verified results) in
+    Printf.printf "(scaling check: %d-%d LUTs, %dx%d-%dx%d arrays, %s)\n\n"
+      lut_lo lut_hi x0 y0 x1 y1
+      (if n_ok = List.length results then "all verified"
+       else Printf.sprintf "%d of %d verified" n_ok (List.length results))
+  end;
   Util.Tablefmt.print
     [ "circuit"; "LUTs"; "CLBs"; "grid"; "Wmin"; "rt iters"; "heap pops";
       "crit(ns)"; "P(mW)"; "verified"; "wall(s)" ]
@@ -342,8 +362,7 @@ let stress () =
            Util.Tablefmt.f2
              (r.Core.Flow.route_stats.Route.Router.critical_path_s *. 1e9);
            Util.Tablefmt.f2 (r.Core.Flow.power.Power.Model.total_w *. 1e3);
-           (if r.Core.Flow.bitstream_verified && r.Core.Flow.fabric_verified
-            then "yes" else "NO");
+           (if verified r then "yes" else "NO");
            (* the design's own stage timers, not a clock around the
               pool: that would charge each circuit for its neighbours *)
            Util.Tablefmt.f1 (fst (Core.Flow.stage_time r.Core.Flow.metrics));

@@ -61,16 +61,147 @@ type result = {
   iter_stats : iter_stat list; (* chronological, one per iteration *)
 }
 
+(* ---------- the wavefront heap ---------- *)
+
+(* Binary min-heap: float priorities, int payloads (RR node ids), in two
+   flat arrays.  Stale entries are the caller's business: decrease-key
+   is emulated by re-insertion, the standard trick for Dijkstra.  The
+   sift code fixes the order in which equal priorities pop, and the
+   routes depend on that order, so it is part of the determinism
+   contract (docs/ARCHITECTURE.md).
+
+   No priority crosses a call boxed: [push] is inlined into the
+   wavefront, [pop] returns the payload alone, and the wavefront reads
+   the minimum priority from [prio.(0)] itself.  The sifts index only
+   slots below [size], which [grow] keeps inside both arrays, so they
+   read and write unchecked. *)
+module Heap = struct
+  type t = {
+    mutable prio : float array;
+    mutable data : int array;
+    mutable size : int;
+  }
+
+  let create () = { prio = [||]; data = [||]; size = 0 }
+
+  let length h = h.size
+
+  let clear h = h.size <- 0
+
+  let grow h =
+    let cap = Array.length h.prio in
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let np = Array.make ncap 0.0 and nd = Array.make ncap 0 in
+    Array.blit h.prio 0 np 0 h.size;
+    Array.blit h.data 0 nd 0 h.size;
+    h.prio <- np;
+    h.data <- nd
+
+  (* The sifts take the arrays as arguments; the type annotations keep
+     their comparisons and accesses specialised to float and int (left
+     polymorphic, they box every priority they read). *)
+  let rec sift_up (prio : float array) (data : int array) i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if Array.unsafe_get prio i < Array.unsafe_get prio parent then begin
+        let p = Array.unsafe_get prio i and d = Array.unsafe_get data i in
+        Array.unsafe_set prio i (Array.unsafe_get prio parent);
+        Array.unsafe_set data i (Array.unsafe_get data parent);
+        Array.unsafe_set prio parent p;
+        Array.unsafe_set data parent d;
+        sift_up prio data parent
+      end
+    end
+
+  let[@inline] push h p x =
+    if h.size >= Array.length h.prio then grow h;
+    let i = h.size in
+    Array.unsafe_set h.prio i p;
+    Array.unsafe_set h.data i x;
+    h.size <- i + 1;
+    sift_up h.prio h.data i
+
+  let rec sift_down (prio : float array) (data : int array) size i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest =
+      if l < size && Array.unsafe_get prio l < Array.unsafe_get prio i then l
+      else i
+    in
+    let smallest =
+      if r < size && Array.unsafe_get prio r < Array.unsafe_get prio smallest
+      then r
+      else smallest
+    in
+    if smallest <> i then begin
+      let p = Array.unsafe_get prio i and d = Array.unsafe_get data i in
+      Array.unsafe_set prio i (Array.unsafe_get prio smallest);
+      Array.unsafe_set data i (Array.unsafe_get data smallest);
+      Array.unsafe_set prio smallest p;
+      Array.unsafe_set data smallest d;
+      sift_down prio data size smallest
+    end
+
+  let min_prio h =
+    if h.size = 0 then raise Not_found;
+    Array.unsafe_get h.prio 0
+
+  (* Remove the minimum-priority entry and return its payload. *)
+  let pop h =
+    if h.size = 0 then raise Not_found;
+    let x = Array.unsafe_get h.data 0 in
+    let size = h.size - 1 in
+    h.size <- size;
+    if size > 0 then begin
+      Array.unsafe_set h.prio 0 (Array.unsafe_get h.prio size);
+      Array.unsafe_set h.data 0 (Array.unsafe_get h.data size);
+      sift_down h.prio h.data size 0
+    end;
+    x
+end
+
 (* Per-[route] cost state.  [cap] and [base] are the graph's node
-   capacities and base costs, flattened once per call so the wavefront
-   reads arrays instead of node records. *)
+   capacities and base costs, flattened once per call.  [cong.(v)] is
+   the cost of entering node v, cached: [set_cong] rewrites it whenever
+   v's occupancy changes, and [set_all_cong] whenever the history or
+   [pres_fac] does, so the wavefront reads one array per relaxed edge
+   and gets the value the expression gives at that moment. *)
 type state = {
   occ : int array;
   history : float array;
   mutable pres_fac : float;
   cap : int array;
   base : float array;
+  cong : float array;
 }
+
+(* base x (1 + history) x present, where [present] penalises the
+   overuse one more occupant would cause.  The expression and its
+   operand order are part of the determinism contract. *)
+let set_cong st v =
+  let over = st.occ.(v) + 1 - st.cap.(v) in
+  let present =
+    if over > 0 then 1.0 +. (float_of_int over *. st.pres_fac) else 1.0
+  in
+  st.cong.(v) <- st.base.(v) *. (1.0 +. st.history.(v)) *. present
+
+let set_all_cong st =
+  for v = 0 to Array.length st.cong - 1 do
+    set_cong st v
+  done
+
+let occupy st nodes =
+  List.iter
+    (fun nd ->
+      st.occ.(nd) <- st.occ.(nd) + 1;
+      set_cong st nd)
+    nodes
+
+let release st nodes =
+  List.iter
+    (fun nd ->
+      st.occ.(nd) <- st.occ.(nd) - 1;
+      set_cong st nd)
+    nodes
 
 (* Scratch buffers shared across nets and iterations within one [route]
    call.  [dist]/[prev]/[la] are validated by a generation stamp instead
@@ -85,7 +216,7 @@ type scratch = {
   mutable epoch : int;
   in_tree : bool array;
   is_sink : bool array;
-  heap : Util.Pqueue.t;
+  heap : Heap.t;
   mutable pops : int;        (* heap pops since last reset (observability) *)
 }
 
@@ -98,7 +229,7 @@ let make_scratch n =
     epoch = 0;
     in_tree = Array.make n false;
     is_sink = Array.make n false;
-    heap = Util.Pqueue.create ();
+    heap = Heap.create ();
     pops = 0;
   }
 
@@ -132,22 +263,23 @@ let gap lo1 hi1 lo2 hi2 =
    restricts the search to nodes intersecting the rectangle (VPR's
    bounding-box routing).
 
-   The cost of entering node v is base x (1 + history) x present, where
-   [present] penalises the overuse one more occupant would cause.  With
-   [node_delay] and [crit] > 0 it is the timing-driven blend (the VPR
-   router's cost): crit x delay / delay_norm + (1 - crit) x congestion,
-   where [delay_norm] (the largest per-node delay of the graph) scales
-   the delay term into [0,1] so the blend is architecture-independent.
-   The float expressions, the heap's tie order and the adjacency order
-   together fix the routes (docs/ARCHITECTURE.md). *)
+   The cost of entering node v is its cached congestion cost
+   [st.cong.(v)] ([set_cong]).  With [node_delay] and [crit] > 0 it is
+   the timing-driven blend (the VPR router's cost): crit x delay /
+   delay_norm + (1 - crit) x congestion, where [delay_norm] (the largest
+   per-node delay of the graph) scales the delay term into [0,1] so the
+   blend is architecture-independent.  The float expressions, the heap's
+   tie order and the adjacency order together fix the routes
+   (docs/ARCHITECTURE.md).
+
+   The relaxation loop reads unchecked: [route] has checked every id the
+   wavefront can reach ([check_graph]), and the scratch arrays hold at
+   least one slot per node. *)
 let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     ~astar_fac ~crit ~source ~sinks () =
   let xlo = g.Rrgraph.xlo and xhi = g.Rrgraph.xhi in
   let ylo = g.Rrgraph.ylo and yhi = g.Rrgraph.yhi in
-  let edges = g.Rrgraph.edges in
-  let occ = st.occ and history = st.history in
-  let cap = st.cap and base = st.base in
-  let pres_fac = st.pres_fac in
+  let edges = g.Rrgraph.edges and cong = st.cong in
   let timing, delays =
     match node_delay with
     | Some d when crit > 0.0 -> (true, d)
@@ -197,14 +329,14 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
     end
   in
   let set_lookahead v =
-    let x0 = xlo.(v) and x1 = xhi.(v) in
-    let y0 = ylo.(v) and y1 = yhi.(v) in
+    let x0 = Array.unsafe_get xlo v and x1 = Array.unsafe_get xhi v in
+    let y0 = Array.unsafe_get ylo v and y1 = Array.unsafe_get yhi v in
     let m = ref max_int in
     for k = 0 to !n_targets - 1 do
       let d = gap x0 x1 tx0.(k) tx1.(k) + gap y0 y1 ty0.(k) ty1.(k) in
       if d < !m then m := d
     done;
-    la.(v) <- astar_fac *. float_of_int !m
+    Array.unsafe_set la v (astar_fac *. float_of_int !m)
   in
   (try
      while !remaining <> [] do
@@ -212,57 +344,54 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
        aim !remaining;
        sc.epoch <- sc.epoch + 1;
        let epoch = sc.epoch in
-       Util.Pqueue.clear heap;
+       Heap.clear heap;
        List.iter
          (fun t ->
            stamp.(t) <- epoch;
            dist.(t) <- 0.0;
            prev.(t) <- -1;
            set_lookahead t;
-           Util.Pqueue.push heap la.(t) t)
+           Heap.push heap la.(t) t)
          !tree_nodes;
        let target = ref (-1) in
        (try
-          while not (Util.Pqueue.is_empty heap) do
-            let f = Util.Pqueue.min_prio heap in
-            let u = Util.Pqueue.pop heap in
+          while Heap.length heap > 0 do
+            let f = Array.unsafe_get heap.Heap.prio 0 in
+            let u = Heap.pop heap in
             sc.pops <- sc.pops + 1;
             (* stale-entry check: the pushed key was dist + lookahead *)
-            let du = dist.(u) in
-            if f <= du +. la.(u) then begin
-              if sc.is_sink.(u) then begin
+            let du = Array.unsafe_get dist u in
+            if f <= du +. Array.unsafe_get la u then begin
+              if Array.unsafe_get sc.is_sink u then begin
                 target := u;
                 raise Exit
               end;
-              let succ = edges.(u) in
+              let succ = Array.unsafe_get edges u in
               for i = 0 to Array.length succ - 1 do
-                let v = succ.(i) in
+                let v = Array.unsafe_get succ i in
                 if
-                  xhi.(v) >= bx0 && xlo.(v) <= bx1 && yhi.(v) >= by0
-                  && ylo.(v) <= by1
+                  Array.unsafe_get xhi v >= bx0
+                  && Array.unsafe_get xlo v <= bx1
+                  && Array.unsafe_get yhi v >= by0
+                  && Array.unsafe_get ylo v <= by1
                 then begin
-                  let over = occ.(v) + 1 - cap.(v) in
-                  let present =
-                    if over > 0 then 1.0 +. (float_of_int over *. pres_fac)
-                    else 1.0
-                  in
-                  let cong = base.(v) *. (1.0 +. history.(v)) *. present in
                   let c =
                     if timing then
-                      (crit *. delays.(v) /. delay_norm)
-                      +. ((1.0 -. crit) *. cong)
-                    else cong
+                      (crit *. Array.unsafe_get delays v /. delay_norm)
+                      +. ((1.0 -. crit) *. Array.unsafe_get cong v)
+                    else Array.unsafe_get cong v
                   in
                   let nd = du +. c in
-                  let fresh = stamp.(v) <> epoch in
-                  if nd < (if fresh then infinity else dist.(v)) then begin
+                  let fresh = Array.unsafe_get stamp v <> epoch in
+                  if nd < (if fresh then infinity else Array.unsafe_get dist v)
+                  then begin
                     if fresh then begin
-                      stamp.(v) <- epoch;
+                      Array.unsafe_set stamp v epoch;
                       set_lookahead v
                     end;
-                    dist.(v) <- nd;
-                    prev.(v) <- u;
-                    Util.Pqueue.push heap (nd +. la.(v)) v
+                    Array.unsafe_set dist v nd;
+                    Array.unsafe_set prev v u;
+                    Heap.push heap (nd +. Array.unsafe_get la v) v
                   end
                 end
               done
@@ -286,10 +415,6 @@ let route_net (g : Rrgraph.t) st sc ?node_delay ?bounds ~delay_norm
    with e -> cleanup (); raise e);
   cleanup ();
   (List.sort_uniq compare !tree_nodes, !tree_parents)
-
-let occupy st nodes = List.iter (fun nd -> st.occ.(nd) <- st.occ.(nd) + 1) nodes
-
-let release st nodes = List.iter (fun nd -> st.occ.(nd) <- st.occ.(nd) - 1) nodes
 
 (* ---------- net-parallel batches ---------- *)
 
@@ -367,8 +492,36 @@ let predicts_failure ~max_iterations over_hist =
       slope >= 0.0 || -.intercept /. slope > float_of_int max_iterations
   | _ -> false
 
+(* The wavefront reads the graph unchecked, so [route] checks once, up
+   front, that every id it can reach is a node: each successor and each
+   net's source and sinks lies in [0, n), and every per-node array has n
+   entries.  amdreld compiles untrusted input: a malformed graph fails
+   here with [Invalid_argument] and never reads out of bounds. *)
+let check_graph (g : Rrgraph.t) nets node_delay =
+  let n = Rrgraph.node_count g in
+  let fail fmt = Printf.ksprintf invalid_arg ("Pathfinder.route: " ^^ fmt) in
+  let per_node what len =
+    if len <> n then fail "%s has %d entries for %d nodes" what len n
+  in
+  let node what v =
+    if v < 0 || v >= n then fail "%s %d is not a node id (%d nodes)" what v n
+  in
+  per_node "edges" (Array.length g.Rrgraph.edges);
+  per_node "xlo" (Array.length g.Rrgraph.xlo);
+  per_node "xhi" (Array.length g.Rrgraph.xhi);
+  per_node "ylo" (Array.length g.Rrgraph.ylo);
+  per_node "yhi" (Array.length g.Rrgraph.yhi);
+  Option.iter (fun d -> per_node "node_delay" (Array.length d)) node_delay;
+  Array.iter (Array.iter (node "successor")) g.Rrgraph.edges;
+  Array.iter
+    (fun spec ->
+      node "source" spec.source;
+      List.iter (node "sink") spec.sinks)
+    nets
+
 let route ?(max_iterations = 30) ?jobs ?obs
     ?node_delay (g : Rrgraph.t) (nets : net_spec array) =
+  check_graph g nets node_delay;
   let jobs = Util.Parallel.resolve_jobs ?jobs () in
   (* telemetry: histogram samples go to the caller's registry (if any);
      both sites below run on the calling domain, and the sample set is
@@ -384,8 +537,10 @@ let route ?(max_iterations = 30) ?jobs ?obs
       pres_fac = pres_fac0;
       cap = Array.map (fun nd -> nd.Rrgraph.capacity) g.Rrgraph.nodes;
       base = Array.map (fun nd -> nd.Rrgraph.base_cost) g.Rrgraph.nodes;
+      cong = Array.make n 0.0;
     }
   in
+  set_all_cong st;
   let delay_norm =
     match node_delay with
     | Some delays ->
@@ -620,7 +775,8 @@ let route ?(max_iterations = 30) ?jobs ?obs
           if o > 0 then
             st.history.(i) <- st.history.(i) +. (acc_fac *. float_of_int o))
         st.occ;
-      st.pres_fac <- st.pres_fac *. pres_mult
+      st.pres_fac <- st.pres_fac *. pres_mult;
+      set_all_cong st
     end
   done;
   {

@@ -65,6 +65,11 @@ val route :
     ["route.iter-overuse"] (per iteration) histograms; one
     ["route.iteration"] span (with a ["route.batch"] child per batch) is
     emitted into the ambient {!Obs.Span} trace per iteration.
+    Before any search, one O(nodes + edges) check refuses a malformed
+    graph: every successor and every net's source and sinks must be a
+    node id, and [node_delay] and the graph's per-node arrays must have
+    one entry per node.
+    @raise Invalid_argument if that check fails; nothing is routed.
     @raise Not_found if some sink is unreachable in the graph. *)
 
 val predicts_failure : max_iterations:int -> int list -> bool
@@ -92,6 +97,29 @@ val partition_batches :
     order, and concatenating the batches' ids sorted ascending recovers
     the input's ids; fully-overlapping input degrades to singleton
     batches. *)
+
+(** The wavefront's binary min-heap: float priorities, int payloads (RR
+    node ids).  Exposed for its property tests; {!route} is its only
+    user.  Equal priorities pop in the order its sift code fixes, and
+    the routes depend on that order (docs/ARCHITECTURE.md). *)
+module Heap : sig
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  val clear : t -> unit
+  (** Empty the heap in O(1), keeping its arrays. *)
+
+  val push : t -> float -> int -> unit
+
+  val min_prio : t -> float
+  (** The least priority.  @raise Not_found if the heap is empty. *)
+
+  val pop : t -> int
+  (** Remove the entry {!min_prio} reads and return its payload.
+      @raise Not_found if the heap is empty. *)
+end
 
 val no_overuse : result -> bool
 (** Independent capacity re-check (used by tests). *)

@@ -471,14 +471,47 @@ let test_multistart_single_is_run () =
     (single.Place.Anneal.placement.Place.Placement.loc
     = multi.Place.Anneal.placement.Place.Placement.loc)
 
+(* The wavefront reads the graph unchecked, so [Pathfinder.route] checks
+   every id it can reach before it searches: a successor or a sink that
+   is not a node, or a delay table of the wrong length, is refused with
+   the check's own [Invalid_argument], not an out-of-bounds read (nor the
+   runtime's "index out of bounds", which would mean the search ran). *)
+let test_malformed_graph_refused () =
+  let problem, placement = place_random 13 in
+  let g =
+    Route.Rrgraph.build Fpga_arch.Params.amdrel problem.Place.Problem.grid
+      placement ~width:6
+  in
+  let nets = Route.Router.net_terminals g problem in
+  let n = Route.Rrgraph.node_count g in
+  let refused what ?node_delay g nets =
+    match Route.Pathfinder.route ~jobs:1 ?node_delay g nets with
+    | _ -> Alcotest.failf "%s: routed" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: refused up front (%s)" what msg)
+          true
+          (String.starts_with ~prefix:"Pathfinder.route:" msg)
+  in
+  let edges = Array.map Array.copy g.Route.Rrgraph.edges in
+  let u = nets.(0).Route.Pathfinder.source in
+  edges.(u).(0) <- n;
+  refused "successor = node count" { g with Route.Rrgraph.edges } nets;
+  let bad = Array.copy nets in
+  bad.(Array.length bad - 1) <-
+    { (bad.(Array.length bad - 1)) with Route.Pathfinder.sinks = [ n + 7 ] };
+  refused "sink out of range" g bad;
+  refused "short node_delay" ~node_delay:(Array.make (n - 1) 1.0) g nets
+
 (* Route identity pin.  The golden timing fixtures pin delays only, and a
    tie-break or float-order change in the router (the heap's tie order,
    the adjacency order, the cost expression: the determinism contract in
    docs/ARCHITECTURE.md) can move routes while every delay stays equal.
    So one uniform-fabric and one mixed-segment design pin, at seed 1 and
-   one job: Wmin, the width-probe outcomes (width -> routable), the final
-   routing's heap pops, iterations and rerouted nets, and the MD5 of the
-   bitstream bytes.  The mixed-segment design also runs timing-driven,
+   one job: Wmin, the width-probe outcomes (width -> routable), the
+   probes' own PathFinder iterations and heap pops (most of a width
+   search's work), the final routing's heap pops, iterations and
+   rerouted nets, and the MD5 of the bitstream bytes.  The mixed-segment design also runs timing-driven,
    whose final routing uses the criticality-blended cost.  The values
    were recorded before the heap, the PathFinder kernel and the graph
    build were rewritten for speed, which had to reproduce them. *)
@@ -493,8 +526,8 @@ let mixed_fabric () =
 let test_route_identity_pin () =
   let mixed = mixed_fabric () in
   List.iter
-    (fun ( name, params, timing_driven, vhdl, wmin, probes, pops, iterations,
-           rerouted, md5 ) ->
+    (fun ( name, params, timing_driven, vhdl, wmin, probes, probe_iterations,
+           probe_pops, pops, iterations, rerouted, md5 ) ->
       let config =
         {
           Core.Flow.default_config with
@@ -518,6 +551,17 @@ let test_route_identity_pin () =
         again.Route.Router.min_width;
       Alcotest.(check (list (pair int bool))) (name ^ " width probes") probes
         (List.sort compare (List.of_seq (Hashtbl.to_seq table)));
+      (* the probe gauges are volatile (the probe set grows with a pool),
+         exact at one job *)
+      List.iter
+        (fun (key, want) ->
+          Alcotest.(check bool) (name ^ " " ^ key) true
+            (Obs.Registry.find r.Core.Flow.metrics key
+            = Some (Obs.Registry.Gauge (float_of_int want))))
+        [
+          ("route.probe-iterations", probe_iterations);
+          ("route.probe-heap-pops", probe_pops);
+        ];
       Alcotest.(check int) (name ^ " heap pops") pops rs.Route.Router.heap_pops;
       Alcotest.(check int) (name ^ " iterations") iterations
         rs.Route.Router.router_iterations;
@@ -529,14 +573,14 @@ let test_route_identity_pin () =
     [
       ( "alu16 uniform", Fpga_arch.Params.amdrel, false,
         Core.Bench_circuits.alu 16,
-        6, [ (5, false); (6, true) ],
+        6, [ (5, false); (6, true) ], 62, 474829,
         41307, 8, 234, "4fbd9c41f64837894d434941cc8a8c3d" );
       ( "mult8 2xL1+1xL2+1xL4", mixed, false, Core.Bench_circuits.multiplier 8,
-        10, [ (8, false); (9, false); (10, true) ],
+        10, [ (8, false); (9, false); (10, true) ], 50, 543070,
         44676, 6, 255, "4cffe70810e5fa1cb78dc16fbab561af" );
       ( "mult8 2xL1+1xL2+1xL4 timing-driven", mixed, true,
         Core.Bench_circuits.multiplier 8,
-        9, [ (7, false); (8, false); (9, true) ],
+        9, [ (7, false); (8, false); (9, true) ], 44, 485905,
         48149, 14, 608, "37cace08d61b229ee57b02a58b4a88d9" );
     ]
 
@@ -627,6 +671,8 @@ let suite =
       test_failure_predictor_histories;
     Alcotest.test_case "failing widths stop early" `Quick
       test_failing_widths_stop_early;
+    Alcotest.test_case "malformed graph refused before the search" `Quick
+      test_malformed_graph_refused;
     QCheck_alcotest.to_alcotest prop_routed_trees_valid;
     QCheck_alcotest.to_alcotest prop_width_search_edge;
     QCheck_alcotest.to_alcotest prop_partition_exactly_once;

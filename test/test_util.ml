@@ -1,4 +1,5 @@
-(* Tests for the shared infrastructure library. *)
+(* Tests for the shared infrastructure library and the router's priority
+   queue. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -77,41 +78,48 @@ let test_prng_shuffle_is_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 (fun i -> i)) sorted
 
-(* ---------- Pqueue ---------- *)
+(* ---------- Pqueue: the router's wavefront heap ---------- *)
+
+(* The priority queue lives in the router, its only user
+   ([Route.Pathfinder.Heap]), so these properties run the sift code the
+   wavefront runs. *)
+module Heap = Route.Pathfinder.Heap
+
+let is_empty q = Heap.length q = 0
 
 (* Pop the minimum entry as a (priority, payload) pair. *)
 let pqueue_pop q =
-  let p = Util.Pqueue.min_prio q in
-  (p, Util.Pqueue.pop q)
+  let p = Heap.min_prio q in
+  (p, Heap.pop q)
 
 let pqueue_drain_prios q =
   let rec drain acc =
-    if Util.Pqueue.is_empty q then List.rev acc
+    if is_empty q then List.rev acc
     else drain (fst (pqueue_pop q) :: acc)
   in
   drain []
 
 let test_pqueue_ordering () =
-  let q = Util.Pqueue.create () in
-  List.iter (fun p -> Util.Pqueue.push q p (int_of_float p))
+  let q = Heap.create () in
+  List.iter (fun p -> Heap.push q p (int_of_float p))
     [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = List.init 5 (fun _ -> Util.Pqueue.pop q) in
+  let order = List.init 5 (fun _ -> Heap.pop q) in
   Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 4; 5 ] order
 
 let test_pqueue_empty () =
-  let q = Util.Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Util.Pqueue.is_empty q);
+  let q = Heap.create () in
+  Alcotest.(check bool) "empty" true (is_empty q);
   Alcotest.check_raises "pop empty" Not_found (fun () ->
-      ignore (Util.Pqueue.pop q));
+      ignore (Heap.pop q));
   Alcotest.check_raises "min_prio empty" Not_found (fun () ->
-      ignore (Util.Pqueue.min_prio q))
+      ignore (Heap.min_prio q))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~count:100 ~name:"Pqueue: pops come out sorted"
     QCheck.(list (float_bound_exclusive 1000.0))
     (fun floats ->
-      let q = Util.Pqueue.create () in
-      List.iteri (fun i p -> Util.Pqueue.push q p i) floats;
+      let q = Heap.create () in
+      List.iteri (fun i p -> Heap.push q p i) floats;
       pqueue_drain_prios q = List.sort compare floats)
 
 (* Interleaved push/pop/peek against a sorted-multiset model: pops come
@@ -123,7 +131,7 @@ let prop_pqueue_interleaved =
   QCheck.Test.make ~count:200 ~name:"Pqueue: interleaved ops match model"
     QCheck.(list (option (float_bound_exclusive 1000.0)))
     (fun ops ->
-      let q = Util.Pqueue.create () in
+      let q = Heap.create () in
       let model = ref [] in
       let prio_of = Hashtbl.create 16 in
       let next = ref 0 in
@@ -131,25 +139,25 @@ let prop_pqueue_interleaved =
         (fun op ->
           match op with
           | Some p ->
-              Util.Pqueue.push q p !next;
+              Heap.push q p !next;
               Hashtbl.replace prio_of !next p;
               incr next;
               model := List.sort compare (p :: !model);
-              Util.Pqueue.length q = List.length !model
-              && Util.Pqueue.min_prio q = List.hd !model
+              Heap.length q = List.length !model
+              && Heap.min_prio q = List.hd !model
           | None -> (
               match !model with
               | [] -> (
-                  match Util.Pqueue.pop q with
+                  match Heap.pop q with
                   | _ -> false
-                  | exception Not_found -> Util.Pqueue.is_empty q)
+                  | exception Not_found -> is_empty q)
               | m :: rest ->
                   let p, x = pqueue_pop q in
                   model := rest;
                   let paired = Hashtbl.find_opt prio_of x = Some p in
                   Hashtbl.remove prio_of x;
                   p = m && paired
-                  && Util.Pqueue.length q = List.length rest))
+                  && Heap.length q = List.length rest))
         ops)
 
 (* [clear] really empties: the queue drains as if freshly created. *)
@@ -158,21 +166,21 @@ let prop_pqueue_clear =
     QCheck.(pair (list (float_bound_exclusive 100.0))
               (list (float_bound_exclusive 100.0)))
     (fun (first, second) ->
-      let q = Util.Pqueue.create () in
-      List.iteri (fun i p -> Util.Pqueue.push q p i) first;
-      Util.Pqueue.clear q;
-      Util.Pqueue.is_empty q
-      && Util.Pqueue.length q = 0
+      let q = Heap.create () in
+      List.iteri (fun i p -> Heap.push q p i) first;
+      Heap.clear q;
+      is_empty q
+      && Heap.length q = 0
       && begin
-           List.iteri (fun i p -> Util.Pqueue.push q p i) second;
+           List.iteri (fun i p -> Heap.push q p i) second;
            pqueue_drain_prios q = List.sort compare second
          end)
 
 (* Reference heap: the polymorphic, option-backed queue the router used
-   before the queue was specialised to int payloads, kept verbatim in
-   its sift logic.  Equal priorities pop in an order fixed by that
-   logic, and routes depend on it, so the specialised queue must
-   reproduce it exactly. *)
+   before the queue was specialised to int payloads and moved into the
+   router, kept verbatim in its sift logic.  Equal priorities pop in an
+   order fixed by that logic, and routes depend on it, so the router's
+   heap must reproduce it exactly. *)
 module Ref_heap = struct
   type 'a t = {
     mutable prio : float array;
@@ -252,19 +260,19 @@ let prop_pqueue_ties_match_reference =
     ~name:"Pqueue: equal priorities pop in reference order"
     QCheck.(list (option (int_bound 2)))
     (fun ops ->
-      let q = Util.Pqueue.create () and r = Ref_heap.create () in
+      let q = Heap.create () and r = Ref_heap.create () in
       let next = ref 0 in
       let run ops =
         List.for_all
           (function
             | Some k ->
                 let p = float_of_int k in
-                Util.Pqueue.push q p !next;
+                Heap.push q p !next;
                 Ref_heap.push r p !next;
                 incr next;
                 true
             | None ->
-                if Util.Pqueue.is_empty q then r.Ref_heap.size = 0
+                if is_empty q then r.Ref_heap.size = 0
                 else pqueue_pop q = Ref_heap.pop r)
           ops
       in
@@ -273,7 +281,7 @@ let prop_pqueue_ties_match_reference =
       let second = List.filteri (fun i _ -> i >= half) ops in
       run first
       && begin
-           Util.Pqueue.clear q;
+           Heap.clear q;
            Ref_heap.clear r;
            run (second @ List.init (List.length second) (fun _ -> None))
          end)
