@@ -239,32 +239,22 @@ let compile_remote client ~retries ~on_event submit source =
             (Option.value (str "error") ~default:"unknown error"))
 
 (* Run [loop] with a compile function that submits each source to the
-   daemon over one connection.  The event stream goes raw to --events
-   FILE and, on a terminal, into the status line. *)
-let with_remote socket ~retries ~events_file submit loop =
-  let events_oc = Option.map open_out events_file in
+   daemon over one connection.  Each event record goes, as received, to
+   [keep] and, on a terminal, into the status line. *)
+let with_remote socket ~retries ~keep submit loop =
   let tty = Unix.isatty Unix.stderr in
   let on_event design ev =
-    Option.iter (fun oc -> output_string oc (E.to_string ev ^ "\n")) events_oc;
+    keep ev;
     if tty then render_event design ev
   in
-  let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Option.iter close_out events_oc)
-      (fun () ->
-        let client = Service.Client.connect_retry ~retries socket in
-        Fun.protect
-          ~finally:(fun () -> Service.Client.close client)
-          (fun () ->
-            loop (fun source ->
-                let o =
-                  compile_remote client ~retries ~on_event submit source
-                in
-                if tty then clear_status ();
-                o)))
-  in
-  Option.iter (Printf.printf "events -> %s\n") events_file;
-  outcomes
+  let client = Service.Client.connect_retry ~retries socket in
+  Fun.protect
+    ~finally:(fun () -> Service.Client.close client)
+    (fun () ->
+      loop (fun source ->
+          let o = compile_remote client ~retries ~on_event submit source in
+          if tty then clear_status ();
+          o))
 
 (* ---------- entry: one loop for every mode ---------- *)
 
@@ -274,6 +264,34 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
     failwith
       "--arch works only for local compiles (amdreld has no --arch option \
        and compiles for its own fabric); drop --remote or --arch";
+  let ignored flag mode why =
+    Printf.eprintf "amdrel_flow: %s is ignored with %s (%s)\n%!" flag mode why
+  in
+  if remote <> None && ledger <> None then
+    ignored "--ledger" "--remote"
+      "the run stamp needs the daemon's params and jobs; compile locally";
+  let drop flag why file =
+    if file <> None then ignored flag "--batch" why;
+    None
+  in
+  (* a local batch compiles in pool workers, which have no ambient sink,
+     so it has no events to capture; a trace draws one design's stream *)
+  let events_file =
+    if batch && remote = None then
+      drop "--events"
+        "pool workers emit no events; compile one design to capture its \
+         stream"
+        events_file
+    else events_file
+  in
+  let trace_file =
+    if batch then
+      drop "--trace"
+        "a trace draws one design's events; compile one design to trace"
+        trace_file
+    else trace_file
+  in
+  let capture = events_file <> None || trace_file <> None in
   (* The output-affecting flags, as the daemon receives them; a local
      run maps the same record onto its flow config
      (Service.Protocol.flow_config), so the two modes cannot drift.  A
@@ -288,32 +306,9 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
            route_width = fixed_width;
            timing_report;
            period_ns;
-           progress = events_file <> None || Unix.isatty Unix.stderr;
+           progress = capture || Unix.isatty Unix.stderr;
          })
   in
-  let ignored flag mode why =
-    Printf.eprintf "amdrel_flow: %s is ignored with %s (%s)\n%!" flag mode why
-  in
-  (match remote with
-  | Some _ ->
-      if ledger <> None then
-        ignored "--ledger" "--remote"
-          "the run stamp needs the daemon's params and jobs; compile locally";
-      if trace_file <> None then
-        ignored "--trace" "--remote"
-          "the spans are recorded in the daemon's process; compile locally \
-           to trace"
-  | None when batch ->
-      (* pool workers have no ambient trace or sink, so the files would
-         depend on --jobs *)
-      if trace_file <> None then
-        ignored "--trace" "--batch"
-          "pool workers record no spans; compile one design to trace";
-      if events_file <> None then
-        ignored "--events" "--batch"
-          "pool workers emit no events; compile one design to capture its \
-           stream"
-  | None -> ());
   if remote = None then Option.iter Util.Fs.mkdir_p ledger;
   Util.Fs.mkdir_p outdir;
   let sources = if batch then Service.Manifest.read input else [ input ] in
@@ -335,29 +330,19 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
         }
       submit
   in
-  (* a local single design compiles under the --trace and --events
-     collectors, if any *)
-  let collector create file =
-    if remote = None && not batch then
-      Option.map (fun path -> (path, create ())) file
-    else None
-  in
-  let trace = collector Obs.Span.create trace_file in
-  let events = collector (fun () -> ref []) events_file in
-  let under c with_ f () =
-    match c with Some (_, x) -> with_ x f | None -> f ()
-  in
-  let keep got f =
-    let o, evs = Obs.Events.collect f in
-    got := !got @ evs;
-    o
-  in
+  (* one collector serves --events and --trace: the progress records of
+     every design, newest first *)
+  let records = ref [] in
+  let keep ev = if capture then records := ev :: !records in
   let ledger_suite = Option.map (fun _ -> suite) ledger in
   let local source =
-    under events keep
-      (under trace Obs.Span.with_trace (fun () ->
-           compile_local config timing_report ledger_suite source))
-      ()
+    let compile () = compile_local config timing_report ledger_suite source in
+    if capture then begin
+      let o, evs = Obs.Events.collect compile in
+      List.iter (fun ev -> keep (Obs.Events.to_json ev)) evs;
+      o
+    end
+    else compile ()
   in
   let show o =
     match o.result with
@@ -397,22 +382,28 @@ let run input outdir seed fixed_width jobs timing_report period_ns trace_file
   let w0 = Unix.gettimeofday () in
   let outcomes =
     match remote with
-    | Some socket -> with_remote socket ~retries ~events_file submit loop
+    | Some socket -> with_remote socket ~retries ~keep submit loop
     | None -> loop local
   in
   let wall = Unix.gettimeofday () -. w0 in
-  Option.iter
-    (fun (path, tr) ->
-      Tool_common.write_file path (Obs.Span.to_chrome_string tr ^ "\n");
-      Printf.printf "trace -> %s (chrome://tracing / Perfetto)\n" path)
-    trace;
-  Option.iter
-    (fun (path, got) ->
-      let events = List.map Obs.Events.to_json !got in
+  let records = List.rev !records in
+  (* a trace is of one design: --batch dropped the flag *)
+  (match (trace_file, outcomes) with
+  | Some path, [ o ] ->
+      let design =
+        Option.value ~default:(name_of o.source)
+          (Option.bind (J.member "design" o.record) J.get_string)
+      in
       Tool_common.write_file path
-        (String.concat "" (List.map (fun ev -> E.to_string ev ^ "\n") events));
-      Printf.printf "events -> %s (%d records)\n" path (List.length events))
-    events;
+        (E.to_string (Obs.Events.to_chrome ~design records) ^ "\n");
+      Printf.printf "trace -> %s (chrome://tracing / Perfetto)\n" path
+  | _ -> ());
+  Option.iter
+    (fun path ->
+      Tool_common.write_file path
+        (String.concat "" (List.map (fun ev -> E.to_string ev ^ "\n") records));
+      Printf.printf "events -> %s (%d records)\n" path (List.length records))
+    events_file;
   (* ledger lines append after the compiles, in input order, so the
      file order is deterministic at any jobs value *)
   (match (ledger, List.filter_map (fun o -> o.lrec) outcomes) with
@@ -505,11 +496,14 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Write a Chrome trace-event JSON file of the run (nested spans \
-           for every flow stage, PathFinder iteration and batch, annealer \
-           temperature step and STA level sweep; cached stages run no \
-           code and are absent), loadable in chrome://tracing or \
-           Perfetto.  Ignored with $(b,--batch) or $(b,--remote).")
+          "Write a Chrome trace-event JSON file of the design's run, drawn \
+           from the progress events $(b,--events) captures: a span per \
+           flow stage that ran, per PathFinder iteration of the final \
+           routing and per annealer temperature step, and an instant per \
+           cache lookup (a cached stage runs no code and has no span); \
+           loadable in chrome://tracing or Perfetto.  With $(b,--remote), \
+           drawn from the daemon's progress stream.  Ignored with \
+           $(b,--batch).")
 
 let batch_arg =
   Arg.(
@@ -573,10 +567,11 @@ let events_arg =
     & info [ "events" ] ~docv:"FILE"
         ~doc:
           "Persist the raw progress-event stream as newline-delimited \
-           JSON: with $(b,--remote) the daemon's framed records exactly \
-           as received (schema in docs/OBSERVABILITY.md); in local \
-           single-design mode the flow's own event stream (drained at \
-           the end of the run).  Ignored with $(b,--batch).")
+           JSON, written at the end of the run: with $(b,--remote) the \
+           daemon's framed records exactly as received, every design's \
+           in turn (schema in docs/OBSERVABILITY.md); in local \
+           single-design mode the flow's own event stream.  Ignored with \
+           a local $(b,--batch).")
 
 let retry_arg =
   Arg.(

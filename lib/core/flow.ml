@@ -13,18 +13,19 @@
    and each stage's work is one exported function of the config, the
    registry and the stage's input artifact.  [run_stage] wraps it and is
    the only place a stage is instrumented: its name is the cache-key
-   prefix, the registry timer, the trace span, the
-   [stage-begin]/[stage-end]/[cache] event stage and the [Flow_error]
-   tag.  A tool inside a multi-tool stage records one sub-timer,
-   [<stage>.<tool>], and nothing else.  With [config.cache_dir] set a
-   stage is looked up in a content-addressed store (lib/cache) first.  A
-   stage's key is the digest of (stage name, code-version tag, content
-   hash of its input artifact, the config fields that influence its
-   output) — so a warm re-run of an unchanged design returns every
-   artifact from the store byte-identically, and an edited source re-runs
-   only the stages whose inputs actually changed (hashing the real input
-   artifact, not the upstream key, gives early cutoff: a source edit that
-   synthesises to the same netlist stops re-running at synth).  The full
+   prefix, the registry timer, the [stage-begin]/[stage-end]/[cache]
+   event stage (and so the stage's span in a [--trace] file) and the
+   [Flow_error] tag.  A tool inside a multi-tool stage records one
+   sub-timer, [<stage>.<tool>], and nothing else.  With
+   [config.cache_dir] set a stage is looked up in a content-addressed
+   store (lib/cache) first.  A stage's key is the digest of (stage
+   name, code-version tag, content hash of its input artifact, the
+   config fields that influence its output) — so a warm re-run of an
+   unchanged design returns every artifact from the store
+   byte-identically, and an edited source re-runs only the stages whose
+   inputs actually changed (hashing the real input artifact, not the
+   upstream key, gives early cutoff: a source edit that synthesises to
+   the same netlist stops re-running at synth).  The full
    key schema and invalidation rules live in docs/ARCHITECTURE.md. *)
 
 open Netlist
@@ -303,10 +304,10 @@ type ctx = { config : config; obs : R.t; store : Cache.Store.t option }
    above).  With a store, the lookup comes first and emits the [cache]
    event; [key] (invoked only then) lists the content hashes and config
    fingerprints the stage's output depends on.  A hit returns the stored
-   artifact and runs nothing — no timer, span or begin/end event.
-   Otherwise [f] runs between [stage-begin] and [stage-end], inside the
-   span and the registry timer of the stage's name, with any failure
-   raised as [Flow_error (name, e)]; its result is stored for next time.
+   artifact and runs nothing — no timer or begin/end event.  Otherwise
+   [f] runs between [stage-begin] and [stage-end], inside the registry
+   timer of the stage's name, with any failure raised as
+   [Flow_error (name, e)]; its result is stored for next time.
    Nothing is timed or stored when [f] raises. *)
 let run_stage ctx (s : Stage.t) key f input =
   let compute () = f ctx.config ctx.obs input in
@@ -319,9 +320,8 @@ let run_stage ctx (s : Stage.t) key f input =
           (Obs.Events.Stage_end
              { stage = s.name; wall_s = Unix.gettimeofday () -. t0 }))
       (fun () ->
-        Obs.Span.with_ ~name:s.name (fun () ->
-            try R.time ctx.obs s.name compute
-            with e -> raise (Flow_error (s.name, e))))
+        try R.time ctx.obs s.name compute
+        with e -> raise (Flow_error (s.name, e)))
   in
   match ctx.store with
   | None -> run ()
@@ -367,7 +367,6 @@ let run_stages ctx text =
       (fun () -> [ Digest.to_hex (Digest.string text) ])
       synth text
   in
-  Obs.Span.annotate [ ("design", Obs.Emit.String net.Logic.model) ];
   let mapped =
     run_stage ctx Stage.techmap
       (fun () ->
@@ -501,7 +500,7 @@ let run_stages ctx text =
 let run_vhdl ?(config = default_config) ?obs text =
   let obs = match obs with Some o -> o | None -> R.create () in
   let store = Option.map (fun d -> Cache.Store.open_ ~obs d) config.cache_dir in
-  Obs.Span.with_ ~name:"flow" (fun () -> run_stages { config; obs; store } text)
+  run_stages { config; obs; store } text
 
 (* Machine-readable timing report: the pre-route (placement-distance)
    and post-route (routed-Elmore) analyses side by side, one JSON object

@@ -11,9 +11,9 @@
     {v synth -> techmap -> pack -> place -> route -> sta -> bitstream v}
 
     and a stage's name is its whole telemetry vocabulary: its registry
-    timer, its trace span (a child of the [flow] span), the [stage] of
-    its [stage-begin], [stage-end] and [cache] events, and the tag of a
-    {!Flow_error} it raises.  A tool inside a multi-tool stage records a
+    timer, the [stage] of its [stage-begin], [stage-end] and [cache]
+    events (which a [--trace] file draws as the stage's span), and the
+    tag of a {!Flow_error} it raises.  A tool inside a multi-tool stage records a
     sub-timer [<stage>.<tool>] ([synth.vhdl-parser], [place.vpr-place],
     ...) and nothing else.
 
@@ -27,7 +27,7 @@
     changed.  Keys hash the {e real} input artifact rather than the
     upstream stage's key, giving early cutoff: a source edit that
     synthesises to the same netlist stops recomputing after synth.  On a
-    stage hit the stage's timers, span and begin/end events are skipped
+    stage hit the stage's timers and begin/end events are skipped
     along with the work, and the [cache.hit]/[cache.miss]/[cache.store]/
     [cache.bytes] counters record the traffic; the deterministic
     counters and gauges derived from cached artifacts ([place.*],
@@ -142,7 +142,7 @@ exception Flow_error of string * exn
     one stage or chain several: the standalone [vpr], [powermodel] and
     [dagger] tools place and route through {!place} and {!route}.
     {!run_vhdl} wraps each one in its stage's cache lookup, registry
-    timer, span and events, and records the headline gauges and counters
+    timer and events, and records the headline gauges and counters
     ([place.final-cost], [sta.dmax], [vpr-route.*], ...) after it.  A
     function records its tools' [<stage>.<tool>] sub-timers and whatever
     the layers it calls record into the registry, never its stage's own
@@ -205,9 +205,8 @@ val stage_time : Obs.Registry.snapshot -> float * float
 val run_vhdl : ?config:config -> ?obs:Obs.Registry.t -> string -> result
 (** The full flow from VHDL source text (possibly several entities; the
     last is the top).  [?obs] supplies the metric registry to record
-    into (a fresh one is created when omitted); spans are emitted into
-    the ambient {!Obs.Span} trace and events into the ambient
-    {!Obs.Events} sink, if any. *)
+    into (a fresh one is created when omitted); events go to the
+    ambient {!Obs.Events} sink, if any. *)
 
 val timing_report_obj : ?design:string -> result -> Obs.Emit.t
 (** One JSON object holding the pre-route and post-route

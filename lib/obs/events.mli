@@ -3,8 +3,8 @@
     A sink is a plain function over event kinds.  The {e producer} is
     the domain running a flow: instrumentation sites call {!emit}
     against the ambient sink, a per-domain slot installed with
-    {!with_sink} — exactly the {!Obs.Span} ambient discipline, so a site
-    with no ambient sink costs one domain-local read.  Whoever installs
+    {!with_sink}, so a site with no ambient sink costs one domain-local
+    read.  Whoever installs
     the sink consumes what it receives and stamps each kind with a
     sequence number and a timestamp: {!collect} for a local capture,
     the compile daemon's worker pushing onto its one queue to the IO
@@ -18,8 +18,10 @@
     (width-search probes, multi-start annealing with more than one
     start) run under {!without}.  Stripped of sequence numbers,
     timestamps and wall durations, the event-kind sequence of a flow is
-    therefore byte-identical at any [jobs] value.  docs/OBSERVABILITY.md
-    documents the JSON schema and the ordering contract. *)
+    therefore byte-identical at any [jobs] value, and so is the
+    structure of the Chrome trace {!to_chrome} draws from it.
+    docs/OBSERVABILITY.md documents the JSON schema, the ordering
+    contract and the trace mapping. *)
 
 type kind =
   | Stage_begin of { stage : string }
@@ -33,9 +35,18 @@ type kind =
       overused : int;
       rerouted : int;
       heap_pops : int;
-    }  (** one PathFinder iteration of the final routing *)
-  | Place_temperature of { step : int; temperature : float; accept_rate : float }
-      (** one annealer temperature checkpoint *)
+      wall_s : float;
+    }
+      (** one PathFinder iteration of the final routing, emitted at its
+          end; [wall_s], its duration, is volatile *)
+  | Place_temperature of {
+      step : int;
+      temperature : float;
+      accept_rate : float;
+      wall_s : float;
+    }
+      (** one annealer temperature checkpoint, after the step's move
+          loop; [wall_s], the time since the step began, is volatile *)
   | Heartbeat  (** consumer-side liveness tick; volatile *)
 
 type event = { seq : int; t_s : float; kind : kind }
@@ -85,3 +96,18 @@ val deterministic_fields : event -> (string * Emit.t) list option
 (** [to_fields] without the volatile parts: [None] for volatile kinds,
     and ["seq"]/["t_s"]/["wall_s"] stripped otherwise — the view two
     runs of the same flow must agree on byte-for-byte. *)
+
+val to_chrome : design:string -> Emit.t list -> Emit.t
+(** [to_chrome ~design records] renders one run's event records — the
+    {!to_json} objects of a local capture, or a daemon's progress frames
+    as received — as a Chrome trace-event object ([traceEvents], µs
+    timestamps since the stream began), loadable in [chrome://tracing]
+    and Perfetto.  A [flow] root span carries [design]; inside it a
+    [stage-begin]/[stage-end] pair is a B/E span named after the stage,
+    [route-iteration] and [place-temperature] are one ["route.iteration"]
+    / ["place.temperature"] X span each (ending at [t_s], lasting
+    [wall_s]), and [cache] is an instant.  Span and instant args are the
+    record's fields without ["event"], ["id"], ["seq"], ["t_s"] and
+    ["wall_s"]; [heartbeat] and [done] records draw nothing.  So the
+    names and args of the trace are as deterministic as the records'
+    deterministic view. *)

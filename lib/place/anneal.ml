@@ -467,9 +467,7 @@ let init ?(options = default_options) ?timing (problem : Problem.t) =
    exit (running the final greedy pass before marking finished). *)
 let temp_step ?obs st =
   if not st.finished then begin
-    Obs.Span.with_ ~name:"place.temperature"
-      ~args:[ ("T", Obs.Emit.Float st.temperature) ]
-    @@ fun () ->
+    let t0 = Unix.gettimeofday () in
     refresh_timing st;
     (* both totals resum from the exact per-net arrays: incremental
        accumulation across the inner loops must not survive a
@@ -498,10 +496,14 @@ let temp_step ?obs st =
     (match obs with
     | Some o -> Obs.Registry.observe o "place.accept-rate" rate
     | None -> ());
-    Obs.Span.annotate [ ("accept_rate", Obs.Emit.Float rate) ];
     Obs.Events.emit
       (Obs.Events.Place_temperature
-         { step = st.steps; temperature = st.temperature; accept_rate = rate });
+         {
+           step = st.steps;
+           temperature = st.temperature;
+           accept_rate = rate;
+           wall_s = Unix.gettimeofday () -. t0;
+         });
     let alpha =
       if rate > 0.96 then 0.5
       else if rate > 0.8 then 0.9

@@ -84,8 +84,7 @@ val run :
     ["place.accept-rate"] histogram, the inner move loops under the
     ["place.move-eval"] timer and their moves into the
     ["place.moves-evaluated"] counter; each temperature step also emits
-    one ["place.temperature"] span into the ambient {!Obs.Span}
-    trace. *)
+    one [Place_temperature] event to the ambient {!Obs.Events} sink. *)
 
 val run_multistart :
   ?options:options -> ?timing:timing_options -> ?jobs:int -> ?starts:int ->

@@ -647,9 +647,7 @@ let route ?(max_iterations = 30) ?jobs ?obs
   let force_full = ref false in
   while (not !done_) && (not !hopeless) && !iteration < max_iterations do
     incr iteration;
-    Obs.Span.with_ ~name:"route.iteration"
-      ~args:[ ("iteration", Obs.Emit.Int !iteration) ]
-    @@ fun () ->
+    let t0 = Unix.gettimeofday () in
     let full = !iteration = 1 || !force_full in
     force_full := false;
     (* the iteration's reroute list, ascending net id *)
@@ -682,9 +680,6 @@ let route ?(max_iterations = 30) ?jobs ?obs
         let k = List.length batch in
         if k > !iter_batch_max then iter_batch_max := k;
         if k = 1 then incr iter_serial;
-        Obs.Span.with_ ~name:"route.batch"
-          ~args:[ ("nets", Obs.Emit.Int k) ]
-        @@ fun () ->
         (* rip up the whole batch, then route against the frozen state *)
         List.iter (fun (idx, _) -> release st trees.(idx).nodes) batch;
         let tasks =
@@ -708,12 +703,6 @@ let route ?(max_iterations = 30) ?jobs ?obs
     let over = total_overuse () in
     let overused = overused_count () in
     observe "route.iter-overuse" (float_of_int overused);
-    Obs.Span.annotate
-      [
-        ("rerouted", Obs.Emit.Int rerouted);
-        ("overused_nodes", Obs.Emit.Int overused);
-        ("heap_pops", Obs.Emit.Int !iter_pops);
-      ];
     Obs.Events.emit
       (Obs.Events.Route_iteration
          {
@@ -721,6 +710,7 @@ let route ?(max_iterations = 30) ?jobs ?obs
            overused;
            rerouted;
            heap_pops = !iter_pops;
+           wall_s = Unix.gettimeofday () -. t0;
          });
     iter_stats :=
       {

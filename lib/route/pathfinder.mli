@@ -62,9 +62,9 @@ val route :
     (defaults to [AMDREL_JOBS] / the machine's core count, see
     {!Util.Parallel}).
     [obs] records the ["route.net-heap-pops"] (per committed net) and
-    ["route.iter-overuse"] (per iteration) histograms; one
-    ["route.iteration"] span (with a ["route.batch"] child per batch) is
-    emitted into the ambient {!Obs.Span} trace per iteration.
+    ["route.iter-overuse"] (per iteration) histograms; each iteration
+    also emits one [Route_iteration] event to the ambient
+    {!Obs.Events} sink.
     Before any search, one O(nodes + edges) check refuses a malformed
     graph: every successor and every net's source and sinks must be a
     node id, and [node_delay] and the graph's per-node arrays must have

@@ -12,7 +12,7 @@
       immediately with a structured [backpressure] error — admission
       never blocks the client behind other clients' work;
     + a worker dequeues the job and runs the full flow with a {e fresh
-      per-request metric registry} (so no request's metrics or spans
+      per-request metric registry} (so no request's metrics or events
       leak into another's) and a jobs budget of
       [jobs / workers] (so [workers] concurrent compiles never
       oversubscribe the configured domain budget);

@@ -181,18 +181,11 @@ let run ?(constraints = default_constraints) ?jobs ?obs (g : Graph.t)
   (* ---- forward: arrival times, level by level ---- *)
   let arrival = Array.make n 0.0 in
   phase "sta.phase.forward" (fun () ->
-      Obs.Span.with_ ~name:"sta.forward" (fun () ->
-          Array.iteri
-            (fun li level ->
-              observe "sta.level-nodes" (float_of_int (Array.length level));
-              Obs.Span.with_ ~name:"sta.level"
-                ~args:
-                  [
-                    ("level", Obs.Emit.Int li);
-                    ("nodes", Obs.Emit.Int (Array.length level));
-                  ]
-                (fun () -> map_level ?jobs (arrive g p arrival) level arrival))
-            g.Graph.levels));
+      Array.iter
+        (fun level ->
+          observe "sta.level-nodes" (float_of_int (Array.length level));
+          map_level ?jobs (arrive g p arrival) level arrival)
+        g.Graph.levels);
   (* ---- endpoint arrivals and the critical path ---- *)
   let endpoint_arrival =
     phase "sta.phase.endpoints" (fun () ->
@@ -205,19 +198,11 @@ let run ?(constraints = default_constraints) ?jobs ?obs (g : Graph.t)
   let ep_arc = ep_arc_array g p in
   let downstream = Array.make n neg_infinity in
   phase "sta.phase.backward" (fun () ->
-      Obs.Span.with_ ~name:"sta.backward" (fun () ->
-          for l = Array.length g.Graph.levels - 1 downto 0 do
-            Obs.Span.with_ ~name:"sta.level"
-              ~args:
-                [
-                  ("level", Obs.Emit.Int l);
-                  ("nodes", Obs.Emit.Int (Array.length g.Graph.levels.(l)));
-                ]
-              (fun () ->
-                map_level ?jobs
-                  (downstream_of g p ep_arc downstream)
-                  g.Graph.levels.(l) downstream)
-          done));
+      for l = Array.length g.Graph.levels - 1 downto 0 do
+        map_level ?jobs
+          (downstream_of g p ep_arc downstream)
+          g.Graph.levels.(l) downstream
+      done);
   let required = Array.map (fun d -> dmax -. d) downstream in
   (* ---- effective timing budget, WNS / TNS ---- *)
   let budget = budget_of constraints dmax in

@@ -67,9 +67,7 @@ val run :
     concurrent [run]s on the same graph are safe.  [obs] accumulates the
     ["sta.phase.forward"/"backward"/"endpoints"/"criticality"] timers
     (summed over every [run] a flow performs) and the
-    ["sta.level-nodes"] histogram; the forward and backward sweeps also
-    emit ["sta.forward"]/["sta.backward"] spans with one ["sta.level"]
-    child per level into the ambient {!Obs.Span} trace. *)
+    ["sta.level-nodes"] histogram. *)
 
 val update :
   ?jobs:int -> ?obs:Obs.Registry.t -> changed_blocks:int list ->

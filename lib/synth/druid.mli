@@ -2,8 +2,10 @@
 
     Adapts commercial-tool EDIF output for the downstream academic tools:
     identifier sanitisation, library-cell validation, removal of dangling
-    nets and duplicate logic, canonical naming — implemented as a round
-    trip through the Logic IR with a cleanup in between. *)
+    nets, canonical naming — implemented as a round trip through the
+    Logic IR with a dead-signal sweep in between.  Duplicate logic is
+    left for SIS ([Techmap.Mapper.map_network] optimises before
+    mapping). *)
 
 exception Druid_error of string
 (** A netlist the flow cannot accept (unknown library cell, unconnected

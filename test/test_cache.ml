@@ -6,24 +6,33 @@ module R = Obs.Registry
 
 let fresh_dir () = Filename.temp_dir "amdrel-cache-test" ""
 
-let rec span_names (s : Obs.Span.span) =
-  s.Obs.Span.name :: List.concat_map span_names s.Obs.Span.children
-
-let trace_names tr = List.concat_map span_names (Obs.Span.roots tr)
+(* The names of a trace's events of the given phases, in order: by
+   default its spans (B and X). *)
+let trace_names ?(ph = [ "B"; "X" ]) tr =
+  let str k ev = Option.bind (Obs.Jsonin.member k ev) Obs.Jsonin.get_string in
+  match Obs.Jsonin.member "traceEvents" tr with
+  | Some (Obs.Emit.List evs) ->
+      List.filter_map
+        (fun ev ->
+          match str "ph" ev with
+          | Some p when List.mem p ph -> str "name" ev
+          | _ -> None)
+        evs
+  | _ -> Alcotest.fail "traceEvents missing"
 
 (* One flow run against a given cache directory, with its own registry
-   and its own span trace so hits/misses and skipped stages are
-   observable per run. *)
+   and the trace amdrel_flow --trace draws from its events, so
+   hits/misses and skipped stages are observable per run. *)
 let run_cached ?(config = Core.Flow.default_config) ~dir vhdl =
   let obs = R.create () in
-  let tr = Obs.Span.create () in
-  let r =
-    Obs.Span.with_trace tr (fun () ->
+  let r, events =
+    Obs.Events.collect (fun () ->
         Core.Flow.run_vhdl
           ~config:{ config with Core.Flow.cache_dir = Some dir }
           ~obs vhdl)
   in
-  (r, obs, tr)
+  let records = List.map Obs.Events.to_json events in
+  (r, obs, Obs.Events.to_chrome ~design:r.Core.Flow.design records)
 
 let bytes_of r = r.Core.Flow.bitstream.Bitstream.Dagger.bytes
 
@@ -127,7 +136,8 @@ let test_flow_warm_hits () =
     (Core.Flow.timing_report_json cold)
     (Core.Flow.timing_report_json warm);
   (* one stage vocabulary: on the cold run the stage table names the
-     undotted timers (in snapshot order) and the flow span's children *)
+     undotted timers (in snapshot order) and the B/E spans inside the
+     flow root *)
   Alcotest.(check (list string)) "the stage table"
     [ "synth"; "techmap"; "pack"; "place"; "route"; "sta"; "bitstream" ]
     Core.Flow.stages;
@@ -139,13 +149,9 @@ let test_flow_warm_hits () =
          | R.Timer _ when not (String.contains e.R.key '.') -> Some e.R.key
          | _ -> None)
        cold.Core.Flow.metrics);
-  (match Obs.Span.roots tr_c with
-  | [ flow ] ->
-      Alcotest.(check (list string)) "flow span children are the stages"
-        Core.Flow.stages
-        (List.map (fun (s : Obs.Span.span) -> s.Obs.Span.name)
-           flow.Obs.Span.children)
-  | roots -> Alcotest.failf "expected one flow root, got %d" (List.length roots));
+  Alcotest.(check (list string)) "the flow root's stage spans are the stages"
+    ("flow" :: Core.Flow.stages)
+    (trace_names ~ph:[ "B" ] tr_c);
   (* a multi-tool stage times each tool as <stage>.<tool>, inside the
      stage's own time *)
   let wall key =
@@ -295,9 +301,13 @@ let test_mult12_warm_regression () =
       Alcotest.(check bool) (s ^ " span absent from warm trace") false
         (List.mem s (trace_names tr_w)))
     Core.Flow.stages;
-  (* nothing ran, so the warm trace is the bare flow root *)
-  Alcotest.(check (list string)) "warm trace is the flow root alone"
-    [ "flow" ] (trace_names tr_w)
+  (* nothing ran, so the warm trace is the flow root and one cache
+     instant per stage *)
+  Alcotest.(check (list string)) "warm trace spans: the flow root alone"
+    [ "flow" ] (trace_names tr_w);
+  Alcotest.(check (list string)) "warm trace instants: one cache per stage"
+    (List.map (fun _ -> "cache") Core.Flow.stages)
+    (trace_names ~ph:[ "i" ] tr_w)
 
 let suite =
   [

@@ -6,8 +6,9 @@
    is written, -d and --ledger create missing parents,
    local --batch warns about the single-design flags it ignores, --arch
    honours the file's io_rat, a --remote run writes a local run's
-   files, the CLI reads a cache the library flow filled, and the
-   standalone tools chain to the flow's bitstream. *)
+   files and traces as a local run does, the CLI reads a cache the
+   library flow filled, and the standalone tools chain to the flow's
+   bitstream. *)
 
 module J = Obs.Jsonin
 
@@ -169,9 +170,9 @@ let test_remote_arch () =
   Alcotest.(check bool) "no bitstream written" false
     (Sys.file_exists (path "counter8.bit"))
 
-(* Local --batch compiles in pool workers, which have no ambient trace
-   or event sink: --trace and --events are refused with a warning each
-   rather than silently writing nothing. *)
+(* Local --batch compiles in pool workers, which have no ambient event
+   sink: --trace and --events are refused with a warning each rather
+   than silently writing nothing. *)
 let test_batch_ignores_trace_events () =
   let dir = Filename.temp_dir "amdrel-cli-test" "" in
   let path name = Filename.concat dir name in
@@ -352,6 +353,54 @@ let test_remote_equals_local () =
         (record "local" name) (record "remote" name))
     [ "renamed"; "broken" ]
 
+(* --trace draws the progress events, so a --remote run's trace, drawn
+   from the daemon's stream, has a local run's structure (names, phases
+   and args; timestamps aside) when both start from an empty cache: the
+   flow root, seven cache instants, the seven stages, the final
+   routing's iterations and the annealer's temperatures. *)
+let test_remote_trace () =
+  let dir = Filename.temp_dir "amdrel-cli-test" "" in
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "mult4.vhd") (fun oc ->
+      output_string oc (Core.Bench_circuits.multiplier 4));
+  let sock = Test_service.short_sock () in
+  let server =
+    Service.Server.create
+      (Test_service.quiet_server_config ~sock
+         ~cache:(Test_service.fresh_dir ()) ~workers:1 ~queue_depth:4 ~jobs:1)
+  in
+  let server_domain = Domain.spawn (fun () -> Service.Server.run server) in
+  let traced name extra =
+    flow
+      ([ path "mult4.vhd"; "-d"; path name; "--trace"; path (name ^ ".json") ]
+      @ extra)
+  in
+  let remote_code = traced "remote" [ "--remote"; sock ] in
+  Service.Client.with_connection sock (fun c ->
+      ignore (Service.Client.request c Service.Protocol.Shutdown));
+  Domain.join server_domain;
+  Alcotest.(check int) "remote exit code" 0 remote_code;
+  Alcotest.(check int) "local exit code" 0
+    (traced "local" [ "--cache-dir"; path "cache"; "-j"; "1" ]);
+  let structure name =
+    Test_obs.trace_structure (J.parse (read (path (name ^ ".json"))))
+  in
+  let local = structure "local" in
+  Alcotest.(check (list string)) "remote trace structure = local" local
+    (structure "remote");
+  let count needle =
+    List.length (List.filter (fun ev -> Str_helpers.contains ev needle) local)
+  in
+  List.iter
+    (fun (what, needle, n) ->
+      Alcotest.(check bool) what true (n (count needle)))
+    [
+      ("seven cache instants", {|"name": "cache"|}, ( = ) 7);
+      ("seven stage spans", {|"ph": "B"|}, ( = ) 8);
+      ("route.iteration spans", {|"name": "route.iteration"|}, ( < ) 0);
+      ("place.temperature spans", {|"name": "place.temperature"|}, ( < ) 0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "parse error: exit 1 + ok:false record" `Quick
@@ -376,6 +425,8 @@ let suite =
       (with_exe test_arch_unmodelled);
     Alcotest.test_case "--remote batch writes the local run's files" `Quick
       (with_exe test_remote_equals_local);
+    Alcotest.test_case "--remote --trace draws the local trace" `Quick
+      (with_exe test_remote_trace);
     Alcotest.test_case "cache shared across binaries" `Quick
       (with_exe test_cache_shared);
     Alcotest.test_case "standalone tool chain writes the flow's .bit" `Quick

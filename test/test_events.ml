@@ -6,7 +6,9 @@
 module Ev = Obs.Events
 module E = Obs.Emit
 
-let iter i = Ev.Route_iteration { iteration = i; overused = 0; rerouted = 0; heap_pops = 0 }
+let iter i =
+  Ev.Route_iteration
+    { iteration = i; overused = 0; rerouted = 0; heap_pops = 0; wall_s = 0.0 }
 
 let iteration_of = function
   | Ev.Route_iteration { iteration; _ } -> Some iteration
@@ -79,6 +81,21 @@ let test_json () =
       Alcotest.(check (option string)) "deterministic stage-end strips wall_s"
         (Some "{\"event\": \"stage-end\", \"stage\": \"vpr-place\"}")
         (det e);
+      (* the iteration and temperature durations are volatile too *)
+      let kind k = { Ev.seq = 3; t_s = 1.0; kind = k } in
+      Alcotest.(check (option string)) "deterministic route-iteration"
+        (Some
+           "{\"event\": \"route-iteration\", \"iteration\": 2, \
+            \"overused\": 0, \"rerouted\": 0, \"heap_pops\": 0}")
+        (det (kind (iter 2)));
+      Alcotest.(check (option string)) "deterministic place-temperature"
+        (Some
+           "{\"event\": \"place-temperature\", \"step\": 1, \
+            \"temperature\": 0.5, \"accept_rate\": 0.25}")
+        (det
+           (kind
+              (Ev.Place_temperature
+                 { step = 1; temperature = 0.5; accept_rate = 0.25; wall_s = 0.1 })));
       Alcotest.(check (option string)) "heartbeat is volatile" None
         (det { Ev.seq = 2; t_s = 1.0; kind = Ev.Heartbeat })
   | es -> Alcotest.failf "expected 2 events, got %d" (List.length es)

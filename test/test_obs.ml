@@ -1,6 +1,6 @@
 (* lib/obs: the shared JSON emitter, the typed metric registry (with its
-   deterministic cross-domain merge) and the span tracer / Chrome
-   trace-event export. *)
+   deterministic cross-domain merge) and the Chrome trace drawn from
+   progress-event records. *)
 
 (* ---------- Emit ---------- *)
 
@@ -223,245 +223,200 @@ let test_merge_across_domains () =
     [ "z"; "c"; "y"; "a"; "b" ]
     (List.map (fun (e : R.entry) -> e.R.key) (R.snapshot r))
 
-(* ---------- Span tracing ---------- *)
+(* ---------- Chrome trace drawn from event records ---------- *)
 
-let test_span_nesting () =
-  let tr = Obs.Span.create () in
-  Obs.Span.with_trace tr (fun () ->
-      Alcotest.(check bool) "trace ambient" true (Obs.Span.active ());
-      Obs.Span.with_ ~name:"a" (fun () ->
-          Obs.Span.with_ ~name:"b" (fun () -> ());
-          Obs.Span.with_ ~name:"c" (fun () -> Obs.Span.annotate [ ("k", Obs.Emit.Int 7) ])));
-  Alcotest.(check bool) "no trace ambient after" false (Obs.Span.active ());
-  match Obs.Span.roots tr with
-  | [ a ] ->
-      Alcotest.(check string) "root name" "a" a.Obs.Span.name;
-      Alcotest.(check (list string)) "children in order" [ "b"; "c" ]
-        (List.map (fun (s : Obs.Span.span) -> s.Obs.Span.name)
-           a.Obs.Span.children);
-      List.iter
-        (fun (s : Obs.Span.span) ->
-          Alcotest.(check bool) "duration non-negative" true
-            (s.Obs.Span.t1_us >= s.Obs.Span.t0_us);
-          Alcotest.(check bool) "child inside parent" true
-            (s.Obs.Span.t0_us >= a.Obs.Span.t0_us
-            && s.Obs.Span.t1_us <= a.Obs.Span.t1_us))
-        a.Obs.Span.children;
-      let c = List.nth a.Obs.Span.children 1 in
-      Alcotest.(check bool) "annotation attached" true
-        (List.mem_assoc "k" c.Obs.Span.args)
-  | rs -> Alcotest.failf "expected one root, got %d" (List.length rs)
+module J = Obs.Jsonin
 
-let test_span_noop_without_trace () =
-  Alcotest.(check int) "with_ is f () without ambient trace" 9
-    (Obs.Span.with_ ~name:"free" (fun () -> 9))
+let str k ev = Option.bind (J.member k ev) J.get_string
+let num k ev = Option.bind (J.member k ev) J.get_float
 
-(* ---------- Mini JSON parser (for validating exported trace files) --- *)
+let trace_events trace =
+  match J.member "traceEvents" trace with
+  | Some (Obs.Emit.List evs) -> evs
+  | _ -> Alcotest.fail "traceEvents missing"
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+(* A trace's structure: its events without the timestamps and
+   durations — names, phases and args.  Two runs of one flow must agree
+   on it whatever their jobs and wherever they ran. *)
+let trace_structure trace =
+  List.map
+    (function
+      | Obs.Emit.Obj fs ->
+          Obs.Emit.to_string
+            (Obs.Emit.Obj
+               (List.filter (fun (k, _) -> k <> "ts" && k <> "dur") fs))
+      | ev -> Obs.Emit.to_string ev)
+    (trace_events trace)
 
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else failwith (Printf.sprintf "expected %c at %d" c !pos)
-  in
-  let lit l v =
-    if !pos + String.length l <= n && String.sub s !pos (String.length l) = l
-    then (pos := !pos + String.length l; v)
-    else failwith "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          (match s.[!pos] with
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-              pos := !pos + 4;
-              Buffer.add_char b (Char.chr (code land 0xff))
-          | c -> Buffer.add_char b c);
-          incr pos;
-          go ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (incr pos; Jobj [])
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; fields ((k, v) :: acc)
-            | Some '}' -> incr pos; List.rev ((k, v) :: acc)
-            | _ -> failwith "bad object"
-          in
-          Jobj (fields [])
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (incr pos; Jarr [])
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; elems (v :: acc)
-            | Some ']' -> incr pos; List.rev (v :: acc)
-            | _ -> failwith "bad array"
-          in
-          Jarr (elems [])
-        end
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> lit "true" (Jbool true)
-    | Some 'f' -> lit "false" (Jbool false)
-    | Some 'n' -> lit "null" Jnull
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false)
-        do
-          incr pos
-        done;
-        Jnum (float_of_string (String.sub s start (!pos - start)))
-    | None -> failwith "eof"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then failwith "trailing garbage";
-  v
-
-let obj_field o k =
-  match o with
-  | Jobj fs -> (try Some (List.assoc k fs) with Not_found -> None)
-  | _ -> None
-
-(* Walk the traceEvents array: strict B/E stack discipline (every E
-   closes the most recent open B with the same name, at a later or
-   equal timestamp) and the stack is empty at the end. *)
-let check_chrome_events events =
+(* Walk the traceEvents array: B/E stack discipline (every E closes the
+   most recent open B with the same name, no earlier than its B and the
+   spans and instants inside it), every X span and instant inside an
+   open B, and the stack empty at the end.  [slack] (µs) absorbs the
+   rounding of an X span's start, [t_s - wall_s], at the clock's
+   resolution. *)
+let check_chrome_events ?(slack = 1.0) events =
   let stack = ref [] in
   List.iter
     (fun ev ->
-      let name =
-        match obj_field ev "name" with Some (Jstr s) -> s | _ -> Alcotest.fail "event missing name"
+      let field get k =
+        match get k ev with Some v -> v | None -> Alcotest.failf "no %s" k
       in
-      let ts =
-        match obj_field ev "ts" with Some (Jnum t) -> t | _ -> Alcotest.fail "event missing ts"
-      in
+      let name = field str "name" and ts = field num "ts" in
       Alcotest.(check bool) "ts non-negative" true (ts >= 0.0);
-      match obj_field ev "ph" with
-      | Some (Jstr "B") -> stack := (name, ts) :: !stack
-      | Some (Jstr "E") -> (
+      let inside t_end =
+        match !stack with
+        | (_, bts, last) :: _ ->
+            Alcotest.(check bool) (name ^ " starts inside its span") true
+              (ts +. slack >= bts);
+            last := Float.max !last t_end
+        | [] -> Alcotest.failf "%s outside every span" name
+      in
+      match str "ph" ev with
+      | Some "B" -> stack := (name, ts, ref ts) :: !stack
+      | Some "E" -> (
           match !stack with
-          | (bname, bts) :: rest ->
+          | (bname, _, last) :: rest ->
               Alcotest.(check string) "E closes most recent B" bname name;
-              Alcotest.(check bool) "E after its B" true (ts >= bts);
-              stack := rest
+              Alcotest.(check bool) "E after what it holds" true
+                (ts +. slack >= !last);
+              stack := rest;
+              (* a closed span is part of what its parent holds *)
+              if rest <> [] then inside ts
           | [] -> Alcotest.fail "E without open B")
-      | _ -> Alcotest.fail "event ph must be B or E")
+      | Some "X" -> (
+          match num "dur" ev with
+          | Some d ->
+              Alcotest.(check bool) "dur non-negative" true (d >= 0.0);
+              inside (ts +. d)
+          | None -> Alcotest.fail "X without dur")
+      | Some "i" -> inside ts
+      | _ -> Alcotest.fail "event ph must be B, E, X or i")
     events;
   Alcotest.(check int) "all spans closed" 0 (List.length !stack)
 
+(* The rendering itself, on records as a daemon frames them: a stage's
+   begin/end pair is a B/E span, an iteration or temperature an X span
+   ending at its t_s and lasting its wall_s, a cache lookup an instant;
+   heartbeat and done draw nothing, and the args drop the event name,
+   the stamps, the durations and the daemon's id. *)
 let test_chrome_export () =
-  let tr = Obs.Span.create () in
-  Obs.Span.with_trace tr (fun () ->
-      Obs.Span.with_ ~name:"outer" ~args:[ ("design", Obs.Emit.String "t\"x") ]
-        (fun () ->
-          Obs.Span.with_ ~name:"inner1" (fun () -> ());
-          Obs.Span.with_ ~name:"inner2" (fun () -> ())));
-  let j = parse_json (Obs.Span.to_chrome_string tr) in
-  (match obj_field j "displayTimeUnit" with
-  | Some (Jstr "ms") -> ()
+  let open Obs.Emit in
+  (* one daemon frame: id, event, seq, the payload, then t_s *)
+  let frame seq event ?t_s payload =
+    Obj
+      ((("id", Int 7) :: ("event", String event) :: ("seq", Int seq) :: payload)
+      @ match t_s with Some t -> [ ("t_s", Float t) ] | None -> [])
+  in
+  let route = ("stage", String "route") in
+  let records =
+    [
+      frame 0 "cache" ~t_s:0.5 [ route; ("hit", Bool false) ];
+      frame 1 "stage-begin" ~t_s:1.0 [ route ];
+      frame 2 "route-iteration" ~t_s:1.5
+        [ ("iteration", Int 1); ("heap_pops", Int 9); ("wall_s", Float 0.25) ];
+      frame 3 "heartbeat" ~t_s:1.75 [];
+      frame 4 "place-temperature" ~t_s:1.875
+        [ ("step", Int 0); ("accept_rate", Float 0.5); ("wall_s", Float 0.125) ];
+      frame 5 "stage-end" ~t_s:2.0 [ route; ("wall_s", Float 1.0) ];
+      frame 6 "done" [ ("ok", Bool true) ];
+    ]
+  in
+  let trace =
+    J.parse (to_string (Obs.Events.to_chrome ~design:"t\"x" records))
+  in
+  (match J.member "displayTimeUnit" trace with
+  | Some (String "ms") -> ()
   | _ -> Alcotest.fail "displayTimeUnit");
-  match obj_field j "traceEvents" with
-  | Some (Jarr events) ->
-      Alcotest.(check int) "3 spans = 6 events" 6 (List.length events);
-      check_chrome_events events
-  | _ -> Alcotest.fail "traceEvents missing"
+  let events = trace_events trace in
+  check_chrome_events ~slack:0.0 events;
+  Alcotest.(check (list string)) "one trace event per drawn record"
+    [
+      {|{"name": "flow", "cat": "amdrel", "ph": "B", "pid": 1, "tid": 1, "args": {"design": "t\"x"}}|};
+      {|{"name": "cache", "cat": "amdrel", "ph": "i", "pid": 1, "tid": 1, "s": "t", "args": {"stage": "route", "hit": false}}|};
+      {|{"name": "route", "cat": "amdrel", "ph": "B", "pid": 1, "tid": 1}|};
+      {|{"name": "route.iteration", "cat": "amdrel", "ph": "X", "pid": 1, "tid": 1, "args": {"iteration": 1, "heap_pops": 9}}|};
+      {|{"name": "place.temperature", "cat": "amdrel", "ph": "X", "pid": 1, "tid": 1, "args": {"step": 0, "accept_rate": 0.5}}|};
+      {|{"name": "route", "cat": "amdrel", "ph": "E", "pid": 1, "tid": 1}|};
+      {|{"name": "flow", "cat": "amdrel", "ph": "E", "pid": 1, "tid": 1}|};
+    ]
+    (trace_structure trace);
+  (* µs timestamps: an X span starts at t_s - wall_s; the root closes
+     at the last stamped record *)
+  let floats = Alcotest.(list (option (float 1e-6))) in
+  Alcotest.check floats "ts, µs"
+    [ Some 0.0; Some 5e5; Some 1e6; Some 1.25e6; Some 1.75e6; Some 2e6; Some 2e6 ]
+    (List.map (num "ts") events);
+  Alcotest.check floats "X durations, µs" [ Some 2.5e5; Some 1.25e5 ]
+    (List.filter_map
+       (fun ev -> if str "ph" ev = Some "X" then Some (num "dur" ev) else None)
+       events)
 
 (* ---------- Flow integration ---------- *)
 
-(* A small circuit run under a trace: the contractual span sites (flow
-   stages, PathFinder iterations, annealer temperature steps, STA level
-   sweeps) must all appear, properly nested in the Chrome export. *)
+(* A cold, width-searched mult12 at jobs 1 and 4, each run with its
+   progress events collected; the trace and metrics tests below compare
+   the two. *)
+let mult12_runs =
+  lazy
+    (List.map
+       (fun jobs ->
+         Obs.Events.collect (fun () ->
+             Core.Flow.run_vhdl
+               ~config:
+                 { Core.Flow.default_config with Core.Flow.jobs = Some jobs }
+               (Core.Bench_circuits.multiplier 12)))
+       [ 1; 4 ])
+
+(* The trace amdrel_flow --trace writes is drawn from the event stream,
+   which the jobs-dependent paths (width probes, multi-start annealing)
+   do not feed: its structure is identical at jobs 1 and 4.  It holds
+   the flow root with the design name, the seven stages in flow order,
+   one route.iteration span per iteration of the final routing and the
+   annealer's place.temperature spans, in a valid Chrome export. *)
 let test_flow_trace () =
-  let tr = Obs.Span.create () in
-  let r =
-    Obs.Span.with_trace tr (fun () ->
-        Core.Flow.run_vhdl (Core.Bench_circuits.counter 8))
+  let trace (r, events) =
+    J.parse
+      (Obs.Emit.to_string
+         (Obs.Events.to_chrome ~design:r.Core.Flow.design
+            (List.map Obs.Events.to_json events)))
   in
-  Alcotest.(check bool) "flow verified under trace" true
-    r.Core.Flow.bitstream_verified;
-  let names = ref [] in
-  let rec walk (s : Obs.Span.span) =
-    names := s.Obs.Span.name :: !names;
-    List.iter walk s.Obs.Span.children
-  in
-  List.iter walk (Obs.Span.roots tr);
-  List.iter
-    (fun want ->
-      Alcotest.(check bool) (want ^ " span present") true
-        (List.mem want !names))
-    (("flow" :: Core.Flow.stages)
-    @ [
-        "route.iteration"; "route.batch"; "place.temperature"; "sta.forward";
-        "sta.backward"; "sta.level";
-      ]);
-  (* and the export obeys the Chrome B/E discipline end to end *)
-  match obj_field (parse_json (Obs.Span.to_chrome_string tr)) "traceEvents" with
-  | Some (Jarr events) ->
-      Alcotest.(check bool) "plenty of events" true (List.length events > 50);
-      check_chrome_events events
-  | _ -> Alcotest.fail "traceEvents missing"
+  match Lazy.force mult12_runs with
+  | [ ((r1, _) as run1); run4 ] ->
+      let t1 = trace run1 in
+      Alcotest.(check (list string))
+        "trace structure identical at jobs=1 and jobs=4" (trace_structure t1)
+        (trace_structure (trace run4));
+      let events = trace_events t1 in
+      check_chrome_events events;
+      let named ph name =
+        List.length
+          (List.filter
+             (fun ev -> str "ph" ev = Some ph && str "name" ev = Some name)
+             events)
+      in
+      Alcotest.(check (list string)) "B spans: the flow root, then the stages"
+        ("flow" :: Core.Flow.stages)
+        (List.filter_map
+           (fun ev -> if str "ph" ev = Some "B" then str "name" ev else None)
+           events);
+      Alcotest.(check (option string)) "the root names the design"
+        (Some "mult12")
+        (Option.bind (J.member "args" (List.hd events)) (str "design"));
+      Alcotest.(check int) "one route.iteration span per final iteration"
+        (Obs.Registry.counter r1.Core.Flow.metrics "vpr-route.iterations")
+        (named "X" "route.iteration");
+      Alcotest.(check bool) "place.temperature spans" true
+        (named "X" "place.temperature" > 0)
+  | _ -> Alcotest.fail "expected two runs"
 
 (* The metric registry at jobs=1 and jobs=4 on a full mult12 flow:
    the deterministic JSON view must be byte-identical. *)
 let test_flow_metrics_jobs_identical () =
-  let run jobs =
-    Core.Flow.run_vhdl
-      ~config:{ Core.Flow.default_config with Core.Flow.jobs = Some jobs }
-      (Core.Bench_circuits.multiplier 12)
+  let a, b =
+    match Lazy.force mult12_runs with
+    | [ (a, _); (b, _) ] -> (a, b)
+    | _ -> Alcotest.fail "expected two runs"
   in
-  let a = run 1 and b = run 4 in
   let render (r : Core.Flow.result) =
     Obs.Emit.to_string
       (Obs.Registry.to_json ~deterministic:true r.Core.Flow.metrics)
@@ -516,8 +471,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_order_insensitive;
     ("histogram edge cases", `Quick, test_hist_edge_cases);
     ("merge across domains", `Quick, test_merge_across_domains);
-    ("span nesting", `Quick, test_span_nesting);
-    ("span no-op without trace", `Quick, test_span_noop_without_trace);
     ("chrome export", `Quick, test_chrome_export);
     ("flow trace", `Slow, test_flow_trace);
     ("flow metrics jobs-identical (mult12)", `Slow,
