@@ -159,8 +159,6 @@ let place config obs packing =
   in
   let constraints = sta_constraints config in
   let provider_at coords =
-    (* the graph's producing-block table doubles as the provider's,
-       saving an O(signals) rebuild on every annealing refresh *)
     Sta.Delays.of_placement ~producer:sta_graph.Sta.Graph.block_of problem
       ~coords
   in
@@ -274,9 +272,9 @@ module Stage = struct
   let synth = { name = "synth"; version = 1 }
   and techmap = { name = "techmap"; version = 2 } (* mapped network alone *)
   and pack = { name = "pack"; version = 1 }
-  and place = { name = "place"; version = 1 }
-  and route = { name = "route"; version = 5 } (* one channel spec *)
-  and sta = { name = "sta"; version = 2 } (* closure-free providers *)
+  and place = { name = "place"; version = 2 } (* array pad table *)
+  and route = { name = "route"; version = 6 } (* embeds the placement *)
+  and sta = { name = "sta"; version = 3 } (* array producer, sink users *)
   and bitstream = { name = "bitstream"; version = 2 } (* AMD2 track table *)
 end
 

@@ -73,24 +73,25 @@ type result = {
 
 (* Slot bookkeeping.  A move of block [b] to [target] swaps it with the
    target's occupant (if any); undoing it is the same swap back, so both
-   directions run the same four slot operations — clear, clear, put, put
-   — and the pad table sees one fixed operation order. *)
+   directions run the same four slot operations — clear, clear, put,
+   put.  Both slot tables are arrays holding -1 or a block, so after
+   every swap they are a function of [loc] alone. *)
+let pad_index (pl : Placement.t) x y s =
+  Placement.pad_slot pl.Placement.problem.Problem.grid x y s
+
 let occupant (pl : Placement.t) = function
   | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y)
-  | Fpga_arch.Grid.Pad (x, y, s) -> (
-      match Hashtbl.find_opt pl.Placement.pad_at (x, y, s) with
-      | Some o -> o
-      | None -> -1)
+  | Fpga_arch.Grid.Pad (x, y, s) -> pl.Placement.pad_at.(pad_index pl x y s)
 
 let clear (pl : Placement.t) = function
   | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- -1
-  | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.remove pl.Placement.pad_at (x, y, s)
+  | Fpga_arch.Grid.Pad (x, y, s) -> pl.Placement.pad_at.(pad_index pl x y s) <- -1
 
 let put (pl : Placement.t) blk l =
   pl.Placement.loc.(blk) <- l;
   match l with
   | Fpga_arch.Grid.Clb (x, y) -> pl.Placement.clb_at.(x).(y) <- blk
-  | Fpga_arch.Grid.Pad (x, y, s) -> Hashtbl.replace pl.Placement.pad_at (x, y, s) blk
+  | Fpga_arch.Grid.Pad (x, y, s) -> pl.Placement.pad_at.(pad_index pl x y s) <- blk
 
 (* [b1] onto [l1] and, when [b2 >= 0], [b2] onto [l2]; both slots are
    cleared first so a swap never stomps the slot it fills. *)

@@ -4,8 +4,22 @@ type t = {
   problem : Problem.t;
   loc : Fpga_arch.Grid.location array;       (* per block *)
   clb_at : int array array;                  (* (x, y) -> block or -1 *)
-  pad_at : (int * int * int, int) Hashtbl.t; (* (x, y, sub) -> block *)
+  pad_at : int array;                        (* pad_slot -> block or -1 *)
 }
+
+(* The pad table's index: perimeter positions numbered bottom row, top
+   row, left column, right column, each in ascending coordinate, times
+   io_rat, plus sub.  Dense: pad slots map one to one onto
+   0 .. n_pad_slots - 1. *)
+let pad_slot (grid : Fpga_arch.Grid.t) x y sub =
+  let nx = grid.Fpga_arch.Grid.nx and ny = grid.Fpga_arch.Grid.ny in
+  let pos =
+    if y = 0 then x - 1
+    else if y = ny + 1 then nx + x - 1
+    else if x = 0 then (2 * nx) + y - 1
+    else (2 * nx) + ny + y - 1
+  in
+  (pos * grid.Fpga_arch.Grid.io_rat) + sub
 
 let location t b = t.loc.(b)
 
@@ -26,7 +40,7 @@ let initial ?(seed = 1) (problem : Problem.t) =
   in
   let clb_at = Array.make_matrix (grid.Fpga_arch.Grid.nx + 2)
       (grid.Fpga_arch.Grid.ny + 2) (-1) in
-  let pad_at = Hashtbl.create 64 in
+  let pad_at = Array.make (Fpga_arch.Grid.n_pad_slots grid) (-1) in
   let next_clb = ref 0 and next_pad = ref 0 in
   Array.iteri
     (fun b kind ->
@@ -40,7 +54,7 @@ let initial ?(seed = 1) (problem : Problem.t) =
           let x, y, sub = pad_slots.(!next_pad) in
           incr next_pad;
           loc.(b) <- Fpga_arch.Grid.Pad (x, y, sub);
-          Hashtbl.replace pad_at (x, y, sub) b)
+          pad_at.(pad_slot grid x y sub) <- b)
     problem.Problem.blocks;
   { problem; loc; clb_at; pad_at }
 

@@ -4,8 +4,16 @@ type t = {
   problem : Problem.t;
   loc : Fpga_arch.Grid.location array;       (** per block *)
   clb_at : int array array;                  (** (x, y) -> block or -1 *)
-  pad_at : (int * int * int, int) Hashtbl.t;
+  pad_at : int array;
+      (** {!pad_slot} (x, y, sub) -> block or -1.  Like [clb_at], a
+          function of [loc]: the inverse of its blocks' slots. *)
 }
+
+val pad_slot : Fpga_arch.Grid.t -> int -> int -> int -> int
+(** [pad_slot grid x y sub]: the index of pad slot (x, y, sub) in
+    [pad_at].  The numbering is dense: the pad slots of
+    {!Fpga_arch.Grid.pad_positions} map one to one onto
+    [0 .. Fpga_arch.Grid.n_pad_slots grid - 1]. *)
 
 val location : t -> int -> Fpga_arch.Grid.location
 (** Slot currently holding a block. *)

@@ -81,7 +81,7 @@ let net_criticalities ?(model = Place.Td_timing.default_model)
   let problem = placement.Place.Placement.problem in
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement ~model problem
+    Sta.Delays.of_placement ~model ~producer:graph.Sta.Graph.block_of problem
       ~coords:(Place.Placement.coords placement)
   in
   let a = Sta.Analysis.run graph provider in

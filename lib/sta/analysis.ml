@@ -123,22 +123,18 @@ let path_len_row (g : Graph.t) (p : Delays.provider) (arrival : float array)
     (downstream : float array) ni =
   let net = g.Graph.problem.Place.Problem.nets.(ni) in
   let s = net.Place.Problem.signal in
-  Array.map
-    (fun sink_block ->
+  let users = g.Graph.sink_users.(ni) in
+  Array.mapi
+    (fun k sink_block ->
       match g.Graph.problem.Place.Problem.blocks.(sink_block) with
       | Place.Problem.Output_pad _ -> arrival.(s) +. downstream.(s)
       | _ ->
-          let users =
-            Option.value
-              (Hashtbl.find_opt g.Graph.consumers_at (s, sink_block))
-              ~default:[]
-          in
           List.fold_left
             (fun acc u ->
               Float.max acc
                 (arrival.(s) +. Delays.conn p s u +. p.Delays.t_logic
                 +. downstream.(u)))
-            neg_infinity users)
+            neg_infinity users.(k))
     net.Place.Problem.sinks
 
 let crit_row dmax row = Array.map (fun pl -> clamp01 (pl /. dmax)) row

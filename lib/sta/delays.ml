@@ -17,7 +17,7 @@ type wires =
 
 type provider = {
   name : string;
-  producer : (int, int) Hashtbl.t;
+  producer : int array;
   t_local : float;
   t_logic : float;
   t_clk_q : float;
@@ -32,28 +32,31 @@ let hop coords t_fixed t_per_tile a b =
 (* Connections between signals produced and consumed in the same block
    cost the local feedback delay.  Inter-block hops cost the distance
    model's hop, or the routed delay into the consuming block.  Signals
-   with no known producing block (LUT outputs folded into a merged BLE)
-   stay local, and so does a connection no route reaches. *)
+   with no known producing block (-1: LUT outputs folded into a merged
+   BLE) stay local, and so does a connection no route reaches; a routed
+   connection needs only its consuming block. *)
 let conn p src dst =
-  match
-    (Hashtbl.find_opt p.producer src, Hashtbl.find_opt p.producer dst, p.wires)
-  with
-  | Some a, Some b, _ when a = b -> p.t_local
-  | Some a, Some b, Distance { coords; t_fixed; t_per_tile } ->
-      hop coords t_fixed t_per_tile a b
-  | _, Some b, Routed tbl ->
-      Option.value (Hashtbl.find_opt tbl (src, b)) ~default:p.t_local
-  | _ -> p.t_local
+  let b = p.producer.(dst) in
+  if b < 0 then p.t_local
+  else
+    let a = p.producer.(src) in
+    if a = b then p.t_local
+    else
+      match p.wires with
+      | Distance { coords; t_fixed; t_per_tile } ->
+          if a < 0 then p.t_local else hop coords t_fixed t_per_tile a b
+      | Routed tbl ->
+          Option.value (Hashtbl.find_opt tbl (src, b)) ~default:p.t_local
 
 let pad p src block =
   match p.wires with
-  | Distance { coords; t_fixed; t_per_tile } -> (
-      match Hashtbl.find_opt p.producer src with
-      | Some a when a <> block -> hop coords t_fixed t_per_tile a block
-      | _ -> p.t_local)
+  | Distance { coords; t_fixed; t_per_tile } ->
+      let a = p.producer.(src) in
+      if a >= 0 && a <> block then hop coords t_fixed t_per_tile a block
+      else p.t_local
   | Routed tbl -> Option.value (Hashtbl.find_opt tbl (src, block)) ~default:0.0
 
-let of_placement ?(model = Place.Td_timing.default_model) ?producer
+let of_placement ?(model = Place.Td_timing.default_model) ~producer
     (problem : Place.Problem.t) ~coords =
   let {
     Place.Td_timing.t_local;
@@ -64,14 +67,6 @@ let of_placement ?(model = Place.Td_timing.default_model) ?producer
     t_setup;
   } =
     model
-  in
-  let producer =
-    (* building the producing-block table is O(signals); callers that
-       refresh the provider every temperature step (the annealer's
-       incremental hook) pass the graph's shared table instead *)
-    match producer with
-    | Some tbl -> tbl
-    | None -> Place.Td_timing.block_of_signal problem
   in
   {
     name = "placement-distance";

@@ -20,8 +20,9 @@ type wires =
 
 type provider = {
   name : string;  (** provider identity, carried into timing reports *)
-  producer : (int, int) Hashtbl.t;
-      (** producing block of every cluster-output / input-pad signal *)
+  producer : int array;
+      (** signal -> producing block, [-1] for none: a timing graph's
+          [Sta.Graph.block_of], shared, never written *)
   t_local : float;  (** intra-cluster connection, s *)
   t_logic : float;  (** LUT + local-interconnect delay, s *)
   t_clk_q : float;  (** flip-flop clock-to-Q, s *)
@@ -31,8 +32,11 @@ type provider = {
 
 val conn : provider -> int -> int -> float
 (** [conn p src dst]: interconnect delay of the connection from signal
-    [src] to consuming signal [dst], s; [t_local] within one block or
-    when the hop is unknown. *)
+    [src] to consuming signal [dst], s.  [t_local] when [dst] has no
+    producing block or both signals share one.  Otherwise a distance
+    provider costs the hop between the two producing blocks ([t_local]
+    when [src] has none), and a routed provider the routed delay from
+    [src] into [dst]'s block ([t_local] when no route reaches it). *)
 
 val pad : provider -> int -> int -> float
 (** [pad p src block]: delay from signal [src] to the output pad at
@@ -41,7 +45,7 @@ val pad : provider -> int -> int -> float
 
 val of_placement :
   ?model:Place.Td_timing.delay_model ->
-  ?producer:(int, int) Hashtbl.t ->
+  producer:int array ->
   Place.Problem.t ->
   coords:(int -> int * int) ->
   provider
@@ -51,7 +55,6 @@ val of_placement :
     term) at the given block [coords], copied once (O(blocks)).  Safe
     to share across domains: it is only read.
 
-    [producer] supplies the signal-to-producing-block table instead of
-    rebuilding it (pass [Sta.Graph.block_of] when a timing graph exists;
-    the table is only read).  Rebuilding per provider is wasteful for
-    callers that refresh delays every annealing temperature. *)
+    [producer] is the timing graph's [Sta.Graph.block_of], built once
+    per packing and shared by every provider on that graph, so the
+    annealer's per-temperature refreshes build no table. *)

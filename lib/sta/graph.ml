@@ -21,8 +21,8 @@ type t = {
   levels : int array array;
   level_of : int array;
   consumers : int list array;
-  consumers_at : (int * int, int list) Hashtbl.t;
-  block_of : (int, int) Hashtbl.t;
+  sink_users : int list array array;
+  block_of : int array;
   endpoints : endpoint array;
   (* incremental-update support: the inverse maps that bound a moved
      block's fan-in/fan-out cones *)
@@ -71,23 +71,37 @@ let build (problem : Place.Problem.t) =
         Array.iter (fun f -> consumers.(f) <- id :: consumers.(f)) fanins
     | _ -> ()
   done;
-  let block_of = Place.Td_timing.block_of_signal problem in
-  (* (signal, consuming block) -> consuming signal ids, mirroring the
-     construction criticality extraction groups connections by *)
-  let consumers_at = Hashtbl.create 64 in
+  (* signal -> producing block, -1 for none (a LUT output folded into a
+     merged BLE, a constant) *)
+  let block_of = Array.make n (-1) in
+  Hashtbl.iter
+    (fun s b -> block_of.(s) <- b)
+    (Place.Td_timing.block_of_signal problem);
+  (* readers per signal: (consuming signal, its block) for every fanin
+     occurrence whose consumer has a producing block, descending
+     consumer id *)
+  let readers = Array.make n [] in
   for id = 0 to n - 1 do
-    List.iter
-      (fun f ->
-        match Hashtbl.find_opt block_of id with
-        | Some b ->
-            let key = (f, b) in
-            let cur =
-              Option.value (Hashtbl.find_opt consumers_at key) ~default:[]
-            in
-            Hashtbl.replace consumers_at key (id :: cur)
-        | None -> ())
-      (Logic.fanins net id)
+    let b = block_of.(id) in
+    if b >= 0 then
+      List.iter (fun f -> readers.(f) <- (id, b) :: readers.(f))
+        (Logic.fanins net id)
   done;
+  (* per (net, sink position): the signals the net's signal feeds in
+     that sink block, the grouping criticality extraction takes the
+     worst path over; empty for an output-pad sink *)
+  let sink_users =
+    Array.map
+      (fun (pnet : Place.Problem.net) ->
+        let rs = readers.(pnet.Place.Problem.signal) in
+        Array.map
+          (fun sb ->
+            List.filter_map
+              (fun (id, b) -> if b = sb then Some id else None)
+              rs)
+          pnet.Place.Problem.sinks)
+      problem.Place.Problem.nets
+  in
   (* endpoints: latch data pins (declaration order), then output pads
      (ascending block index) *)
   let eps = ref [] in
@@ -117,12 +131,10 @@ let build (problem : Place.Problem.t) =
      block's timing cones *)
   let n_blocks = Array.length problem.Place.Problem.blocks in
   let produced_by = Array.make n_blocks [] in
-  Hashtbl.iter
-    (fun s b -> produced_by.(b) <- s :: produced_by.(b))
-    block_of;
-  Array.iteri
-    (fun b ss -> produced_by.(b) <- List.sort_uniq compare ss)
-    produced_by;
+  for s = n - 1 downto 0 do
+    let b = block_of.(s) in
+    if b >= 0 then produced_by.(b) <- s :: produced_by.(b)
+  done;
   (* signal -> routable net index (-1 when the signal has no net) *)
   let net_of_signal = Array.make n (-1) in
   Array.iteri
@@ -150,7 +162,7 @@ let build (problem : Place.Problem.t) =
     levels;
     level_of;
     consumers;
-    consumers_at;
+    sink_users;
     block_of;
     endpoints;
     fanins_of;

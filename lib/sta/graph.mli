@@ -26,11 +26,16 @@ type t = {
   level_of : int array;       (** level per signal *)
   consumers : int list array; (** combinational consumers per signal,
                                   ascending id (backward-pass pull) *)
-  consumers_at : (int * int, int list) Hashtbl.t;
-      (** (signal, consuming block) -> consuming signal ids, the
-          grouping criticality extraction uses *)
-  block_of : (int, int) Hashtbl.t;
-      (** producing block of every cluster-output / input-pad signal *)
+  sink_users : int list array array;
+      (** per (net index, sink position): the signals the net's signal
+          feeds inside that sink block (one entry per fanin occurrence,
+          descending id), the grouping criticality extraction takes the
+          worst path over; [[]] for an output-pad sink *)
+  block_of : int array;
+      (** signal -> producing block ([Place.Td_timing.block_of_signal]
+          as an array), [-1] when no block produces it (a LUT output
+          folded into a merged BLE); the table every provider built on
+          this graph shares *)
   endpoints : endpoint array; (** pads (ascending block), then latches
                                   (declaration order) *)
   fanins_of : int array array;

@@ -290,6 +290,80 @@ let prop_bbox_incremental =
           = Place.Placement.net_cost pl problem.Place.Problem.nets.(ni))
         (Array.init (Array.length problem.Place.Problem.nets) Fun.id))
 
+(* The slot tables are the inverse of [loc]: from the initial placement
+   and after every move or undo, each block's CLB or pad slot holds that
+   block and every other slot reads -1.  The designs are pad-heavy
+   (decoder4: 4 inputs, 16 outputs; alu8: 27 IOs), so at io_rat 1, 2
+   and 4 their pad slots are mostly full and random targets land on
+   occupied and empty slots alike.  The pad table is dense, so reading
+   every pad position's slot also catches a slot index that is off by
+   one in either direction. *)
+let decoder_mapped = lazy (mapped_of (Core.Bench_circuits.decoder 4))
+
+let slots_match_loc (pl : Place.Placement.t) =
+  let grid = pl.Place.Placement.problem.Place.Problem.grid in
+  let owner = Hashtbl.create 64 in
+  Array.iteri (fun b l -> Hashtbl.replace owner l b) pl.Place.Placement.loc;
+  let expect l = Option.value (Hashtbl.find_opt owner l) ~default:(-1) in
+  let pad_at = pl.Place.Placement.pad_at in
+  let n_pads =
+    Array.fold_left
+      (fun n k -> if Place.Problem.is_pad k then n + 1 else n)
+      0 pl.Place.Placement.problem.Place.Problem.blocks
+  in
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun x col ->
+         Array.for_all Fun.id
+           (Array.mapi (fun y o -> o = expect (Fpga_arch.Grid.Clb (x, y))) col))
+       pl.Place.Placement.clb_at)
+  && Array.length pad_at = Fpga_arch.Grid.n_pad_slots grid
+  && List.for_all
+       (fun (x, y, s) ->
+         pad_at.(Place.Placement.pad_slot grid x y s)
+         = expect (Fpga_arch.Grid.Pad (x, y, s)))
+       (Fpga_arch.Grid.pad_positions grid)
+  && Array.fold_left (fun n o -> if o >= 0 then n + 1 else n) 0 pad_at = n_pads
+
+let prop_slot_tables_inverse =
+  QCheck.Test.make ~count:30 ~name:"slot tables are the inverse of loc"
+    QCheck.(triple (int_bound 100000) (int_bound 1) (oneofl [ 1; 2; 4 ]))
+    (fun (seed, design, io_rat) ->
+      let net =
+        Lazy.force (if design = 0 then decoder_mapped else alu_mapped)
+      in
+      let problem =
+        Place.Problem.build ~io_rat (Pack.Cluster.pack ~n:5 ~i:12 net)
+      in
+      let pl = Place.Placement.initial ~seed:(seed + 1) problem in
+      let rng = Util.Prng.create (seed + 5) in
+      let grid = problem.Place.Problem.grid in
+      let clb_slots = Array.of_list (Fpga_arch.Grid.clb_positions grid) in
+      let pad_slots = Array.of_list (Fpga_arch.Grid.pad_positions grid) in
+      let n_blocks = Array.length problem.Place.Problem.blocks in
+      let ok = ref (slots_match_loc pl) in
+      for _ = 1 to 200 do
+        let b = Util.Prng.int rng n_blocks in
+        let target =
+          match problem.Place.Problem.blocks.(b) with
+          | Place.Problem.Cluster_block _ ->
+              let x, y = Util.Prng.pick rng clb_slots in
+              Fpga_arch.Grid.Clb (x, y)
+          | Place.Problem.Input_pad _ | Place.Problem.Output_pad _ ->
+              let x, y, s = Util.Prng.pick rng pad_slots in
+              Fpga_arch.Grid.Pad (x, y, s)
+        in
+        if target <> pl.Place.Placement.loc.(b) then begin
+          let undo = Place.Anneal.apply_move pl b target in
+          ok := !ok && slots_match_loc pl;
+          if Util.Prng.bool rng then begin
+            undo ();
+            ok := !ok && slots_match_loc pl
+          end
+        end
+      done;
+      !ok)
+
 let test_problem_excludes_clock () =
   let net = Lazy.force counter_mapped in
   let p = Pack.Cluster.pack ~n:5 ~i:12 net in
@@ -635,6 +709,7 @@ let suite =
     ("placement deterministic", `Quick, test_placement_deterministic);
     ("zero-cost placement terminates", `Quick, test_zero_cost_terminates);
     QCheck_alcotest.to_alcotest prop_bbox_incremental;
+    QCheck_alcotest.to_alcotest prop_slot_tables_inverse;
     ("clock excluded from routing", `Quick, test_problem_excludes_clock);
     ("routing no overuse", `Quick, test_routing_no_overuse);
     ("routing connects all nets", `Quick, test_routing_connects_all_nets);

@@ -78,7 +78,7 @@ let test_td_criticalities_bounded () =
   let a =
     Sta.Analysis.to_td
       (Sta.Analysis.run graph
-         (Sta.Delays.of_placement problem
+         (Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
             ~coords:(Place.Placement.coords pl)))
   in
   Alcotest.(check bool) "dmax positive" true (a.Place.Td_timing.dmax > 0.0);

@@ -586,22 +586,26 @@ let test_route_identity_pin () =
 
 (* Place identity pin.  The annealer's determinism contract
    (docs/ARCHITECTURE.md: the PRNG draw order, the ascending touched-net
-   order, the sink order, the cost expression, the accept update sequence
-   and the pad-table operation order) fixes every placement bit for bit,
-   but the golden fixtures are single-start and pin delays only, and the
-   multi-start tests compare pool sizes, not absolute values.  So one
-   routability-driven single-start design and one timing-driven
-   four-start design (default pruning, fixed width, as in the
-   place-timing benchmark) pin, at seed 1 and one job: the winner's moves
-   and accepted moves, its exact final cost, the MD5 of the marshalled
-   placement (the route stage's key input) and the bitstream MD5.  The
-   values were recorded before the move kernel was rewritten for speed,
-   which had to reproduce them.  [place.moves-evaluated] came with that
-   rewrite: every start's moves, so the winner's alone when single-start. *)
+   order, the sink order, the cost expression and the accept update
+   sequence) fixes every placement bit for bit, but the golden fixtures
+   are single-start and pin delays only, and the multi-start tests
+   compare pool sizes, not absolute values.  So one routability-driven
+   single-start design and one timing-driven four-start design (default
+   pruning, fixed width, as in the place-timing benchmark) pin, at seed 1
+   and one job: the winner's moves and accepted moves, its exact final
+   cost, the MD5 of its marshalled block locations, the MD5 of the
+   marshalled placement (the route stage's key input) and the bitstream
+   MD5.  The values were recorded before the move kernel was rewritten
+   for speed, which had to reproduce them.  [place.moves-evaluated] came
+   with that rewrite: every start's moves, so the winner's alone when
+   single-start.  The location MD5s were recorded before the pad table
+   became an array; the placement MD5s were re-recorded then, because
+   the placement's bytes hold the table (its slots did not move). *)
 let test_place_identity_pin () =
   let md5 s = Digest.to_hex (Digest.string s) in
   List.iter
-    (fun (name, config, vhdl, moves, evaluated, accepted, cost, pl_md5, bit_md5) ->
+    (fun (name, config, vhdl, moves, evaluated, accepted, cost, loc_md5, pl_md5,
+          bit_md5) ->
       let config =
         { config with Core.Flow.seed = 1; jobs = Some 1; cache_dir = None }
       in
@@ -622,6 +626,11 @@ let test_place_identity_pin () =
         (Obs.Registry.find metrics "place.final-cost"
          = Some (Obs.Registry.Gauge cost)
         && a.Place.Anneal.final_cost = cost);
+      Alcotest.(check string) (name ^ " loc MD5") loc_md5
+        (md5 (Marshal.to_string
+                r.Core.Flow.routed.Route.Router.placement.Place.Placement.loc []));
+      Alcotest.(check string) (name ^ " replayed loc MD5") loc_md5
+        (md5 (Marshal.to_string a.Place.Anneal.placement.Place.Placement.loc []));
       Alcotest.(check string) (name ^ " placement MD5") pl_md5
         (md5 (Marshal.to_string r.Core.Flow.routed.Route.Router.placement []));
       Alcotest.(check string) (name ^ " replayed placement MD5") pl_md5
@@ -631,7 +640,8 @@ let test_place_identity_pin () =
     [
       ( "alu16 uniform", Core.Flow.default_config, Core.Bench_circuits.alu 16,
         32280, 32280, 16350, 0x1.97a7ef9db22d1p+8,
-        "b4570ad1dac8c68633f07ffea83d0c30", "4fbd9c41f64837894d434941cc8a8c3d" );
+        "2a9eddb09d327a13962b3cead7a0e823",
+        "d54b49ae6f8e8935af10b33b284eb075", "4fbd9c41f64837894d434941cc8a8c3d" );
       ( "mult8 2xL1+1xL2+1xL4 timing-driven 4-start",
         {
           Core.Flow.default_config with
@@ -643,7 +653,8 @@ let test_place_identity_pin () =
         },
         Core.Bench_circuits.multiplier 8,
         25506, 96824, 12791, 0x1.1a3141205bc02p+9,
-        "36696255a7a52718300dee451bf19cc5", "f67c2232627cf8856a5575255828374c" );
+        "f9a26dfcd0b7a93adf9436474fe739cb",
+        "a469296c304a0bffd3440d1d6c899adf", "f67c2232627cf8856a5575255828374c" );
     ]
 
 let suite =

@@ -17,7 +17,8 @@ let placed vhdl =
 let pre_route_analysis problem placement =
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement problem ~coords:(Place.Placement.coords placement)
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords placement)
   in
   Sta.Analysis.run graph provider
 
@@ -43,7 +44,8 @@ let test_slack_monotone () =
   let problem, placement = placed (Core.Bench_circuits.multiplier 4) in
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement problem ~coords:(Place.Placement.coords placement)
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords placement)
   in
   let at period =
     Sta.Analysis.run
@@ -71,7 +73,8 @@ let test_detff_halving () =
   let problem, placement = placed (Core.Bench_circuits.accumulator 12) in
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement problem ~coords:(Place.Placement.coords placement)
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords placement)
   in
   let run period detff =
     Sta.Analysis.run
@@ -92,7 +95,8 @@ let test_jobs_identical () =
   let problem, placement = placed (Core.Bench_circuits.alu 8) in
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement problem ~coords:(Place.Placement.coords placement)
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords placement)
   in
   let a1 = Sta.Analysis.run ~jobs:1 graph provider in
   let a4 = Sta.Analysis.run ~jobs:4 graph provider in
@@ -190,6 +194,109 @@ let test_sta_plain_data () =
   Alcotest.(check string) "pre-route report" (report pre) (report pre');
   Alcotest.(check string) "post-route report" (report post) (report post')
 
+(* Provider parity.  The graph's producer array and sink-user lists
+   replaced a [Place.Td_timing.block_of_signal] table and a
+   (signal, consuming block) grouping; every delay and every user list
+   must be what those gave.  counter8 merges each register with the LUT
+   feeding it, so the LUT outputs have no producing block: arcs out of
+   and into them take the "unknown producer" branches.  Both flow
+   providers (placement distance and routed Elmore) are asked for every
+   pair of signals and every (signal, output pad) pair: a superset of
+   the combinational, setup and pad arcs the engine reads. *)
+let test_provider_parity () =
+  let r = Lazy.force td_counter8 in
+  let graph = r.Core.Flow.sta_pre.Sta.Analysis.graph in
+  let problem = graph.Sta.Graph.problem in
+  let net = graph.Sta.Graph.net in
+  let tbl = Place.Td_timing.block_of_signal problem in
+  Alcotest.(check (array int)) "block_of = block_of_signal"
+    (Array.init graph.Sta.Graph.n (fun s ->
+         Option.value (Hashtbl.find_opt tbl s) ~default:(-1)))
+    graph.Sta.Graph.block_of;
+  let hop coords t_fixed t_per_tile a b =
+    let ax, ay = coords.(a) and bx, by = coords.(b) in
+    t_fixed +. (t_per_tile *. float_of_int (abs (ax - bx) + abs (ay - by)))
+  in
+  let conn (p : Sta.Delays.provider) src dst =
+    match
+      (Hashtbl.find_opt tbl src, Hashtbl.find_opt tbl dst, p.Sta.Delays.wires)
+    with
+    | Some a, Some b, _ when a = b -> p.Sta.Delays.t_local
+    | Some a, Some b, Sta.Delays.Distance { coords; t_fixed; t_per_tile } ->
+        hop coords t_fixed t_per_tile a b
+    | _, Some b, Sta.Delays.Routed rt ->
+        Option.value (Hashtbl.find_opt rt (src, b))
+          ~default:p.Sta.Delays.t_local
+    | _ -> p.Sta.Delays.t_local
+  in
+  let pad (p : Sta.Delays.provider) src block =
+    match p.Sta.Delays.wires with
+    | Sta.Delays.Distance { coords; t_fixed; t_per_tile } -> (
+        match Hashtbl.find_opt tbl src with
+        | Some a when a <> block -> hop coords t_fixed t_per_tile a block
+        | _ -> p.Sta.Delays.t_local)
+    | Sta.Delays.Routed rt ->
+        Option.value (Hashtbl.find_opt rt (src, block)) ~default:0.0
+  in
+  let arcs =
+    List.concat_map
+      (fun id -> List.map (fun f -> (f, id)) (Netlist.Logic.fanins net id))
+      (List.init graph.Sta.Graph.n Fun.id)
+  in
+  let unknown s = not (Hashtbl.mem tbl s) in
+  Alcotest.(check bool) "arcs from signals with no producing block" true
+    (List.exists (fun (f, _) -> unknown f) arcs);
+  Alcotest.(check bool) "arcs into signals with no producing block" true
+    (List.exists (fun (_, id) -> unknown id) arcs);
+  List.iter
+    (fun (label, (a : Sta.Analysis.t)) ->
+      let p = a.Sta.Analysis.provider in
+      Alcotest.(check string) "provider" label p.Sta.Delays.name;
+      Alcotest.(check bool) (label ^ " shares the graph's producer") true
+        (p.Sta.Delays.producer == graph.Sta.Graph.block_of);
+      for src = 0 to graph.Sta.Graph.n - 1 do
+        for dst = 0 to graph.Sta.Graph.n - 1 do
+          if Sta.Delays.conn p src dst <> conn p src dst then
+            Alcotest.failf "%s conn %d -> %d" label src dst
+        done;
+        Array.iteri
+          (fun block kind ->
+            match kind with
+            | Place.Problem.Output_pad _ ->
+                if Sta.Delays.pad p src block <> pad p src block then
+                  Alcotest.failf "%s pad %d -> block %d" label src block
+            | _ -> ())
+          problem.Place.Problem.blocks
+      done)
+    [ ("placement-distance", r.Core.Flow.sta_pre);
+      ("routed-elmore", r.Core.Flow.sta_post) ];
+  (* the (signal, consuming block) grouping, rebuilt as it was kept *)
+  let grouping = Hashtbl.create 64 in
+  for id = 0 to graph.Sta.Graph.n - 1 do
+    List.iter
+      (fun f ->
+        match Hashtbl.find_opt tbl id with
+        | Some b ->
+            let cur =
+              Option.value (Hashtbl.find_opt grouping (f, b)) ~default:[]
+            in
+            Hashtbl.replace grouping (f, b) (id :: cur)
+        | None -> ())
+      (Netlist.Logic.fanins net id)
+  done;
+  Array.iteri
+    (fun ni (pnet : Place.Problem.net) ->
+      Array.iteri
+        (fun k sb ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "sink users of net %d, sink %d" ni k)
+            (Option.value
+               (Hashtbl.find_opt grouping (pnet.Place.Problem.signal, sb))
+               ~default:[])
+            graph.Sta.Graph.sink_users.(ni).(k))
+        pnet.Place.Problem.sinks)
+    problem.Place.Problem.nets
+
 (* Incremental update must be bit-identical to a fresh analysis, for any
    jobs count, across a chain of placement perturbations (the annealer's
    usage: many updates between full refreshes, prev consumed each time). *)
@@ -255,7 +362,8 @@ let test_incremental_counters () =
   let problem, placement = placed (Core.Bench_circuits.counter 8) in
   let graph = Sta.Graph.build problem in
   let provider =
-    Sta.Delays.of_placement problem ~coords:(Place.Placement.coords placement)
+    Sta.Delays.of_placement ~producer:graph.Sta.Graph.block_of problem
+      ~coords:(Place.Placement.coords placement)
   in
   let obs = Obs.Registry.create () in
   let a = Sta.Analysis.run graph provider in
@@ -282,4 +390,5 @@ let suite =
     "top-k path report" => test_report_paths;
     "flow sta counters" => test_flow_counters;
     "sta artifact is plain data" => test_sta_plain_data;
+    "provider parity over every arc" => test_provider_parity;
   ]
