@@ -709,7 +709,6 @@ let suite =
     ("placement deterministic", `Quick, test_placement_deterministic);
     ("zero-cost placement terminates", `Quick, test_zero_cost_terminates);
     QCheck_alcotest.to_alcotest prop_bbox_incremental;
-    QCheck_alcotest.to_alcotest prop_slot_tables_inverse;
     ("clock excluded from routing", `Quick, test_problem_excludes_clock);
     ("routing no overuse", `Quick, test_routing_no_overuse);
     ("routing connects all nets", `Quick, test_routing_connects_all_nets);
@@ -736,4 +735,5 @@ let suite =
     ("fabric equivalence", `Quick, test_fabric_equivalence);
     ("fabric detects lut tampering", `Quick, test_fabric_detects_lut_tampering);
     ("fabric netlist structure", `Quick, test_fabric_netlist_structure);
+    QCheck_alcotest.to_alcotest prop_slot_tables_inverse;
   ]
